@@ -1,9 +1,10 @@
 """Assemble a full pattern relaxation into one conic program.
 
-Per-pattern moment models are merged over shared monomial variables, v_0 is
-pinned to 1, every support monomial of the objective gets its trivial box
-bounds, and constraints are deduplicated.  Constraints carry piece ids so the
-certificate module can reassemble dual information per pattern.
+Per-pattern moment models are merged over shared monomial variables in one
+linear pass (`models.merge_models`), v_0 is pinned to 1, every support
+monomial of the objective gets its trivial box bounds, and constraints are
+deduplicated.  Constraints carry piece ids so the certificate module can
+reassemble dual information per pattern.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .models import ModelPolicy, MomentModel, model_for_pattern
+from .models import ModelPolicy, merge_models, model_for_pattern
 from .patterns import PatternFamily
 from .polynomials import (
     Box,
@@ -24,13 +25,6 @@ from .polynomials import (
     zero_exponent,
 )
 from .program import ConicProgram, GMCData
-
-
-def merge_models(models, n: int) -> MomentModel:
-    merged = MomentModel(n)
-    for m in models:
-        merged = merged.merged_with(m)
-    return merged
 
 
 def assemble_relaxation(

@@ -214,43 +214,6 @@ class MomentModel:
                 worst = max(worst, abs(val) - prod)
         return worst
 
-    def merged_with(self, other: "MomentModel") -> "MomentModel":
-        """Concatenate two models, offsetting the other's aux and group ids."""
-        if other.n != self.n:
-            raise BuilderError("model dimension mismatch")
-        out = MomentModel(self.n)
-        out.variables = set(self.variables) | set(other.variables)
-        out.aux_count = self.aux_count + other.aux_count
-        goffset = (max(self.groups) + 1) if self.groups else 0
-
-        def push(model, aux_off, grp_off):
-            for row in model.rows:
-                grp = row.group + grp_off if row.group is not None else None
-                out.rows.append(Row(row.form.shift_aux(aux_off), row.sense, row.factors, grp))
-            for block in model.lmis:
-                grp = block.group + grp_off if block.group is not None else None
-                entries = [
-                    [e.shift_aux(aux_off) for e in row_entries]
-                    for row_entries in block.entries
-                ]
-                out.lmis.append(LMIBlock(entries, block.basis, block.multiplier_factors, grp))
-            for rec in model.gmcs:
-                grp = rec.group + grp_off if rec.group is not None else None
-                out.gmcs.append(GMCRecord(rec.beta, rec.gammas, rec.lambdas, rec.sign_mode, grp))
-            for gid, info in model.groups.items():
-                out.groups[gid + grp_off] = info
-
-        push(self, 0, 0)
-        push(other, self.aux_count, goffset)
-        lifts = (self.aux_lift, other.aux_lift)
-        if self.aux_count and other.aux_count:
-            out.aux_lift = lambda x: list(lifts[0](x)) + list(lifts[1](x))
-        elif self.aux_count:
-            out.aux_lift = lifts[0]
-        elif other.aux_count:
-            out.aux_lift = lifts[1]
-        return out
-
     def dump(self) -> str:
         """Human-readable listing of all constraints with exponent labels."""
         lines = [f"moment model on {len(self.variables)} monomial variables, "
@@ -268,6 +231,57 @@ class MomentModel:
                 f"  gmc:  v{rec.beta} vs prod of v{list(rec.gammas)}^{list(rec.lambdas)} ({rel})"
             )
         return "\n".join(lines)
+
+
+def merge_models(models, n: int) -> MomentModel:
+    """Join models over their shared monomial variables in one pass.
+
+    Each model's aux indices are offset by the aux count of the models before
+    it, and its group ids by one past the largest group id so far.  The merged
+    aux lift calls each model's lift in turn, without nesting, so its depth
+    does not grow with the number of models.
+    """
+    out = MomentModel(n)
+    lifts = []
+    aux_off = 0
+    grp_off = 0
+    for model in models:
+        if model.n != n:
+            raise BuilderError("model dimension mismatch")
+
+        def shifted(form):
+            return form.shift_aux(aux_off) if aux_off and form.aux else form
+
+        def regroup(group):
+            return group + grp_off if group is not None else None
+
+        out.variables |= model.variables
+        for row in model.rows:
+            out.rows.append(Row(shifted(row.form), row.sense, row.factors, regroup(row.group)))
+        for block in model.lmis:
+            entries = [[shifted(e) for e in row_entries] for row_entries in block.entries]
+            out.lmis.append(LMIBlock(entries, block.basis, block.multiplier_factors,
+                                     regroup(block.group)))
+        for rec in model.gmcs:
+            out.gmcs.append(GMCRecord(rec.beta, rec.gammas, rec.lambdas, rec.sign_mode,
+                                      regroup(rec.group)))
+        for gid, info in model.groups.items():
+            out.groups[gid + grp_off] = info
+        if model.groups:
+            grp_off = max(out.groups) + 1
+        if model.aux_count:
+            lifts.append(model.aux_lift)
+            aux_off += model.aux_count
+    out.aux_count = aux_off
+    if lifts and None not in lifts:
+        def lift(x):
+            vals = []
+            for part in lifts:
+                vals.extend(part(x))
+            return vals
+
+        out.aux_lift = lift
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +698,7 @@ def _bounds_model(model: MomentModel, alpha: Exponent, box: Box):
 def _pairwise_mccormick(P: Pattern, box: Box) -> MomentModel:
     base = _pattern_base(P)
     supp = sorted(exp_support(base))
-    model = MomentModel(P.n)
+    subs = []
     for i, j in itertools.combinations(supp, 2):
         sub = Pattern(
             frozenset({zero_exponent(P.n), unit_exponent(P.n, i, base[i]),
@@ -692,7 +706,8 @@ def _pairwise_mccormick(P: Pattern, box: Box) -> MomentModel:
                        exp_add(unit_exponent(P.n, i, base[i]), unit_exponent(P.n, j, base[j]))}),
             kind="multilinear",
         )
-        model = model.merged_with(build_mccormick_model(sub, box))
+        subs.append(build_mccormick_model(sub, box))
+    model = merge_models(subs, P.n)
     for alpha in sorted(P.exponents):
         if sum(alpha):
             _bounds_model(model, alpha, box)

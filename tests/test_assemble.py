@@ -1,12 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from patternrelax.assemble import assemble_relaxation
-from patternrelax.bench import brute_force_min, family_for_method
+from patternrelax.bench import brute_force_min, family_for_method, gen_instance
 from patternrelax.ipm import solve_relaxation
 from patternrelax.models import ModelPolicy, build_lasserre_model
 from patternrelax.patterns import PatternFamily, chain_family, multilinear_family
 from patternrelax.polynomials import Box, Polynomial, linearize
+from patternrelax.program import export_sdpa
 
 
 def value_of(f, fam, box, policy=None, sense="min"):
@@ -152,3 +155,27 @@ def test_v0_pinned_and_homogeneous_rows():
     assert prog.eqs[0].rhs == 1.0
     for row in prog.ineqs:
         assert row.rhs == 0.0
+
+
+# SHA-256 of the SDPA text of assembled programs, recorded when models were
+# still merged pairwise; the one-pass merge must emit the same rows, blocks,
+# pieces and aux columns in the same order.
+PINNED_SDPA = [
+    # vertex models with auxiliaries
+    ("dense(3,4)", 1, "M", None,
+     "f2c6f1c05cf69c2dd3d6600b87b1caa890ccefa820ffbf16aab65f4df0f85170"),
+    # moment LMI blocks
+    ("dense(2,6)", 1, "C", None,
+     "2d1becfe9ef7d228e2a11f8ac85fd9431740591363c1937948d101cb1adf46c5"),
+    # three-coordinate patterns fall back to pairwise McCormick rows
+    ("dense(3,4)", 2, "M", ModelPolicy(vertex_cap=2),
+     "dcb88f4e4a553c6c068002b61a81262331df863dd7fcda65390a8b831d62733d"),
+]
+
+
+@pytest.mark.parametrize("tag,seed,method,policy,digest", PINNED_SDPA)
+def test_assembled_sdpa_is_pinned(tag, seed, method, policy, digest):
+    inst = gen_instance(tag, seed)
+    prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box, policy)
+    text = export_sdpa(prog.lowered())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

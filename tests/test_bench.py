@@ -17,7 +17,7 @@ from patternrelax.bench import (
     triv_criterion,
     trivial_bounds,
 )
-from patternrelax.models import ModelPolicy
+from patternrelax.models import BuilderError, ModelPolicy
 from patternrelax.patterns import chain_family
 from patternrelax.polynomials import Box, Polynomial
 
@@ -189,3 +189,16 @@ def test_benchmark_failure_recorded_not_raised():
     assert len(records) == 2
     assert all(r.status.startswith("error:") for r in records)
     assert all(math.isnan(r.value) for r in records)
+
+
+def test_assembly_failure_recorded_not_raised(monkeypatch):
+    def failing_assembly(*args, **kwargs):
+        raise BuilderError("pattern cannot be modelled")
+
+    monkeypatch.setattr("patternrelax.bench.assemble_relaxation", failing_assembly)
+    cfg = BenchConfig(families=["S(2,3)"], methods=["M", "C"], samples=2)
+    records, summary = run_benchmark(cfg)
+    assert len(records) == 2 * 2 * 2  # instances x methods x senses
+    assert all(r.status == "error:pattern cannot be modelled" for r in records)
+    assert all(math.isnan(r.value) for r in records)
+    assert all(math.isnan(row["triv_median"]) for row in summary)

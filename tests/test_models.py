@@ -16,6 +16,7 @@ from patternrelax.models import (
     build_multilinear_model,
     build_shifted_model,
     build_sparse_sos_moment_model,
+    merge_models,
     model_for_pattern,
 )
 from patternrelax.patterns import (
@@ -357,6 +358,16 @@ def test_pairwise_mccormick_fallback_for_wide_patterns():
     model = model_for_pattern(fam.patterns[0], Box.unit(8), ModelPolicy(vertex_cap=6))
     assert model.aux_count == 0  # no 2^8 vertex mixture
     _check_lift(model, Box.unit(8), samples=100)
+
+
+def test_merge_of_many_vertex_models_lifts_without_recursion():
+    box = Box([-1.0, 0.5], [2.0, 3.0])
+    pat = multilinear_family({(1, 1)}).patterns[0]
+    model = merge_models((build_multilinear_model(pat, box) for _ in range(5000)), 2)
+    assert model.aux_count == 5000 * 4
+    assert sorted(model.groups) == list(range(5000))
+    assert sorted({row.group for row in model.rows}) == list(range(5000))
+    assert model.max_violation(np.array([0.3, 1.7])) <= 1e-9
 
 
 def test_model_dump_mentions_all_constraint_kinds():
