@@ -11,15 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assemble import assemble_relaxation
-from .ipm import SolverConfig, solve_relaxation
+from .ipm import SolverConfig, solve, solve_relaxation
 from .models import ModelPolicy
 from .patterns import (
     PatternFamily,
@@ -346,8 +344,6 @@ def _bench_one(inst: Instance, method: str, cfg: BenchConfig) -> list:
         try:
             prog = assemble_relaxation(inst.f, fam, inst.box, cfg.policy, sense)
             lowered = prog.lowered(cfg.solver.gmc_denominator_cap)
-            from .ipm import solve
-
             t0 = time.perf_counter()  # time_s is the solve time alone
             res = solve(lowered, cfg.solver)
             status, it = res.status, res.iterations
@@ -381,13 +377,7 @@ def run_benchmark(cfg: BenchConfig) -> tuple:
             inst = gen_instance(tag, cfg.base_seed + k)
             for method in cfg.methods:
                 jobs.append((inst, method))
-    threads = int(os.environ.get("PATTERN_RELAX_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda jm: _bench_one(jm[0], jm[1], cfg), jobs))
-    else:
-        chunks = [_bench_one(inst, method, cfg) for inst, method in jobs]
-    records = [rec for chunk in chunks for rec in chunk]
+    records = [rec for inst, method in jobs for rec in _bench_one(inst, method, cfg)]
     records.sort(key=lambda r: (r.instance_id, r.method, r.sense))
     summary = summarize(records)
     return records, summary

@@ -11,7 +11,7 @@ from .assemble import assemble_relaxation
 from .bench import BenchConfig, family_for_method, gen_instance, records_to_csv, run_benchmark
 from .certificates import Certificate, extract_certificate, verify_certificate
 from .io import export_instance_json, import_instance_json
-from .ipm import SolverConfig, solve
+from .ipm import solve_relaxation
 from .models import ModelPolicy
 from .program import export_sdpa
 
@@ -52,9 +52,7 @@ def cmd_solve(args):
     f, box, fam_file, _ = _load_instance(args.instance)
     fam = _family_for(args, f, fam_file)
     prog = assemble_relaxation(f, fam, box, ModelPolicy(), args.sense)
-    cfg = SolverConfig()
-    lowered = prog.lowered(cfg.gmc_denominator_cap)
-    result = solve(lowered, cfg)
+    lowered, result = solve_relaxation(prog)
     value = result.primal if args.sense == "min" else -result.primal
     print(f"status: {result.status}")
     print(f"value:  {value:.10g}")

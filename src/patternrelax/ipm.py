@@ -65,10 +65,6 @@ class _ConeVec:
         self.mats = [np.asarray(M, float) for M in mats]
 
     @classmethod
-    def zeros(cls, l, sizes):
-        return cls(np.zeros(l), [np.zeros((m, m)) for m in sizes])
-
-    @classmethod
     def identity(cls, l, sizes):
         return cls(np.ones(l), [np.eye(m) for m in sizes])
 
@@ -291,16 +287,6 @@ class _Scaling:
         mats = [0.5 * (M + M.T) for M in mats]
         return _ConeVec(s.lin / np.sqrt(self.w2), mats)
 
-    def mult_Wt(self, v: _ConeVec) -> _ConeVec:
-        """W' v (transport a scaled s-direction back to s-space)."""
-        mats = [R @ M @ R.T for R, M in zip(self.R, v.mats)]
-        return _ConeVec(np.sqrt(self.w2) * v.lin, mats)
-
-    def WtW_apply(self, v: _ConeVec) -> _ConeVec:
-        mats = [Wm @ M @ Wm for Wm, M in zip(self.Wmat, v.mats)]
-        mats = [0.5 * (M + M.T) for M in mats]
-        return _ConeVec(self.w2 * v.lin, mats)
-
     def WtW_inv_apply(self, v: _ConeVec) -> _ConeVec:
         mats = [Wi @ M @ Wi for Wi, M in zip(self.Winv, v.mats)]
         mats = [0.5 * (M + M.T) for M in mats]
@@ -457,10 +443,15 @@ class _KKT:
             if not np.all(np.isfinite(self.lu[0])) or (
                     pivots.size and float(pivots.min()) <= pivot_floor):
                 # (near-)singular: fall back to a tiny quasidefinite shift
-                Mreg = Ms.copy()
-                Mreg[:n, :n] += self.REG * np.eye(n)
-                Mreg[n:, n:] -= self.REG * np.eye(p)
-                self.lu = sla.lu_factor(Mreg)
+                self.lu = sla.lu_factor(self._shifted())
+
+    def _shifted(self) -> np.ndarray:
+        """The equilibrated matrix with a tiny quasidefinite shift."""
+        n, p = self.n, self.p
+        Mreg = self.Ms.copy()
+        Mreg[:n, :n] += self.REG * np.eye(n)
+        Mreg[n:, n:] -= self.REG * np.eye(p)
+        return Mreg
 
     def ensure_extended(self) -> bool:
         """Build the extended-precision factorization on demand."""
@@ -468,15 +459,11 @@ class _KKT:
             return True
         if self._xlu_failed or self.Ms.shape[0] > self.EXTENDED_DIM:
             return False
-        n, p = self.n, self.p
         try:
             self.xlu = _ExtendedLU(self.Ms)
         except np.linalg.LinAlgError:
-            Mreg = self.Ms.copy()
-            Mreg[:n, :n] += self.REG * np.eye(n)
-            Mreg[n:, n:] -= self.REG * np.eye(p)
             try:
-                self.xlu = _ExtendedLU(Mreg)
+                self.xlu = _ExtendedLU(self._shifted())
             except np.linalg.LinAlgError:
                 self._xlu_failed = True
                 return False
@@ -618,15 +605,44 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
     sigma_floor = 0.0
     ratio0 = None  # initial residual-to-mu ratio, for balanced reduction
 
+    def metrics(x, y, s, z, tau):
+        """The point scaled by 1/tau, its costs, and its relative residuals.
+
+        The residuals map primal, dual and gap, in that order; the merit of a
+        point is their max.
+        """
+        X, Y = x / tau, y / tau
+        S, Z = s.scale(1.0 / tau), z.scale(1.0 / tau)
+        pcost = float(c @ X)
+        dcost = -(float(b @ Y) if p else 0.0) - h.dot(Z)
+        pres_eq = float(np.max(np.abs(A @ X - b))) / norm_b if p else 0.0
+        prz = sf.G_apply(X)
+        prz.axpy(1.0, S)
+        prz.axpy(-1.0, h)
+        dres_vec = (A.T @ Y if p else 0.0) + sf.GT_apply(Z) + c
+        res = {
+            "primal": max(pres_eq, prz.inf_norm() / norm_h),
+            "dual": float(np.max(np.abs(dres_vec))) / norm_c,
+            "gap": abs(pcost - dcost) / (1.0 + abs(pcost)),
+        }
+        return (X, Y, S, Z), pcost, dcost, res
+
+    def embedding(x, y, s, z, tau, kappa):
+        """G x and the residuals and barrier parameter of the embedding."""
+        Gx = sf.G_apply(x)
+        rx = A.T @ y + sf.GT_apply(z) + c * tau if p else sf.GT_apply(z) + c * tau
+        ry = A @ x - b * tau if p else np.zeros(0)
+        rz = Gx.copy()
+        rz.axpy(1.0, s)
+        rz.axpy(-tau, h)
+        rtau = float(c @ x) + (float(b @ y) if p else 0.0) + h.dot(z) + kappa
+        mu = (s.dot(z) + tau * kappa) / nu1
+        return Gx, rx, ry, rz, rtau, mu
+
     def result_from(state, status, iterations):
         bx, by, bs, bz, btau, _ = state
-        X = bx / btau
-        Y = by / btau
-        S = bs.scale(1.0 / btau)
-        Z = bz.scale(1.0 / btau)
-        pcost = float(c @ X)
-        dcost = -float(b @ Y) - h.dot(Z)
-        res = _residual_report(sf, X, Y, S, Z, norm_b, norm_h, norm_c)
+        (X, Y, S, Z), pcost, dcost, res = metrics(bx, by, bs, bz, btau)
+        res["complementarity"] = S.dot(Z)
         if (res["primal"] <= cfg.feas_tol and res["dual"] <= cfg.feas_tol
                 and res["gap"] <= cfg.gap_tol):
             status = "optimal"
@@ -643,50 +659,17 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
         state = best_state or (x, y, s, z, tau, kappa)
         return result_from(state, status, iterations)
 
-    def merit_at(xt, yt, st, zt, taut, kappat):
-        Xt, Yt = xt / taut, yt / taut
-        St, Zt = st.scale(1.0 / taut), zt.scale(1.0 / taut)
-        pc = float(c @ Xt)
-        dc = -float(b @ Yt) - h.dot(Zt)
-        pr_eq = float(np.max(np.abs(A @ Xt - b))) / norm_b if p else 0.0
-        prz = sf.G_apply(Xt)
-        prz.axpy(1.0, St)
-        prz.axpy(-1.0, h)
-        pr_all = max(pr_eq, prz.inf_norm() / norm_h)
-        dvec = (A.T @ Yt if p else 0.0) + sf.GT_apply(Zt) + c
-        dr = float(np.max(np.abs(dvec))) / norm_c
-        gp = abs(pc - dc) / (1.0 + abs(pc))
-        return max(pr_all, dr, gp)
-
     it = 0
     for it in range(cfg.max_iter):
-        Gx = sf.G_apply(x)
-        rx = A.T @ y + sf.GT_apply(z) + c * tau if p else sf.GT_apply(z) + c * tau
-        ry = A @ x - b * tau if p else np.zeros(0)
-        rz = Gx.copy()
-        rz.axpy(1.0, s)
-        rz.axpy(-tau, h)
-        rtau = float(c @ x) + (float(b @ y) if p else 0.0) + h.dot(z) + kappa
-        mu = (s.dot(z) + tau * kappa) / nu1
+        Gx, rx, ry, rz, rtau, mu = embedding(x, y, s, z, tau, kappa)
         r_abs = max(float(np.max(np.abs(rx))),
                     float(np.max(np.abs(ry))) if ry.size else 0.0,
                     rz.inf_norm())
         if ratio0 is None:
             ratio0 = max(r_abs, 1e-12) / mu
 
-        # scaled convergence metrics
-        X, Y = x / tau, y / tau
-        Slam, Zlam = s.scale(1.0 / tau), z.scale(1.0 / tau)
-        pcost = float(c @ X)
-        dcost = -(float(b @ Y) if p else 0.0) - h.dot(Zlam)
-        pres_eq = float(np.max(np.abs(A @ X - b))) / norm_b if p else 0.0
-        prz = sf.G_apply(X)
-        prz.axpy(1.0, Slam)
-        prz.axpy(-1.0, h)
-        pres = max(pres_eq, prz.inf_norm() / norm_h)
-        dres_vec = (A.T @ Y if p else 0.0) + sf.GT_apply(Zlam) + c
-        dres = float(np.max(np.abs(dres_vec))) / norm_c
-        gap_rel = abs(pcost - dcost) / (1.0 + abs(pcost))
+        _, pcost, dcost, res = metrics(x, y, s, z, tau)
+        pres, dres, gap_rel = res["primal"], res["dual"], res["gap"]
         history.append((pcost / sf.obj_scale, dcost / sf.obj_scale, pres, dres))
         merit = max(pres, dres, gap_rel)
         if pres <= cfg.feas_tol and dres <= cfg.feas_tol and gap_rel <= cfg.gap_tol:
@@ -705,14 +688,7 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             stall += 1
             if stall >= 15:
                 return current_result("numerical_failure", it)
-            Gx = sf.G_apply(x)
-            rx = A.T @ y + sf.GT_apply(z) + c * tau
-            ry = A @ x - b * tau
-            rz = Gx.copy()
-            rz.axpy(1.0, s)
-            rz.axpy(-tau, h)
-            rtau = float(c @ x) + (float(b @ y) if p else 0.0) + h.dot(z) + kappa
-            mu = (s.dot(z) + tau * kappa) / nu1
+            Gx, rx, ry, rz, rtau, mu = embedding(x, y, s, z, tau, kappa)
         elif merit < best_merit * 0.999:
             best_merit = merit
             best_state = (x.copy(), y.copy(), s.copy(), z.copy(), tau, kappa)
@@ -768,21 +744,25 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             dkappa = (dkt_target - kappa * dtau) / tau
             return dx, dy, dz, ds, dtau, dkappa
 
+        def max_step(ds_bar, dz_bar, dtau, dkappa):
+            """Largest step that keeps s, z, tau and kappa in their cones."""
+            return min(
+                _step_to_boundary(lam, ds_bar),
+                _step_to_boundary(lam, dz_bar),
+                tau / -dtau if dtau < 0 else math.inf,
+                kappa / -dkappa if dkappa < 0 else math.inf,
+            )
+
         # predictor
         try:
-            ds_aff = _jordan(lam, lam).scale(-1.0)
-            dxa, dya, dza, dsa, dtaua, dkappaa = direction(ds_aff, -tau * kappa, 1.0)
+            lam_sq = _jordan(lam, lam)
+            dxa, dya, dza, dsa, dtaua, dkappaa = direction(lam_sq.scale(-1.0),
+                                                           -tau * kappa, 1.0)
         except (np.linalg.LinAlgError, ValueError):
             return current_result("numerical_failure", it)
         dz_bar = scal.scale_z(dza)
         ds_bar = scal.scale_s(dsa)
-        alpha_a = min(
-            _step_to_boundary(lam, ds_bar),
-            _step_to_boundary(lam, dz_bar),
-            tau / -dtaua if dtaua < 0 else math.inf,
-            kappa / -dkappaa if dkappaa < 0 else math.inf,
-        )
-        alpha_a = min(1.0, alpha_a)
+        alpha_a = min(1.0, max_step(ds_bar, dz_bar, dtaua, dkappaa))
         mu_aff = (
             s.combo(alpha_a, dsa).dot(z.combo(alpha_a, dza))
             + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
@@ -797,19 +777,14 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
         # corrector
         try:
             e = _ConeVec.identity(sf.l, sf.sizes)
-            ds_comb = _jordan(lam, lam).scale(-1.0)
+            ds_comb = lam_sq.scale(-1.0)
             ds_comb.axpy(-1.0, _jordan(ds_bar, dz_bar))
             ds_comb.axpy(sigma * mu, e)
             dkt_comb = -tau * kappa - dtaua * dkappaa + sigma * mu
             dx, dy, dz, ds, dtau, dkappa = direction(ds_comb, dkt_comb, 1.0 - sigma)
         except (np.linalg.LinAlgError, ValueError):
             return current_result("numerical_failure", it)
-        alpha = min(
-            _step_to_boundary(lam, scal.scale_s(ds)),
-            _step_to_boundary(lam, scal.scale_z(dz)),
-            tau / -dtau if dtau < 0 else math.inf,
-            kappa / -dkappa if dkappa < 0 else math.inf,
-        )
+        alpha = max_step(scal.scale_s(ds), scal.scale_z(dz), dtau, dkappa)
         # damp steps once progress degrades; calms end-game oscillation
         frac = cfg.step_fraction
         if stall >= 5 or recenter_retries:
@@ -823,9 +798,9 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             scored = []
             for a in cands:
                 try:
-                    m_a = merit_at(x + a * dx, y + a * dy, s.combo(a, ds),
-                                   z.combo(a, dz), tau + a * dtau,
-                                   kappa + a * dkappa)
+                    *_, res_a = metrics(x + a * dx, y + a * dy, s.combo(a, ds),
+                                        z.combo(a, dz), tau + a * dtau)
+                    m_a = max(res_a.values())
                 except (FloatingPointError, ZeroDivisionError):
                     m_a = math.inf
                 scored.append((m_a, a))
@@ -841,20 +816,3 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             return current_result("numerical_failure", it)
 
     return current_result("max_iter", cfg.max_iter)
-
-
-def _residual_report(sf, X, Y, S, Z, norm_b, norm_h, norm_c) -> dict:
-    p = sf.A.shape[0]
-    pres_eq = float(np.max(np.abs(sf.A @ X - sf.b))) / norm_b if p else 0.0
-    prz = sf.G_apply(X)
-    prz.axpy(1.0, S)
-    prz.axpy(-1.0, sf.h_vec())
-    dres_vec = (sf.A.T @ Y if p else 0.0) + sf.GT_apply(Z) + sf.c
-    pcost = float(sf.c @ X)
-    dcost = -(float(sf.b @ Y) if p else 0.0) - sf.h_vec().dot(Z)
-    return {
-        "primal": max(pres_eq, prz.inf_norm() / norm_h),
-        "dual": float(np.max(np.abs(dres_vec))) / norm_c,
-        "gap": abs(pcost - dcost) / (1.0 + abs(pcost)),
-        "complementarity": S.dot(Z),
-    }

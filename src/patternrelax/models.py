@@ -325,15 +325,20 @@ def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
     gid = 0
     supp_pos = {i: j for j, i in enumerate(supp)}
 
-    def vertex_value(beta, p):
-        val = 1.0
-        for i in exp_support(beta):
-            val *= p[supp_pos[i]]
-        return val
+    def vertex_values(beta):
+        # m_beta at every vertex; the support positions are looked up once
+        pos = [supp_pos[i] for i in exp_support(beta)]
+        values = []
+        for p in vertices:
+            val = 1.0
+            for j in pos:
+                val *= p[j]
+            values.append(val)
+        return values
 
     zero = zero_exponent(P.n)
     pat_exps = sorted(P.exponents)
-    table = {beta: [vertex_value(beta, p) for p in vertices] for beta in pat_exps}
+    table = {beta: vertex_values(beta) for beta in pat_exps}
     # mixture rows: v_beta = sum_p lambda_p * m_beta(p); the beta = 0 row is
     # the normalization sum_p lambda_p = 1
     model.add_row(

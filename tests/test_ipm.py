@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from patternrelax.bench import family_for_method, gen_instance, solve_instance
 from patternrelax.ipm import SolveResult, SolverConfig, solve
 from patternrelax.program import ConicProgram
 
@@ -331,3 +332,17 @@ def test_solve_rejects_unlowered_or_empty():
         solve(ConicProgram(0))
     with pytest.raises(ValueError):
         solve(ConicProgram(2))  # no cone constraints
+
+
+@pytest.mark.parametrize("seed,sense", [(5, "max"), (1, "min")],
+                         ids=["dense28_5_max_restarts", "dense28_1_min_optimal"])
+def test_result_reports_a_visited_iterate(seed, sense):
+    # dense(2,8)#5 max breaks down in the endgame and goes through the
+    # restart branch, which restores the best iterate; #1 min converges.
+    # Whatever the status, the reported costs and residuals are exactly
+    # those of one iterate in the history.
+    inst = gen_instance("dense(2,8)", seed)
+    fam = family_for_method("tssos-sos", inst.f)
+    _, r = solve_instance(inst.f, fam, inst.box, sense=sense)
+    reported = (r.primal, r.dual, r.residuals["primal"], r.residuals["dual"])
+    assert reported in r.history
