@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sps
 
 from .program import ConicProgram
 
@@ -83,7 +84,7 @@ class _ConeVec:
     def dot(self, other) -> float:
         total = float(self.lin @ other.lin)
         for M, N in zip(self.mats, other.mats):
-            total += float(np.tensordot(M, N))
+            total += float(np.dot(M.reshape(1, M.size), N.reshape(N.size, 1))[0, 0])
         return total
 
     def inf_norm(self) -> float:
@@ -147,6 +148,18 @@ class _StandardForm:
         if self.nu == 0:
             raise ValueError("program has no cone constraints")
         self._equilibrate(equilibrate)
+        # loop-invariant forms of the scaled data: each block's coefficient
+        # stack as a (columns x m*m) matrix, long-double copies for the
+        # extended-precision residual, and each block's contraction path for
+        # the KKT build (it depends only on the shapes)
+        ld = np.longdouble
+        self.F2 = [F.reshape(len(cols), m * m) for m, cols, F, _ in self.blocks]
+        self.F2_ld = [F2.astype(ld) for F2 in self.F2]
+        self.A_ld, self.AT_ld, self.Gl_ld, self.GlT_ld = (
+            sps.csr_array(M).astype(ld) for M in (self.A, self.A.T, self.Gl, self.Gl.T))
+        self.paths = [np.einsum_path("ab,nbc,cd->nad", np.empty((m, m)), F,
+                                     np.empty((m, m)), optimize=True)[0]
+                      if len(cols) else None for m, cols, F, _ in self.blocks]
 
     def _drop_dependent_equalities(self):
         p = self.A.shape[0]
@@ -235,16 +248,17 @@ class _StandardForm:
 
     def G_apply(self, x) -> _ConeVec:
         mats = []
-        for m, cols, F, _ in self.blocks:
-            M = -np.tensordot(x[cols], F, axes=1) if len(cols) else np.zeros((m, m))
+        for (m, cols, _, _), F2 in zip(self.blocks, self.F2):
+            M = -np.dot(x[cols].reshape(1, len(cols)), F2).reshape(m, m) if len(cols) \
+                else np.zeros((m, m))
             mats.append(M)
         return _ConeVec(self.Gl @ x, mats)
 
     def GT_apply(self, q: _ConeVec) -> np.ndarray:
         out = self.Gl.T @ q.lin
-        for (m, cols, F, _), Q in zip(self.blocks, q.mats):
+        for (m, cols, _, _), F2, Q in zip(self.blocks, self.F2, q.mats):
             if len(cols):
-                out[cols] += -np.tensordot(F, Q, axes=([1, 2], [0, 1]))
+                out[cols] += -np.dot(F2, Q.reshape(m * m, 1)).reshape(len(cols))
         return out
 
     def h_vec(self) -> _ConeVec:
@@ -272,8 +286,11 @@ class _Scaling:
             self.R.append(R)
             self.Rinv.append(Rinv)
             self.lam_mats.append(sig)
-            self.Wmat.append(R @ R.T)
+            self.Wmat.append((R @ R.T).astype(np.longdouble))  # W'W, used in long double
             self.Winv.append(Rinv.T @ Rinv)
+        # long-double copies for the extended-precision products
+        self.w2_ld = self.w2.astype(np.longdouble)
+        self.R_ld = [R.astype(np.longdouble) for R in self.R]
 
     def scale_z(self, z: _ConeVec) -> _ConeVec:
         """z-bar = W z; maps the current z to lambda."""
@@ -305,20 +322,21 @@ class _Scaling:
         return _ConeVec(lin, mats)
 
     def mult_Wt_lam_solve_extended(self, ds_target: _ConeVec) -> _ConeVec:
-        """q = W'((lambda o)^{-1} ds_target) in extended precision.
+        """q = W'((lambda o)^{-1} ds_target), computed in extended precision.
 
         This vector has norm growing like 1/mu near convergence; it enters
         both the reduced KKT right-hand side and the recovery of ds, and the
-        two uses must agree to extended accuracy or the mismatch pollutes the
-        primal cone residual.
+        two uses must agree or the mismatch pollutes the primal cone
+        residual.  Both use the same q: the products are accumulated in long
+        double, and the result is rounded to double when it is wrapped (the
+        _ConeVec constructor casts to float64).
         """
         ld = np.longdouble
         u = self.lam_solve(ds_target)
-        lin = np.sqrt(self.w2.astype(ld)) * u.lin.astype(ld) if u.lin.size \
+        lin = np.sqrt(self.w2_ld) * u.lin.astype(ld) if u.lin.size \
             else u.lin.astype(ld)
         mats = []
-        for k, U in enumerate(u.mats):
-            R = self.R[k].astype(ld)
+        for R, U in zip(self.R_ld, u.mats):
             M = R @ U.astype(ld) @ R.T
             mats.append(0.5 * (M + M.T))
         return _ConeVec(lin, mats)
@@ -327,13 +345,12 @@ class _Scaling:
         """ds = q - W'W dz in extended precision (q from the helper above)."""
         ld = np.longdouble
         if q.lin.size:
-            lin = (q.lin - self.w2.astype(ld) * dz.lin.astype(ld)).astype(float)
+            lin = (q.lin - self.w2_ld * dz.lin.astype(ld)).astype(float)
         else:
             lin = np.asarray(q.lin, float)
         mats = []
-        for k, Q in enumerate(q.mats):
-            Wm = self.Wmat[k].astype(ld)
-            M = Q - Wm @ dz.mats[k].astype(ld) @ Wm
+        for Wm, Q, Dz in zip(self.Wmat, q.mats, dz.mats):
+            M = Q - Wm @ Dz.astype(ld) @ Wm
             M = 0.5 * (M + M.T)
             mats.append(M.astype(float))
         return _ConeVec(lin, mats)
@@ -415,11 +432,11 @@ class _KKT:
         H = np.zeros((n, n))
         if sf.l:
             H += (sf.Gl.T / scal.w2) @ sf.Gl
-        for (m, cols, F, _), Wi in zip(sf.blocks, scal.Winv):
+        for (m, cols, F, _), F2, path, Wi in zip(sf.blocks, sf.F2, sf.paths, scal.Winv):
             if not len(cols):
                 continue
-            T = np.einsum("ab,nbc,cd->nad", Wi, F, Wi, optimize=True)
-            Hb = np.tensordot(F, T, axes=([1, 2], [1, 2]))
+            T = np.einsum("ab,nbc,cd->nad", Wi, F, Wi, optimize=path)
+            Hb = np.dot(F2, T.transpose(1, 2, 0).reshape(m * m, len(cols)))
             H[np.ix_(cols, cols)] += Hb
         M = np.zeros((n + p, n + p))
         M[:n, :n] = H
@@ -478,18 +495,17 @@ class _KKT:
         return self.d * sla.lu_solve(self.lu, self.d * rhs)
 
     def _raw_solve(self, u: np.ndarray, v: np.ndarray, w: _ConeVec):
-        # the factored solve works in double precision; accuracy comes from
-        # the extended-precision refinement loop around it
+        # the factored solve works in double precision, and w is a double
+        # vector (q and w_tilde were rounded when wrapped as _ConeVec);
+        # accuracy comes from the extended-precision refinement loop around it
         sf, scal = self.sf, self.scal
-        w64 = _ConeVec(np.asarray(w.lin, float),
-                       [np.asarray(M, float) for M in w.mats])
-        rhs = np.concatenate([u + sf.GT_apply(scal.WtW_inv_apply(w64)), v])
+        rhs = np.concatenate([u + sf.GT_apply(scal.WtW_inv_apply(w)), v])
         sol = self._lin_solve(rhs)
         resid = rhs - self.M @ sol
         if np.max(np.abs(resid)) > 1e-13 * max(1.0, float(np.max(np.abs(rhs)))):
             sol += self._lin_solve(resid)
         dx, dy = sol[: self.n], sol[self.n:]
-        dz = scal.WtW_inv_apply(sf.G_apply(dx).combo(-1.0, w64))
+        dz = scal.WtW_inv_apply(sf.G_apply(dx).combo(-1.0, w))
         return dx, dy, dz
 
     def _full_residual(self, u, v, w, dx, dy, dz):
@@ -501,26 +517,25 @@ class _KKT:
         sf, scal = self.sf, self.scal
         ld = np.longdouble
         dxl = dx.astype(ld)
-        gtz = sf.Gl.T.astype(ld) @ dz.lin.astype(ld) if sf.l else np.zeros(sf.n, dtype=ld)
-        for (m, cols, F, _), Dz in zip(sf.blocks, dz.mats):
+        gtz = sf.GlT_ld @ dz.lin.astype(ld) if sf.l else np.zeros(sf.n, dtype=ld)
+        for (m, cols, _, _), F2, Dz in zip(sf.blocks, sf.F2_ld, dz.mats):
             if len(cols):
-                gtz[cols] += -np.tensordot(F.astype(ld), Dz.astype(ld),
-                                           axes=([1, 2], [0, 1]))
-        r1 = (u.astype(ld) - (sf.A.T.astype(ld) @ dy.astype(ld) + gtz)).astype(float)
-        r2 = (v.astype(ld) - sf.A.astype(ld) @ dxl).astype(float)
+                gtz[cols] += -np.dot(F2, Dz.astype(ld).reshape(m * m, 1)).reshape(len(cols))
+        r1 = (u.astype(ld) - (sf.AT_ld @ dy.astype(ld) + gtz)).astype(float)
+        r2 = (v.astype(ld) - sf.A_ld @ dxl).astype(float)
         if sf.l:
             r3_lin = (w.lin.astype(ld)
-                      - sf.Gl.astype(ld) @ dxl
-                      + scal.w2.astype(ld) * dz.lin.astype(ld)).astype(float)
+                      - sf.Gl_ld @ dxl
+                      + scal.w2_ld * dz.lin.astype(ld)).astype(float)
         else:
             r3_lin = w.lin
         r3_mats = []
-        for k, (m, cols, F, _) in enumerate(sf.blocks):
-            Gdx = -np.tensordot(dxl[cols], F.astype(ld), axes=1) \
+        for (m, cols, _, _), F2, Wmat, Dz, Wk in zip(sf.blocks, sf.F2_ld, scal.Wmat,
+                                                   dz.mats, w.mats):
+            Gdx = -np.dot(dxl[cols].reshape(1, len(cols)), F2).reshape(m, m) \
                 if len(cols) else np.zeros((m, m), dtype=ld)
-            Wmat = scal.Wmat[k].astype(ld)
-            WtWdz = Wmat @ dz.mats[k].astype(ld) @ Wmat
-            R = w.mats[k].astype(ld) - Gdx + WtWdz
+            WtWdz = Wmat @ Dz.astype(ld) @ Wmat
+            R = Wk.astype(ld) - Gdx + WtWdz
             r3_mats.append(R.astype(float))
         return r1, r2, _ConeVec(r3_lin, r3_mats)
 

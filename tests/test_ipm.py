@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import family_for_method, gen_instance, solve_instance
-from patternrelax.ipm import SolveResult, SolverConfig, solve
+from patternrelax.ipm import (_KKT, SolveResult, SolverConfig, _ConeVec, _Scaling,
+                              _StandardForm, solve)
 from patternrelax.program import ConicProgram
 
 
@@ -346,3 +348,83 @@ def test_result_reports_a_visited_iterate(seed, sense):
     _, r = solve_instance(inst.f, fam, inst.box, sense=sense)
     reported = (r.primal, r.dual, r.residuals["primal"], r.residuals["dual"])
     assert reported in r.history
+
+
+def _interior_point(sf, rng):
+    """A random strictly feasible cone vector for sf's cone."""
+    mats = []
+    for m in sf.sizes:
+        B = rng.standard_normal((m, m))
+        mats.append(B @ B.T + m * np.eye(m))
+    return _ConeVec(rng.uniform(0.5, 2.0, sf.l), mats)
+
+
+def _random_cone_vec(sf, rng, scale=1.0):
+    mats = []
+    for m in sf.sizes:
+        B = scale * rng.standard_normal((m, m))
+        mats.append(0.5 * (B + B.T))
+    return _ConeVec(scale * rng.standard_normal(sf.l), mats)
+
+
+@pytest.mark.parametrize("tag,method", [("dense(2,6)", "C"), ("A6", "M")],
+                         ids=["dense26_C", "A6_M"])
+def test_block_products_match_tensordot_formulas(tag, method):
+    # the solver applies G, G' and the cone inner product through cached
+    # (columns x m*m) coefficient matrices, and evaluates the KKT residual on
+    # cached long-double data; each must give the same bits as the plain
+    # tensordot and dense long-double formulas below
+    inst = gen_instance(tag, 1)
+    prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box)
+    sf = _StandardForm(prog.lowered(SolverConfig().gmc_denominator_cap))
+    rng = np.random.default_rng(7)
+    ld = np.longdouble
+
+    x = rng.standard_normal(sf.n)
+    q = _random_cone_vec(sf, rng)
+    Gx = sf.G_apply(x)
+    assert np.array_equal(Gx.lin, sf.Gl @ x)
+    for (m, cols, F, _), M in zip(sf.blocks, Gx.mats):
+        ref = -np.tensordot(x[cols], F, axes=1) if len(cols) else np.zeros((m, m))
+        assert np.array_equal(M, ref)
+    ref = sf.Gl.T @ q.lin
+    for (m, cols, F, _), Q in zip(sf.blocks, q.mats):
+        if len(cols):
+            ref[cols] += -np.tensordot(F, Q, axes=([1, 2], [0, 1]))
+    GTq = sf.GT_apply(q)
+    assert np.array_equal(GTq, ref)
+    ref = float(Gx.lin @ q.lin)
+    for M, N in zip(Gx.mats, q.mats):
+        ref += float(np.tensordot(M, N))
+    assert Gx.dot(q) == ref
+    assert abs(Gx.dot(q) - x @ GTq) <= 1e-12 * max(1.0, abs(ref))
+
+    scal = _Scaling(_interior_point(sf, rng), _interior_point(sf, rng))
+    kkt = _KKT(sf, scal)
+    p = sf.A.shape[0]
+    dx, dy = 1e6 * rng.standard_normal(sf.n), 1e6 * rng.standard_normal(p)
+    dz = _random_cone_vec(sf, rng, scale=1e6)
+    # right-hand sides that nearly solve the system, so the residual is a
+    # small difference of large terms and shows any lost precision
+    u = (sf.A.T @ dy + sf.GT_apply(dz)) * (1.0 + 1e-12 * rng.standard_normal(sf.n))
+    v = (sf.A @ dx) * (1.0 + 1e-12 * rng.standard_normal(p))
+    w = _ConeVec(sf.Gl @ dx - scal.w2 * dz.lin,
+                 [G - Wm @ Dz @ Wm for G, Wm, Dz in zip(sf.G_apply(dx).mats,
+                                                         scal.Wmat, dz.mats)])
+    r1, r2, r3 = kkt._full_residual(u, v, w, dx, dy, dz)
+    dxl = dx.astype(ld)
+    gtz = sf.Gl.T.astype(ld) @ dz.lin.astype(ld)
+    for (m, cols, F, _), Dz in zip(sf.blocks, dz.mats):
+        if len(cols):
+            gtz[cols] += -np.tensordot(F.astype(ld), Dz.astype(ld), axes=([1, 2], [0, 1]))
+    assert np.array_equal(
+        r1, (u.astype(ld) - (sf.A.T.astype(ld) @ dy.astype(ld) + gtz)).astype(float))
+    assert np.array_equal(r2, (v.astype(ld) - sf.A.astype(ld) @ dxl).astype(float))
+    assert np.array_equal(r3.lin, (w.lin.astype(ld) - sf.Gl.astype(ld) @ dxl
+                                   + scal.w2.astype(ld) * dz.lin.astype(ld)).astype(float))
+    for k, (m, cols, F, _) in enumerate(sf.blocks):
+        Gdx = -np.tensordot(dxl[cols], F.astype(ld), axes=1) if len(cols) \
+            else np.zeros((m, m), dtype=ld)
+        Wm = scal.Wmat[k]
+        ref = w.mats[k].astype(ld) - Gdx + Wm @ dz.mats[k].astype(ld) @ Wm
+        assert np.array_equal(r3.mats[k], ref.astype(float))
