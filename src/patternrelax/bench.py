@@ -286,23 +286,34 @@ def solve_instance(f, fam, box, policy=None, sense="min", cfg=None):
     return solve_relaxation(prog, cfg or SolverConfig())
 
 
+def _tightness(f: Polynomial, box: Box, bounds) -> float:
+    """(vmax - vmin) / (trivmax - trivmin), clipped to [0, 1+1e-6].
+
+    bounds() returns the relaxation's (vmin, vmax); it is not called when the
+    trivial range is degenerate, where the score is 0.
+    """
+    tmin, tmax = trivial_bounds(f, box)
+    if tmax - tmin <= 1e-14:
+        return 0.0
+    vmin, vmax = bounds()
+    return min(max((vmax - vmin) / (tmax - tmin), 0.0), 1.0 + 1e-6)
+
+
 def triv_criterion(f: Polynomial, box: Box, fam: PatternFamily,
                    policy: ModelPolicy | None = None,
                    cfg: SolverConfig | None = None) -> float:
     """(max-relax - min-relax) / (trivmax - trivmin), clipped to [0, 1+1e-6]."""
-    tmin, tmax = trivial_bounds(f, box)
-    if tmax - tmin <= 1e-14:
-        return 0.0
-    _, rmin = solve_instance(f, fam, box, policy, "min", cfg)
-    _, rmax = solve_instance(f, fam, box, policy, "max", cfg)
-    if rmin.status != "optimal" or rmax.status != "optimal":
-        raise RuntimeError(
-            f"triv criterion needs optimal solves, got {rmin.status}/{rmax.status}"
-        )
-    vmax = -rmax.primal  # max solve minimizes -f
-    vmin = rmin.primal
-    val = (vmax - vmin) / (tmax - tmin)
-    return min(max(val, 0.0), 1.0 + 1e-6)
+
+    def bounds():
+        _, rmin = solve_instance(f, fam, box, policy, "min", cfg)
+        _, rmax = solve_instance(f, fam, box, policy, "max", cfg)
+        if rmin.status != "optimal" or rmax.status != "optimal":
+            raise RuntimeError(
+                f"triv criterion needs optimal solves, got {rmin.status}/{rmax.status}"
+            )
+        return rmin.primal, -rmax.primal  # max solve minimizes -f
+
+    return _tightness(f, box, bounds)
 
 
 @dataclass
@@ -356,12 +367,7 @@ def _bench_one(inst: Instance, method: str, cfg: BenchConfig) -> list:
         values[sense] = val
     triv = math.nan
     if statuses["min"] == "optimal" and statuses["max"] == "optimal":
-        tmin, tmax = trivial_bounds(inst.f, inst.box)
-        if tmax - tmin <= 1e-14:
-            triv = 0.0
-        else:
-            triv = min(max((values["max"] - values["min"]) / (tmax - tmin), 0.0),
-                       1.0 + 1e-6)
+        triv = _tightness(inst.f, inst.box, lambda: (values["min"], values["max"]))
     for sense in ("min", "max"):
         records.append(BenchRecord(inst.id, inst.tag, method, sense,
                                    values[sense], triv, statuses[sense],

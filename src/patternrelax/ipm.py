@@ -6,6 +6,12 @@ embedding: Nesterov-Todd scaling, Mehrotra predictor-corrector, and a dense
 LU factorization of the reduced KKT system with static regularization plus
 iterative refinement.  Equalities enter the KKT system directly.
 
+Each KKT solve is one refinement loop against the residual accumulated in
+long double: six passes on the double-precision LU; if they stall on a small
+system, the solve starts over once on an extended-precision LU of the same
+matrix and runs ten passes, and once that LU exists, later solves on the
+matrix run their ten passes on it from the start.
+
 Cone vectors are kept in sections: a flat array for the orthant part and one
 symmetric matrix per PSD block.
 """
@@ -28,7 +34,6 @@ class SolverConfig:
     feas_tol: float = 1e-8
     gap_tol: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.99
     gmc_denominator_cap: int = 1 << 16
 
     def __post_init__(self):
@@ -112,7 +117,7 @@ class _StandardForm:
     duals back.
     """
 
-    def __init__(self, prog: ConicProgram, equilibrate: bool = True):
+    def __init__(self, prog: ConicProgram):
         if prog.gmcs:
             raise ValueError("lower the program before solving")
         n = prog.ncols
@@ -147,7 +152,7 @@ class _StandardForm:
         self.nu = self.l + sum(self.sizes)
         if self.nu == 0:
             raise ValueError("program has no cone constraints")
-        self._equilibrate(equilibrate)
+        self._equilibrate()
         # loop-invariant forms of the scaled data: each block's coefficient
         # stack as a (columns x m*m) matrix, long-double copies for the
         # extended-precision residual, and each block's contraction path for
@@ -184,15 +189,11 @@ class _StandardForm:
         full[self.eq_keep] = y
         return full
 
-    def _equilibrate(self, enabled: bool):
+    def _equilibrate(self):
         n = self.n
-        self.dcol = np.ones(n)
         self.deq = np.ones(self.A.shape[0])
         self.dlin = np.ones(self.l)
         self.dblk = np.ones(len(self.blocks))
-        self.obj_scale = 1.0
-        if not enabled:
-            return
         colmax = np.zeros(n)
         if self.A.size:
             colmax = np.maximum(colmax, np.max(np.abs(self.A), axis=0))
@@ -539,42 +540,41 @@ class _KKT:
             r3_mats.append(R.astype(float))
         return r1, r2, _ConeVec(r3_lin, r3_mats)
 
-    def _refine(self, u, v, w, passes):
-        # the meaningful accuracy scale excludes |w|: the cone right-hand
-        # side grows like 1/mu while the step equations need absolute
-        # accuracy at the residual level
-        dx, dy, dz = self._raw_solve(u, v, w)
-        scale = max(1.0, float(np.max(np.abs(u))) if u.size else 0.0,
-                    float(np.max(np.abs(v))) if v.size else 0.0)
-        best = None
-        for _ in range(passes):
-            r1, r2, r3 = self._full_residual(u, v, w, dx, dy, dz)
-            err = max(float(np.max(np.abs(r1))),
-                      float(np.max(np.abs(r2))) if r2.size else 0.0,
-                      r3.inf_norm())
-            if best is None or err < best[0]:
-                best = (err, dx.copy(), dy.copy(), dz.copy())
-            if err <= 1e-13 * scale:
-                break
-            cx, cy, cz = self._raw_solve(r1, r2, r3)
-            dx = dx + cx
-            dy = dy + cy
-            dz = dz.combo(1.0, cz)
-        return best, scale
-
     def solve3(self, u: np.ndarray, v: np.ndarray, w: _ConeVec):
         """Solve the 3x3 system, refining against the full KKT residual.
 
-        If double-precision refinement stalls, redo the solve on an
-        extended-precision factorization of the same matrix.
+        One refinement loop: six passes on the double-precision LU; if they
+        stall and the system is small enough (EXTENDED_DIM), the solve starts
+        over once on the extended-precision LU of the same matrix and runs ten
+        passes.  Once that LU exists, later calls run their ten passes on it
+        from the start.  Returns the pass with the smallest residual.
         """
-        best, scale = self._refine(u, v, w, passes=6)
-        if best[0] > 1e-13 * scale and self.ensure_extended():
-            best2, _ = self._refine(u, v, w, passes=10)
-            if best2[0] < best[0]:
-                best = best2
-        _, dx, dy, dz = best
-        return dx, dy, dz
+        # the meaningful accuracy scale excludes |w|: the cone right-hand
+        # side grows like 1/mu while the step equations need absolute
+        # accuracy at the residual level
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(u))) if u.size else 0.0,
+                          float(np.max(np.abs(v))) if v.size else 0.0)
+        passes = 6 if self.xlu is None else 10
+        best = None
+        while True:
+            dx, dy, dz = self._raw_solve(u, v, w)
+            for k in range(passes):
+                r1, r2, r3 = self._full_residual(u, v, w, dx, dy, dz)
+                err = max(float(np.max(np.abs(r1))),
+                          float(np.max(np.abs(r2))) if r2.size else 0.0,
+                          r3.inf_norm())
+                if best is None or err < best[0]:
+                    best = (err, dx.copy(), dy.copy(), dz.copy())
+                if err <= tol:
+                    return best[1:]
+                if k + 1 < passes:
+                    cx, cy, cz = self._raw_solve(r1, r2, r3)
+                    dx = dx + cx
+                    dy = dy + cy
+                    dz = dz.combo(1.0, cz)
+            if passes == 10 or not self.ensure_extended():
+                return best[1:]
+            passes = 10
 
 
 def solve(prog: ConicProgram, cfg: SolverConfig | None = None) -> SolveResult:
@@ -616,8 +616,6 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
     best_state = None
     best_merit = math.inf
     stall = 0
-    recenter_retries = 0
-    sigma_floor = 0.0
     ratio0 = None  # initial residual-to-mu ratio, for balanced reduction
 
     def metrics(x, y, s, z, tau):
@@ -690,21 +688,9 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
         if pres <= cfg.feas_tol and dres <= cfg.feas_tol and gap_rel <= cfg.gap_tol:
             return result_from((x, y, s, z, tau, kappa), "optimal", it)
         if best_state is not None and merit > 10.0 * best_merit and best_merit < 1e-4:
-            # endgame breakdown: restore the best iterate and continue with
-            # deliberately centered, damped steps
-            if recenter_retries >= 3:
-                return current_result("numerical_failure", it)
-            recenter_retries += 1
-            sigma_floor = 0.3
-            bx, by, bs, bz, btau, bkappa = best_state
-            x, y = bx.copy(), by.copy()
-            s, z = bs.copy(), bz.copy()
-            tau, kappa = btau, bkappa
-            stall += 1
-            if stall >= 15:
-                return current_result("numerical_failure", it)
-            Gx, rx, ry, rz, rtau, mu = embedding(x, y, s, z, tau, kappa)
-        elif merit < best_merit * 0.999:
+            # endgame breakdown: the solve ends with the best iterate
+            return current_result("numerical_failure", it)
+        if merit < best_merit * 0.999:
             best_merit = merit
             best_state = (x.copy(), y.copy(), s.copy(), z.copy(), tau, kappa)
             stall = 0
@@ -783,7 +769,6 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
         ) / nu1
         sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
-        sigma = max(sigma, sigma_floor)
         # keep mu from outrunning the residuals: a vanishing barrier with
         # lagging feasibility wrecks the KKT conditioning before convergence
         if mu * ratio0 < 0.1 * r_abs:
@@ -801,9 +786,7 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             return current_result("numerical_failure", it)
         alpha = max_step(scal.scale_s(ds), scal.scale_z(dz), dtau, dkappa)
         # damp steps once progress degrades; calms end-game oscillation
-        frac = cfg.step_fraction
-        if stall >= 5 or recenter_retries:
-            frac = min(frac, 0.85)
+        frac = 0.85 if stall >= 5 else 0.99
         alpha = min(1.0, frac * alpha)
         if not math.isfinite(alpha) or alpha <= 1e-14:
             return current_result("numerical_failure", it)

@@ -364,29 +364,17 @@ def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
     )
 
     def lift(x, supp=supp, ranges=ranges, base=base, vertices=vertices):
+        # each coordinate's (low, high) vertex weight, 0.5 each on a point range
         weights = []
-        for pos, i in enumerate(supp):
+        for i, r in zip(supp, ranges):
             y = float(x[i]) ** base[i]
-            lo, hi = ranges[pos].lo, ranges[pos].hi
-            if hi > lo:
-                a_hi = (y - lo) / (hi - lo)
-            else:
-                a_hi = 0.5
-            weights.append({lo: 1.0 - a_hi, hi: a_hi} if hi > lo else None)
+            weights.append(((r.hi - y) / (r.hi - r.lo), (y - r.lo) / (r.hi - r.lo))
+                           if r.hi > r.lo else (0.5, 0.5))
         vals = []
         for p in vertices:
             lam = 1.0
-            for pos in range(len(supp)):
-                if weights[pos] is None:
-                    lam *= 0.5
-                elif p[pos] == ranges[pos].hi and ranges[pos].hi > ranges[pos].lo:
-                    lam *= (float(x[supp[pos]]) ** base[supp[pos]] - ranges[pos].lo) / (
-                        ranges[pos].hi - ranges[pos].lo
-                    )
-                else:
-                    lam *= (ranges[pos].hi - float(x[supp[pos]]) ** base[supp[pos]]) / (
-                        ranges[pos].hi - ranges[pos].lo
-                    )
+            for v, r, (w_lo, w_hi) in zip(p, ranges, weights):
+                lam *= w_hi if v == r.hi else w_lo
             vals.append(lam)
         return vals
 
@@ -682,8 +670,6 @@ class ModelPolicy:
 
     multilinear: str = "vertex"  # "vertex" or "mccormick"
     vertex_cap: int = 6  # pairwise McCormick fallback above this width
-    generic_lasserre_fallback: bool = True
-    bound_factor_degree: int = 2
 
     def __post_init__(self):
         if self.multilinear not in ("vertex", "mccormick"):
@@ -748,9 +734,7 @@ def model_for_pattern(P: Pattern, box: Box, policy: ModelPolicy) -> MomentModel:
             return build_multilinear_model(P, box)
         if k == 2:
             return build_mccormick_model(P, box)
-        if policy.multilinear == "mccormick" or k > policy.vertex_cap:
-            return _pairwise_mccormick(P, box)
-        return build_multilinear_model(P, box)
+        return _pairwise_mccormick(P, box)
     if kind == "chain":
         gamma = P.meta["gamma"]
         steps = P.meta["steps"]
@@ -803,12 +787,11 @@ def _generic_model(P: Pattern, box: Box, policy: ModelPolicy) -> MomentModel:
         return model_for_pattern(
             Pattern(P.exponents, kind="multilinear", meta={"base_alpha": base}),
             box, policy)
-    if policy.generic_lasserre_fallback:
-        supp = sorted(set().union(*(exp_support(a) for a in P.exponents)))
-        d = math.ceil(max(sum(a) for a in P.exponents) / 2)
-        cols = [unit_exponent(P.n, i) for i in supp]
-        if math.comb(len(supp) + d, len(supp)) <= 300:
-            return build_lasserre_model(np.array(cols, dtype=int).T, d, box)
+    supp = sorted(set().union(*(exp_support(a) for a in P.exponents)))
+    d = math.ceil(max(sum(a) for a in P.exponents) / 2)
+    cols = [unit_exponent(P.n, i) for i in supp]
+    if math.comb(len(supp) + d, len(supp)) <= 300:
+        return build_lasserre_model(np.array(cols, dtype=int).T, d, box)
     model = MomentModel(P.n)
     for alpha in sorted(P.exponents):
         if sum(alpha):

@@ -339,15 +339,39 @@ def test_solve_rejects_unlowered_or_empty():
 @pytest.mark.parametrize("seed,sense", [(5, "max"), (1, "min")],
                          ids=["dense28_5_max_restarts", "dense28_1_min_optimal"])
 def test_result_reports_a_visited_iterate(seed, sense):
-    # dense(2,8)#5 max breaks down in the endgame and goes through the
-    # restart branch, which restores the best iterate; #1 min converges.
-    # Whatever the status, the reported costs and residuals are exactly
-    # those of one iterate in the history.
+    # dense(2,8)#5 max breaks down in the endgame, which ends the solve with
+    # the best iterate; #1 min converges.  Whatever the status, the reported
+    # costs and residuals are exactly those of one iterate in the history.
     inst = gen_instance("dense(2,8)", seed)
     fam = family_for_method("tssos-sos", inst.f)
     _, r = solve_instance(inst.f, fam, inst.box, sense=sense)
     reported = (r.primal, r.dual, r.residuals["primal"], r.residuals["dual"])
     assert reported in r.history
+
+
+def test_refinement_evaluates_each_pass_once(monkeypatch):
+    # a KKT solve runs at most six double-precision passes and then, once,
+    # ten on the extended-precision LU; a KKT that already has that LU runs
+    # only its ten passes, without repeating the double-precision ones
+    calls = []  # per solve3 call: [extended LU on entry, residual evaluations]
+    solve3, full_residual = _KKT.solve3, _KKT._full_residual
+
+    def counting_solve3(self, u, v, w):
+        calls.append([self.xlu is not None, 0])
+        return solve3(self, u, v, w)
+
+    def counting_residual(self, *args):
+        calls[-1][1] += 1
+        return full_residual(self, *args)
+
+    monkeypatch.setattr(_KKT, "solve3", counting_solve3)
+    monkeypatch.setattr(_KKT, "_full_residual", counting_residual)
+    inst = gen_instance("dense(2,6)", 1)
+    _, r = solve_instance(inst.f, family_for_method("C", inst.f), inst.box)
+    assert r.status == "optimal"
+    assert max(count for _, count in calls) <= 16
+    with_extended = [count for had, count in calls if had]
+    assert with_extended and max(with_extended) <= 10
 
 
 def _interior_point(sf, rng):

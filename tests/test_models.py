@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from patternrelax import models
 from patternrelax.models import (
     BuilderError,
     ModelPolicy,
@@ -316,6 +317,8 @@ FAMILY_CASES = [
     (shifted_chain_family, {(2, 3), (1, 1)}, Box.unit(2)),
     (h_family, {(2, 2), (0, 3)}, Box.unit(2)),
     (truncated_submonoid_family, {(3, 1), (0, 4)}, Box.unit(2)),
+    # a point range (l_i = u_i): the vertex lift splits its weight evenly
+    (multilinear_family, {(2, 1), (1, 3)}, Box([-1, 0.5], [1, 0.5])),
 ]
 
 
@@ -350,6 +353,25 @@ def test_lifted_points_feasible_circuits():
     for _ in range(200):
         x = rng.uniform(-3, 3, 2)
         assert m.max_violation(x) <= 1e-9
+
+
+@pytest.mark.parametrize("policy,k,expected", [
+    ({}, 1, "vertex"), ({}, 2, "vertex"), ({}, 6, "vertex"), ({}, 7, "pairwise"),
+    ({"multilinear": "mccormick"}, 1, "vertex"),
+    ({"multilinear": "mccormick"}, 2, "mccormick"),
+    ({"multilinear": "mccormick"}, 3, "pairwise"),
+    ({"vertex_cap": 2}, 2, "vertex"), ({"vertex_cap": 2}, 3, "pairwise"),
+    ({"vertex_cap": 1}, 1, "vertex"), ({"vertex_cap": 1}, 2, "mccormick"),
+])
+def test_multilinear_pattern_routing(monkeypatch, policy, k, expected):
+    # vertex model for k = 1, or for k <= vertex_cap under "vertex";
+    # otherwise McCormick for k = 2 and pairwise McCormick for k >= 3
+    for name, builder in (("build_multilinear_model", "vertex"),
+                          ("build_mccormick_model", "mccormick"),
+                          ("_pairwise_mccormick", "pairwise")):
+        monkeypatch.setattr(models, name, lambda P, box, builder=builder: builder)
+    pat = multilinear_family({(1,) * k}).patterns[0]
+    assert model_for_pattern(pat, Box.unit(k), ModelPolicy(**policy)) == expected
 
 
 def test_pairwise_mccormick_fallback_for_wide_patterns():
