@@ -94,24 +94,25 @@ def assemble_relaxation(
 
     seen_rows: set = set()
 
-    def add_row(coeff, sense_row, piece, factors):
+    def add_row(coeff, sense_row, factors, piece=None):
+        """Add a row unless it duplicates one; a row without a group gets its
+        own linear piece."""
         key = (sense_row, tuple(sorted((j, round(c, 12)) for j, c in coeff.items())))
         if key in seen_rows:
             return
         seen_rows.add(key)
+        if piece is None:
+            piece = prog.add_piece("linear", {"factors": factors or ()})
         if sense_row == "==":
             prog.add_eq(coeff, 0.0, piece=piece)
         else:
             prog.add_ineq(coeff, 0.0, piece=piece, factors=factors)
 
     for row in model.rows:
-        coeff = to_coeff(row.form)
         if row.group is not None:
-            piece = group_piece[row.group]
-            add_row(coeff, row.sense, piece, None)
+            add_row(to_coeff(row.form), row.sense, None, group_piece[row.group])
         else:
-            piece = prog.add_piece("linear", {"factors": row.factors or ()})
-            add_row(coeff, row.sense, piece, row.factors)
+            add_row(to_coeff(row.form), row.sense, row.factors)
 
     seen_blocks: set = set()
     for block in model.lmis:
@@ -165,9 +166,7 @@ def assemble_relaxation(
         rng = monomial_range(alpha, box)
         col = col_of[alpha]
         if math.isfinite(rng.lo):
-            piece = prog.add_piece("linear", {"factors": (("mon_minus_lo", alpha),)})
-            add_row({col: 1.0, j0: -rng.lo}, ">=", piece, (("mon_minus_lo", alpha),))
+            add_row({col: 1.0, j0: -rng.lo}, ">=", (("mon_minus_lo", alpha),))
         if math.isfinite(rng.hi):
-            piece = prog.add_piece("linear", {"factors": (("up_minus_mon", alpha),)})
-            add_row({col: -1.0, j0: rng.hi}, ">=", piece, (("up_minus_mon", alpha),))
+            add_row({col: -1.0, j0: rng.hi}, ">=", (("up_minus_mon", alpha),))
     return prog

@@ -20,13 +20,15 @@ from .assemble import assemble_relaxation
 from .ipm import SolverConfig, solve, solve_relaxation
 from .models import ModelPolicy
 from .patterns import (
+    FAMILY_BUILDERS,
     PatternFamily,
     build_family,
     tssos_partition,
     univariate_sparse_family,
     Pattern,
 )
-from .polynomials import Box, Polynomial, degrees_up_to, monomial_range, zero_exponent
+from .polynomials import (Box, Polynomial, degrees_up_to, minkowski_sum, monomial_range,
+                          zero_exponent)
 
 MASK64 = (1 << 64) - 1
 
@@ -234,14 +236,14 @@ def family_for_method(method: str, f: Polynomial) -> PatternFamily:
     support.discard(zero_exponent(f.n))
     if not support:
         support = {zero_exponent(f.n)}
-    if method in ("M", "C", "S", "H", "MC", "T"):
+    if method in FAMILY_BUILDERS:
         return build_family(method, support)
     if method == "tssos-sos":
         d = math.ceil(f.degree() / 2)
         B = degrees_up_to(f.n, d)
         A = set(f.support()) | {zero_exponent(f.n)}
         blocks = tssos_partition(A, B)
-        pats = [Pattern(frozenset(exp_add_all(b)), kind="sos_block",
+        pats = [Pattern(minkowski_sum(b, b), kind="sos_block",
                         meta={"basis": tuple(sorted(b))}) for b in blocks]
         return PatternFamily(pats, f.n, kind="tssos-sos")
     if method == "univariate-sparse":
@@ -250,16 +252,10 @@ def family_for_method(method: str, f: Polynomial) -> PatternFamily:
     raise ValueError(f"unknown method {method!r}")
 
 
-def exp_add_all(block):
-    from .polynomials import exp_add
-
-    return {exp_add(a, b) for a in block for b in block}
-
-
 def dense_sos_family(n: int, d: int) -> PatternFamily:
     """The single dense moment block on the degree-d basis."""
     B = tuple(degrees_up_to(n, d))
-    pats = [Pattern(frozenset(exp_add_all(B)), kind="sos_block", meta={"basis": B})]
+    pats = [Pattern(minkowski_sum(B, B), kind="sos_block", meta={"basis": B})]
     return PatternFamily(pats, n, kind="dense-sos")
 
 

@@ -10,6 +10,7 @@ no code with the model builders beyond poly-core.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,7 +19,8 @@ import numpy as np
 
 from .ipm import SolveResult
 from .models import factor_min_on_box, product_of_factors
-from .polynomials import Box, Polynomial, exp_add, exp_support, zero_exponent
+from .polynomials import (Box, Polynomial, exp_add, exp_support, monomial_range,
+                          unit_exponent, zero_exponent)
 from .program import ConicProgram
 
 COEFF_TOL = 1e-6
@@ -48,7 +50,8 @@ class Certificate:
     def to_json_dict(self) -> dict:
         blocks = [{"kind": "meta", "sense": self.sense, "provenance": self.provenance}]
         for p in self.pieces:
-            blocks.append({"kind": p.kind, **_data_to_json(p.data)})
+            blocks.append({"kind": p.kind,
+                           **{k: _FIELD_CODECS.get(k, _IDENTITY)[0](v) for k, v in p.data.items()}})
         return {"lambda": self.lam, "kind": self.kind, "blocks": blocks}
 
     def dumps(self) -> str:
@@ -68,7 +71,8 @@ class Certificate:
                 sense = blk.get("sense", "min")
                 provenance = blk.get("provenance", "")
                 continue
-            pieces.append(CertificatePiece(kind, _data_from_json(blk)))
+            pieces.append(CertificatePiece(kind, {k: _FIELD_CODECS.get(k, _IDENTITY)[1](v)
+                                                  for k, v in blk.items() if k != "kind"}))
         return cls(float(data["lambda"]), data["kind"], pieces, sense, provenance)
 
     @classmethod
@@ -76,66 +80,41 @@ class Certificate:
         return cls.from_json_dict(json.loads(text))
 
 
-def _factor_to_json(fct):
-    if fct[0] in ("affine", "poly"):
-        return [fct[0], fct[1].to_json_dict()]
-    return [fct[0], list(fct[1])]
-
-
-def _factor_from_json(fct):
-    if fct[0] in ("affine", "poly"):
-        return (fct[0], Polynomial.from_json_dict(fct[1]))
-    return (fct[0], tuple(int(e) for e in fct[1]))
-
-
-def _data_to_json(data: dict) -> dict:
-    out = {}
-    for k, v in data.items():
-        if k in ("factors", "multiplier_factors"):
-            out[k] = [_factor_to_json(fct) for fct in v]
-        elif k in ("basis", "gammas", "pattern", "vertices"):
-            out[k] = [list(e) for e in v]
-        elif k in ("beta", "base_alpha", "shift"):
-            out[k] = list(v) if v is not None else None
-        elif k == "support":
-            out[k] = list(v)
-        elif k == "gram":
-            out[k] = np.asarray(v).tolist()
-        elif k == "poly":
-            out[k] = [list(a) + [c] for a, c in sorted(v.items())]
-        elif k == "lambdas":
-            out[k] = list(v)
-        else:
-            out[k] = v
-    return out
-
-
-def _data_from_json(blk: dict) -> dict:
-    out = {}
-    for k, v in blk.items():
-        if k == "kind":
-            continue
-        if k in ("factors", "multiplier_factors"):
-            out[k] = tuple(_factor_from_json(fct) for fct in v)
-        elif k in ("basis", "gammas", "pattern", "vertices"):
-            out[k] = tuple(tuple(e) for e in v)
-        elif k in ("beta", "base_alpha", "shift"):
-            out[k] = tuple(int(e) for e in v) if v is not None else None
-        elif k == "support":
-            out[k] = tuple(int(e) for e in v)
-        elif k == "gram":
-            out[k] = np.array(v, float)
-        elif k == "poly":
-            out[k] = {tuple(int(e) for e in row[:-1]): float(row[-1]) for row in v}
-        elif k == "lambdas":
-            out[k] = tuple(float(x) for x in v)
-        else:
-            out[k] = v
-    return out
+# JSON codecs of piece data fields, as (encode, decode) pairs; a field not in
+# the table is stored as is
+_POLY_FACTORS = ("affine", "poly")  # factor kinds whose payload is a Polynomial
+_FACTORS = (
+    lambda v: [[f[0], f[1].to_json_dict() if f[0] in _POLY_FACTORS else list(f[1])]
+               for f in v],
+    lambda v: tuple((f[0], Polynomial.from_json_dict(f[1]) if f[0] in _POLY_FACTORS
+                     else tuple(int(e) for e in f[1])) for f in v),
+)
+_EXPONENT_LIST = (lambda v: [list(e) for e in v], lambda v: tuple(tuple(e) for e in v))
+_OPTIONAL_EXPONENT = (lambda v: list(v) if v is not None else None,
+                      lambda v: tuple(int(e) for e in v) if v is not None else None)
+_FIELD_CODECS = {
+    "factors": _FACTORS,
+    "multiplier_factors": _FACTORS,
+    "basis": _EXPONENT_LIST,
+    "gammas": _EXPONENT_LIST,
+    "pattern": _EXPONENT_LIST,
+    "vertices": _EXPONENT_LIST,
+    "beta": _OPTIONAL_EXPONENT,
+    "base_alpha": _OPTIONAL_EXPONENT,
+    "shift": _OPTIONAL_EXPONENT,
+    "support": (list, lambda v: tuple(int(e) for e in v)),
+    "gram": (lambda v: np.asarray(v).tolist(), lambda v: np.array(v, float)),
+    "poly": (lambda v: [list(a) + [c] for a, c in sorted(v.items())],
+             lambda v: {tuple(int(e) for e in row[:-1]): float(row[-1]) for row in v}),
+    "lambdas": (list, lambda v: tuple(float(x) for x in v)),
+}
+_IDENTITY = (lambda v: v, lambda v: v)
 
 
 # ---------------------------------------------------------------------------
 # extraction
+
+_AGGREGATED = ("vertex", "circuit")  # pieces stored as their dual polynomial
 
 
 def extract_certificate(prog: ConicProgram, result: SolveResult) -> Certificate:
@@ -148,75 +127,66 @@ def extract_certificate(prog: ConicProgram, result: SolveResult) -> Certificate:
         raise CertificateError(f"cannot certify a result with status {result.status!r}")
     if not prog.pieces or "minimized" not in prog.meta:
         raise CertificateError("program carries no certificate metadata")
-    n = prog.meta["n"]
-    npieces = len(prog.pieces)
-    agg = [dict() for _ in range(npieces)]  # piece -> exponent -> coefficient
-    row_duals = [[] for _ in range(npieces)]
-    gram = [None] * npieces
+    piece_kind = [p.kind for p in prog.pieces]
+    agg = {pid: {} for pid, kind in enumerate(piece_kind) if kind in _AGGREGATED}
+    weight: dict = {}  # linear piece -> dual of its first row
+    gram: dict = {}  # sos piece -> Gram matrix of its block
 
-    def add_poly(pid, coeff_map, weight):
-        if weight == 0.0:
-            return
-        target = agg[pid]
-        for col, c in coeff_map.items():
-            alpha = prog.col_exponents[col]
-            if alpha is None:
-                continue
-            target[alpha] = target.get(alpha, 0.0) + weight * c
-
-    for i, row in enumerate(prog.ineqs):
-        if row.piece is None:
+    # one pass over rows and blocks; a row's dual multiplies its coefficients,
+    # a block's dual is paired with each column's coefficient matrix
+    for rows, duals in ((prog.ineqs, result.z_lin), (prog.eqs, -result.y_eq)):
+        for row, w in zip(rows, duals):
+            pid = row.piece
+            if pid in agg:
+                if w == 0.0:
+                    continue
+                target = agg[pid]
+                for col, c in row.coeff.items():
+                    alpha = prog.col_exponents[col]
+                    if alpha is not None:
+                        target[alpha] = target.get(alpha, 0.0) + float(w) * c
+            elif pid is not None and piece_kind[pid] == "linear":
+                weight.setdefault(pid, float(w))
+    for blk, Z in zip(prog.blocks, result.z_psd):
+        pid = blk.piece
+        if pid is None:
             continue
-        z = float(result.z_lin[i])
-        row_duals[row.piece].append(z)
-        add_poly(row.piece, row.coeff, z)
-    for i, row in enumerate(prog.eqs):
-        if row.piece is None:
-            continue
-        y = float(result.y_eq[i])
-        add_poly(row.piece, row.coeff, -y)
-    for k, blk in enumerate(prog.blocks):
-        if blk.piece is None:
-            continue
-        Z = 0.5 * (result.z_psd[k] + result.z_psd[k].T)
-        if prog.pieces[blk.piece].kind == "sos":
-            gram[blk.piece] = Z
-        for col, M in blk.coeff.items():
-            alpha = prog.col_exponents[col]
-            if alpha is None:
-                continue
-            w = float(np.tensordot(0.5 * (M + M.T), Z))
-            target = agg[blk.piece]
-            target[alpha] = target.get(alpha, 0.0) + w
+        Z = 0.5 * (Z + Z.T)
+        if piece_kind[pid] == "sos":
+            gram[pid] = Z
+        elif pid in agg:
+            target = agg[pid]
+            for col, M in blk.coeff.items():
+                alpha = prog.col_exponents[col]
+                if alpha is not None:
+                    w = float(np.tensordot(0.5 * (M + M.T), Z))
+                    target[alpha] = target.get(alpha, 0.0) + w
 
     pieces = []
     for pid, meta in enumerate(prog.pieces):
         if meta.kind == "linear":
-            if not row_duals[pid]:
-                continue
-            z = row_duals[pid][0]
+            z = weight.get(pid, 0.0)
             if abs(z) < 1e-14:
                 continue
-            pieces.append(CertificatePiece("linear", {
-                "factors": tuple(meta.payload.get("factors") or ()),
-                "weight": z,
-            }))
+            data = {"factors": tuple(meta.payload.get("factors") or ()), "weight": z}
         elif meta.kind == "sos":
-            Q = gram[pid]
+            Q = gram.get(pid)
             if Q is None or float(np.max(np.abs(Q))) < 1e-14:
                 continue
-            pieces.append(CertificatePiece("sos", {
+            data = {
                 "basis": tuple(meta.payload["basis"]),
                 "multiplier_factors": tuple(meta.payload.get("multiplier_factors") or ()),
                 "gram": Q,
-            }))
-        elif meta.kind in ("vertex", "circuit"):
+            }
+        elif meta.kind in _AGGREGATED:
             poly = {a: c for a, c in agg[pid].items() if abs(c) > 1e-13}
             if not poly:
                 continue
             data = dict(meta.payload)
             data["poly"] = poly
-            pieces.append(CertificatePiece(meta.kind, data))
+        else:
+            continue
+        pieces.append(CertificatePiece(meta.kind, data))
     kinds = {p.kind for p in pieces}
     if kinds == {"sos"}:
         kind = "sos"
@@ -255,35 +225,22 @@ class VerifyReport:
         return f"{head} (lambda={self.lam:.9g}, residual={self.max_residual:.3g}): {body}"
 
 
-def _coefficient_residual(total: Polynomial, target: Polynomial) -> float:
+def _residual_report(total: Polynomial, f: Polynomial, lam: float, tol: float,
+                     problems: list) -> VerifyReport:
+    """The report on total == f - lam, coefficient-wise up to tol."""
+    target = f - lam
     keys = set(total.terms) | set(target.terms)
-    if not keys:
-        return 0.0
-    return max(abs(total.terms.get(k, 0.0) - target.terms.get(k, 0.0)) for k in keys)
+    residual = max((abs(total.terms.get(k, 0.0) - target.terms.get(k, 0.0)) for k in keys),
+                   default=0.0)
+    if residual > tol:
+        problems.append(f"coefficient residual {residual:.3e} exceeds {tol:g}")
+    return VerifyReport(not problems, lam, residual, problems)
 
 
 def verify_sos(f: Polynomial, lam: float, blocks, tol: float = COEFF_TOL) -> VerifyReport:
     """Check f - lam == sum_i (x^{B_i})' Q_i x^{B_i} with every Q_i PSD."""
-    problems = []
-    total = Polynomial.zero(f.n)
-    for basis, Q in blocks:
-        Q = np.asarray(Q, float)
-        if Q.shape[0] != Q.shape[1] or len(basis) != Q.shape[0]:
-            raise CertificateError("Gram matrix size does not match its basis")
-        Qs = 0.5 * (Q + Q.T)
-        if float(np.max(np.abs(Qs - Q))) > 1e-9 * (1.0 + np.max(np.abs(Q))):
-            problems.append("Gram matrix is not symmetric")
-        scale = 1.0 + float(np.max(np.abs(Qs))) if Qs.size else 1.0
-        eigs, vecs = np.linalg.eigh(Qs)
-        if eigs[0] < -EIG_TOL * scale:
-            problems.append(f"Gram eigenvalue {eigs[0]:.3e} below -{EIG_TOL:g}*(1+|Q|)")
-        clipped = vecs @ np.diag(np.clip(eigs, 0.0, None)) @ vecs.T
-        total = total + _gram_polynomial(f.n, basis, clipped)
-    target = f - lam
-    residual = _coefficient_residual(total, target)
-    if residual > tol:
-        problems.append(f"coefficient residual {residual:.3e} exceeds {tol:g}")
-    return VerifyReport(not problems, lam, residual, problems)
+    pieces = [CertificatePiece("sos", {"basis": tuple(basis), "gram": Q}) for basis, Q in blocks]
+    return verify_certificate(Certificate(lam, "sos", pieces), f, Box.full_space(f.n), tol)
 
 
 def _gram_polynomial(n: int, basis, Q: np.ndarray) -> Polynomial:
@@ -310,11 +267,7 @@ def verify_handelman(f: Polynomial, lam: float, g, coeffs,
         for gi, power in zip(g, beta):
             term = term * gi ** power
         total = total + term
-    residual = _coefficient_residual(total, f - lam)
-    problems = []
-    if residual > tol:
-        problems.append(f"coefficient residual {residual:.3e} exceeds {tol:g}")
-    return VerifyReport(not problems, lam, residual, problems)
+    return _residual_report(total, f, lam, tol, [])
 
 
 def verify_circuit(f: Polynomial, circuit, domain: str = "R_full",
@@ -351,15 +304,72 @@ def verify_circuit(f: Polynomial, circuit, domain: str = "R_full",
 
 
 # ---------------------------------------------------------------------------
-# combined verification of extracted certificates
+# combined verification of extracted certificates: one check per piece kind
+# validates the piece's data, proves the piece nonnegative on the box and
+# returns its polynomial, or raises CertificateError
 
 
-def _vertex_piece_polynomial(n: int, data: dict, box: Box, problems: list) -> Polynomial:
-    poly = Polynomial(n, data["poly"])
-    base = tuple(data["base_alpha"])
-    shift = data.get("shift")
-    eta = tuple(shift) if shift else zero_exponent(n)
-    support = tuple(data["support"])
+def _fields(data: dict, *names):
+    for name in names:
+        if name not in data:
+            raise CertificateError(f"missing field '{name}'")
+    return [data[name] for name in names]
+
+
+def _check_factors(factors, box: Box, n: int):
+    for fct in factors:
+        if factor_min_on_box(fct, box, n) < -1e-9:
+            raise CertificateError(f"factor {fct} is not nonnegative on the box")
+
+
+def _linear_piece(data: dict, n: int, box: Box, tol: float) -> Polynomial:
+    """weight * prod(factors), with weight >= 0 and every factor >= 0 on the box."""
+    factors, weight = _fields(data, "factors", "weight")
+    z = float(weight)
+    if z < -DUAL_SIGN_TOL:
+        raise CertificateError(f"negative multiplier {z:.3e} on a product row")
+    _check_factors(factors, box, n)
+    return max(z, 0.0) * product_of_factors(factors, box, n)
+
+
+def _sos_piece(data: dict, n: int, box: Box, tol: float) -> Polynomial:
+    """prod(multiplier factors) * (x^B)' Q x^B, with Q PSD up to EIG_TOL.
+
+    Eigenvalues inside the tolerance are clipped to zero.
+    """
+    basis, gram = _fields(data, "basis", "gram")
+    factors = data.get("multiplier_factors", ())
+    Q = np.asarray(gram, float)
+    if not basis or Q.shape != (len(basis), len(basis)):
+        raise CertificateError(
+            f"Gram matrix of shape {Q.shape} does not match its basis of {len(basis)} monomials")
+    Qs = 0.5 * (Q + Q.T)
+    scale = 1.0 + float(np.max(np.abs(Qs)))
+    if float(np.max(np.abs(Qs - Q))) > 1e-9 * scale:
+        raise CertificateError("Gram matrix is not symmetric")
+    eigs, vecs = np.linalg.eigh(Qs)
+    if eigs[0] < -EIG_TOL * scale:
+        raise CertificateError(f"Gram eigenvalue {eigs[0]:.3e} below -{EIG_TOL:g}*(1+|Q|)")
+    _check_factors(factors, box, n)
+    clipped = vecs @ np.diag(np.clip(eigs, 0.0, None)) @ vecs.T
+    return product_of_factors(factors, box, n) * _gram_polynomial(n, basis, clipped)
+
+
+def _vertex_piece(data: dict, n: int, box: Box, tol: float) -> Polynomial:
+    """x^shift * p, with x^shift >= 0 on the box and p multilinear in the
+    y_i = x_i^base_i (i in support) and >= 0 at every vertex of their box."""
+    terms, base, support, vertices = _fields(data, "poly", "base_alpha", "support", "vertices")
+    poly = Polynomial(n, terms)
+    eta = tuple(data["shift"]) if data.get("shift") else zero_exponent(n)
+    if len(base) != n or len(eta) != n or not all(0 <= i < n for i in support):
+        raise CertificateError(f"base, shift or support does not fit {n} variables")
+    # a table that omits a vertex would prove nothing: it must be the box's
+    ranges = [monomial_range(unit_exponent(n, i, base[i]), box) for i in support]
+    if not all(r.finite for r in ranges):
+        raise CertificateError("a vertex coordinate is unbounded on the box")
+    if tuple(map(tuple, vertices)) != tuple(itertools.product(*[(r.lo, r.hi) for r in ranges])):
+        raise CertificateError(
+            f"vertex tuples do not match the box's vertices on the support {tuple(support)}")
     scale = 1.0 + max((abs(c) for c in poly.terms.values()), default=0.0)
     # strip the shift monomial and check the rest lives in the multilinear cube
     reduced: dict = {}
@@ -369,15 +379,12 @@ def _vertex_piece_polynomial(n: int, data: dict, box: Box, problems: list) -> Po
             d not in (0, base[i]) or (i not in support and d)
             for i, d in enumerate(diff)
         ):
-            problems.append(f"vertex piece touches exponent {alpha} outside its cube")
-            return Polynomial.zero(n)
+            raise CertificateError(f"exponent {alpha} lies outside the piece's cube")
         reduced[diff] = c
-    if sum(eta):
-        eta_lo = _monomial_lo(eta, box)
-        if eta_lo < -1e-12:
-            problems.append("shift monomial of a vertex piece can be negative")
+    if sum(eta) and monomial_range(eta, box).lo < -1e-12:
+        raise CertificateError("shift monomial can be negative")
     pos = {i: j for j, i in enumerate(support)}
-    for p in data["vertices"]:
+    for p in vertices:
         val = 0.0
         for diff, c in reduced.items():
             term = c
@@ -385,15 +392,41 @@ def _vertex_piece_polynomial(n: int, data: dict, box: Box, problems: list) -> Po
                 term *= p[pos[i]]
             val += term
         if val < -EIG_TOL * scale:
-            problems.append(f"vertex piece negative ({val:.3e}) at a box vertex")
-            return Polynomial.zero(n)
+            raise CertificateError(f"negative ({val:.3e}) at a box vertex")
     return poly
 
 
-def _monomial_lo(alpha, box: Box) -> float:
-    from .polynomials import monomial_range
+def _circuit_piece(data: dict, n: int, box: Box, tol: float) -> Polynomial:
+    """A polynomial on one circuit's exponents that passes verify_circuit."""
+    terms, beta, gammas, lambdas = _fields(data, "poly", "beta", "gammas", "lambdas")
+    if len(beta) != n or any(len(g) != n for g in gammas) or len(lambdas) != len(gammas):
+        raise CertificateError(f"exponents or weights do not fit {n} variables")
+    # the circuit test proves nothing unless the weights write beta in the gammas
+    if min(lambdas, default=0.0) <= 0.0 or abs(sum(lambdas) - 1.0) > CIRCUIT_SLACK_TOL or any(
+            abs(sum(w * g[i] for w, g in zip(lambdas, gammas)) - beta[i]) > CIRCUIT_SLACK_TOL
+            for i in range(n)):
+        raise CertificateError("weights are not barycentric coordinates of beta")
+    allowed = {tuple(beta)} | {tuple(g) for g in gammas}
+    poly = Polynomial(n, terms)
+    kept = {}
+    for a, c in poly.terms.items():
+        if a in allowed:
+            kept[a] = c
+        elif abs(c) > tol:
+            raise CertificateError(f"touches foreign exponent {a}")
+    poly = Polynomial(n, kept)
+    rep = verify_circuit(poly, data, data.get("domain", "R_full"))
+    if not rep.passed:
+        raise CertificateError("; ".join(rep.problems))
+    return poly
 
-    return monomial_range(alpha, box).lo
+
+_PIECE_CHECKS = {
+    "linear": _linear_piece,
+    "sos": _sos_piece,
+    "vertex": _vertex_piece,
+    "circuit": _circuit_piece,
+}
 
 
 def verify_certificate(cert: Certificate, f: Polynomial, box: Box,
@@ -401,57 +434,21 @@ def verify_certificate(cert: Certificate, f: Polynomial, box: Box,
     """Re-expand every piece independently and check sum == f - lambda.
 
     f must be the polynomial the certificate bounds from below (for a max
-    solve that is the negated objective).
+    solve that is the negated objective).  A piece whose data is malformed or
+    that is not nonnegative adds nothing to the sum and a problem naming it.
     """
-    n = f.n
     problems: list = []
-    total = Polynomial.zero(n)
-    for piece in cert.pieces:
-        data = piece.data
-        if piece.kind == "linear":
-            z = float(data["weight"])
-            if z < -DUAL_SIGN_TOL:
-                problems.append(f"negative multiplier {z:.3e} on a product row")
-                continue
-            for fct in data["factors"]:
-                if factor_min_on_box(fct, box, n) < -1e-9:
-                    problems.append(f"row factor {fct} is not nonnegative on the box")
-            total = total + max(z, 0.0) * product_of_factors(data["factors"], box, n)
-        elif piece.kind == "sos":
-            Q = np.asarray(data["gram"], float)
-            Qs = 0.5 * (Q + Q.T)
-            scale = 1.0 + float(np.max(np.abs(Qs)))
-            eigs, vecs = np.linalg.eigh(Qs)
-            if eigs[0] < -EIG_TOL * scale:
-                problems.append(f"Gram eigenvalue {eigs[0]:.3e} too negative")
-                continue
-            clipped = vecs @ np.diag(np.clip(eigs, 0.0, None)) @ vecs.T
-            mult = product_of_factors(data.get("multiplier_factors", ()), box, n)
-            for fct in data.get("multiplier_factors", ()):
-                try:
-                    if factor_min_on_box(fct, box, n) < -1e-9:
-                        problems.append(f"block multiplier {fct} is not nonnegative")
-                except Exception as exc:
-                    problems.append(f"block multiplier {fct[0]}: {exc}")
-            total = total + mult * _gram_polynomial(n, data["basis"], clipped)
-        elif piece.kind == "vertex":
-            total = total + _vertex_piece_polynomial(n, data, box, problems)
-        elif piece.kind == "circuit":
-            poly = Polynomial(n, data["poly"])
-            allowed = {tuple(data["beta"])} | {tuple(g) for g in data["gammas"]}
-            stray = [a for a in poly.terms if a not in allowed]
-            for a in stray:
-                if abs(poly.terms[a]) > tol:
-                    problems.append(f"circuit piece touches foreign exponent {a}")
-                poly = Polynomial(n, {k: v for k, v in poly.terms.items() if k != a})
-            rep = verify_circuit(poly, data, data.get("domain", "R_full"))
-            if not rep.passed:
-                problems.extend("circuit piece: " + p for p in rep.problems)
-                continue
-            total = total + poly
-        else:
-            problems.append(f"unknown piece kind {piece.kind!r}")
-    residual = _coefficient_residual(total, f - cert.lam)
-    if residual > tol:
-        problems.append(f"piece sum misses f - lambda by {residual:.3e}")
-    return VerifyReport(not problems, cert.lam, residual, problems)
+    total = Polynomial.zero(f.n)
+    for i, piece in enumerate(cert.pieces):
+        check = _PIECE_CHECKS.get(piece.kind)
+        if check is None:
+            problems.append(f"piece {i}: unknown piece kind {piece.kind!r}")
+            continue
+        try:
+            total = total + check(piece.data, f.n, box, tol)
+        except (ValueError, TypeError) as exc:
+            # CertificateError and the builders' BuilderError are ValueErrors,
+            # as are numbers and exponents of the wrong shape; TypeError is a
+            # field of the wrong type, such as a null from JSON
+            problems.append(f"piece {i} ({piece.kind}): {exc}")
+    return _residual_report(total, f, cert.lam, tol, problems)

@@ -156,12 +156,14 @@ class _StandardForm:
         # loop-invariant forms of the scaled data: each block's coefficient
         # stack as a (columns x m*m) matrix, long-double copies for the
         # extended-precision residual, and each block's contraction path for
-        # the KKT build (it depends only on the shapes)
+        # the KKT build (it depends only on the shapes).  The transposes are
+        # views of the same arrays, held because making a view costs more than
+        # a product with it
         ld = np.longdouble
         self.F2 = [F.reshape(len(cols), m * m) for m, cols, F, _ in self.blocks]
         self.F2_ld = [F2.astype(ld) for F2 in self.F2]
-        self.A_ld, self.AT_ld, self.Gl_ld, self.GlT_ld = (
-            sps.csr_array(M).astype(ld) for M in (self.A, self.A.T, self.Gl, self.Gl.T))
+        self.A_ld, self.Gl_ld = (sps.csr_array(M).astype(ld) for M in (self.A, self.Gl))
+        self.AT_ld, self.GlT_ld = self.A_ld.T, self.Gl_ld.T
         self.paths = [np.einsum_path("ab,nbc,cd->nad", np.empty((m, m)), F,
                                      np.empty((m, m)), optimize=True)[0]
                       if len(cols) else None for m, cols, F, _ in self.blocks]
@@ -616,7 +618,6 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
     best_state = None
     best_merit = math.inf
     stall = 0
-    ratio0 = None  # initial residual-to-mu ratio, for balanced reduction
 
     def metrics(x, y, s, z, tau):
         """The point scaled by 1/tau, its costs, and its relative residuals.
@@ -675,11 +676,6 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
     it = 0
     for it in range(cfg.max_iter):
         Gx, rx, ry, rz, rtau, mu = embedding(x, y, s, z, tau, kappa)
-        r_abs = max(float(np.max(np.abs(rx))),
-                    float(np.max(np.abs(ry))) if ry.size else 0.0,
-                    rz.inf_norm())
-        if ratio0 is None:
-            ratio0 = max(r_abs, 1e-12) / mu
 
         _, pcost, dcost, res = metrics(x, y, s, z, tau)
         pres, dres, gap_rel = res["primal"], res["dual"], res["gap"]
@@ -769,10 +765,6 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
         ) / nu1
         sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
-        # keep mu from outrunning the residuals: a vanishing barrier with
-        # lagging feasibility wrecks the KKT conditioning before convergence
-        if mu * ratio0 < 0.1 * r_abs:
-            sigma = max(sigma, 0.5)
 
         # corrector
         try:
@@ -784,10 +776,7 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             dx, dy, dz, ds, dtau, dkappa = direction(ds_comb, dkt_comb, 1.0 - sigma)
         except (np.linalg.LinAlgError, ValueError):
             return current_result("numerical_failure", it)
-        alpha = max_step(scal.scale_s(ds), scal.scale_z(dz), dtau, dkappa)
-        # damp steps once progress degrades; calms end-game oscillation
-        frac = 0.85 if stall >= 5 else 0.99
-        alpha = min(1.0, frac * alpha)
+        alpha = min(1.0, 0.99 * max_step(scal.scale_s(ds), scal.scale_z(dz), dtau, dkappa))
         if not math.isfinite(alpha) or alpha <= 1e-14:
             return current_result("numerical_failure", it)
         if best_merit < 1e-4:

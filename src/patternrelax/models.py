@@ -127,11 +127,6 @@ class LMIBlock:
     def size(self) -> int:
         return len(self.entries)
 
-    def canonical_key(self):
-        return tuple(
-            tuple(e.canonical_key() for e in row_entries) for row_entries in self.entries
-        )
-
 
 @dataclass
 class GMCRecord:
@@ -615,12 +610,7 @@ def build_shifted_model(eta: Exponent, base: MomentModel, box: Box) -> MomentMod
         payload = dict(info.payload)
         payload["shift"] = eta
         model.groups[gid] = GroupInfo(info.kind, payload)
-    if math.isfinite(rng.lo):
-        model.add_row(LinearForm(-rng.lo, {eta: 1.0}),
-                      factors=(("mon_minus_lo", eta),))
-    if math.isfinite(rng.hi):
-        model.add_row(LinearForm(rng.hi, {eta: -1.0}),
-                      factors=(("up_minus_mon", eta),))
+    _bounds_model(model, eta, box)
     if base.aux_count:
         base_lift = base.aux_lift
         eta_mono = Polynomial.monomial(eta)
@@ -751,10 +741,7 @@ def model_for_pattern(P: Pattern, box: Box, policy: ModelPolicy) -> MomentModel:
                 np.array(unit_exponent(P.n, axis)).reshape(-1, 1), steps // 2, box)
         if eta is None or sum(eta) == 0:
             return base
-        model = build_shifted_model(eta, base, box)
-        if steps == 0:
-            _bounds_model(model, eta, box)
-        return model
+        return build_shifted_model(eta, base, box)
     if kind == "submonoid":
         gamma = P.meta.get("gamma")
         d = P.meta.get("d")

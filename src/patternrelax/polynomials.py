@@ -108,9 +108,6 @@ class Interval:
     def finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
 
 class Box:
     """Axis-aligned box [l_1,u_1] x ... x [l_n,u_n]; entries may be +-inf.
@@ -148,15 +145,6 @@ class Box:
     @property
     def bounded(self) -> bool:
         return all(math.isfinite(v) for v in self.lower + self.upper)
-
-    def coordinate(self, i: int) -> Interval:
-        return Interval(self.lower[i], self.upper[i])
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return all(
-            l - tol <= xi <= u + tol
-            for xi, l, u in zip(x, self.lower, self.upper, strict=True)
-        )
 
     def sample(self, rng, count: int):
         """Uniform samples; infinite sides are truncated to +-10 for sampling."""
@@ -395,29 +383,10 @@ class LinearForm:
                 if abs(c) > COEFF_DROP_TOL:
                     self.aux[int(i)] = float(c)
 
-    def scaled(self, t: float) -> "LinearForm":
-        return LinearForm(
-            self.constant * t,
-            {a: c * t for a, c in self.coeffs.items()},
-            {i: c * t for i, c in self.aux.items()},
-        )
-
-    def plus(self, other: "LinearForm") -> "LinearForm":
-        coeffs = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            coeffs[a] = coeffs.get(a, 0.0) + c
-        aux = dict(self.aux)
-        for i, c in other.aux.items():
-            aux[i] = aux.get(i, 0.0) + c
-        return LinearForm(self.constant + other.constant, coeffs, aux)
-
     def shift_aux(self, offset: int) -> "LinearForm":
         return LinearForm(
             self.constant, self.coeffs, {i + offset: c for i, c in self.aux.items()}
         )
-
-    def variables(self) -> frozenset:
-        return frozenset(self.coeffs)
 
     def value(self, assignment: Mapping[Exponent, float], aux_values=None) -> float:
         total = self.constant

@@ -61,12 +61,6 @@ class LinRow:
     piece: int | None = None
     factors: tuple | None = None
 
-    def canonical_key(self):
-        return (
-            tuple(sorted((j, round(c, 12)) for j, c in self.coeff.items())),
-            round(self.rhs, 12),
-        )
-
 
 class ConicProgram:
     def __init__(self, ncols: int, col_exponents=None):
@@ -180,9 +174,6 @@ class ConicProgram:
             else:
                 worst = max(worst, abs(val) - prod)
         return worst
-
-    def objective_value(self, v: np.ndarray) -> float:
-        return float(self.c @ v)
 
     def __repr__(self):
         return (

@@ -148,6 +148,16 @@ def test_duplicate_rows_are_merged():
         keys.add(key)
 
 
+@pytest.mark.parametrize("tag,method", [("S(3,6)", "S"), ("S(3,6)", "H")])
+def test_every_piece_owns_a_constraint(tag, method):
+    # a row dropped as a duplicate must not leave a certificate piece behind
+    inst = gen_instance(tag, 1)
+    prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box)
+    owned = ({r.piece for r in prog.ineqs + prog.eqs} | {b.piece for b in prog.blocks}
+             | {g.piece for g in prog.gmcs})
+    assert owned - {None} == set(range(len(prog.pieces)))
+
+
 def test_v0_pinned_and_homogeneous_rows():
     f = Polynomial(1, {(2,): 1.0, (1,): -1.0})
     prog = assemble_relaxation(f, chain_family({(2,)}), Box.unit(1))
@@ -158,8 +168,9 @@ def test_v0_pinned_and_homogeneous_rows():
 
 
 # SHA-256 of the SDPA text of assembled programs, recorded when models were
-# still merged pairwise; the one-pass merge must emit the same rows, blocks,
-# pieces and aux columns in the same order.
+# still merged pairwise (the S(3,6) entry: when rows dropped as duplicates
+# still created pieces); assembly must emit the same rows, blocks and aux
+# columns in the same order.
 PINNED_SDPA = [
     # vertex models with auxiliaries
     ("dense(3,4)", 1, "M", None,
@@ -170,6 +181,9 @@ PINNED_SDPA = [
     # three-coordinate patterns fall back to pairwise McCormick rows
     ("dense(3,4)", 2, "M", ModelPolicy(vertex_cap=2),
      "dcb88f4e4a553c6c068002b61a81262331df863dd7fcda65390a8b831d62733d"),
+    # shifted chains, whose bound rows on the shift monomial were emitted twice
+    ("S(3,6)", 1, "S", None,
+     "075d532d6bdfc9a2186a7aac64a5201a146eb6c6b3ada80ce66d4f008acda75e"),
 ]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from patternrelax.assemble import assemble_relaxation
 from patternrelax.certificates import (
     Certificate,
     CertificateError,
+    CertificatePiece,
     extract_certificate,
     verify_certificate,
     verify_circuit,
@@ -87,6 +90,32 @@ def test_verify_circuit_odd_case():
     assert verify_circuit(f, pat, "R_full").passed  # odd: |2| <= 2
     f = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 1): -2.1})
     assert not verify_circuit(f, pat, "R_full").passed
+
+
+def test_vertex_table_must_list_every_box_vertex():
+    # x - 1/2 is nonnegative at x = 1 only; min x on [0, 1] is 0, not 1/2
+    f = Polynomial(1, {(1,): 1.0})
+    piece = {"base_alpha": (1,), "support": (0,), "shift": None,
+             "poly": {(1,): 1.0, (0,): -0.5}}
+    partial = Certificate(0.5, "mixed",
+                          [CertificatePiece("vertex", {**piece, "vertices": ((1.0,),)})])
+    rep = verify_certificate(partial, f, Box.unit(1))
+    assert not rep.passed and rep.problems[0].startswith("piece 0 (vertex)")
+    full = Certificate(0.5, "mixed",
+                       [CertificatePiece("vertex", {**piece, "vertices": ((0.0,), (1.0,))})])
+    assert not verify_certificate(full, f, Box.unit(1)).passed
+
+
+def test_circuit_weights_must_be_barycentric():
+    # x^4 - 2.05 x^2 + 1 dips below 0 near x^2 = 1.025; weights 1/e, 1/e
+    # (not barycentric: they sum to 0.74) would pass the circuit test
+    f = Polynomial(1, {(4,): 1.0, (2,): -2.05, (0,): 1.0})
+    data = {"beta": (2,), "gammas": ((0,), (4,)), "sign_mode": "even", "domain": "R_full",
+            "poly": dict(f.terms)}
+    for lambdas in [(math.exp(-1), math.exp(-1)), (0.5, 0.5)]:
+        cert = Certificate(0.0, "circuit",
+                           [CertificatePiece("circuit", {**data, "lambdas": lambdas})])
+        assert not verify_certificate(cert, f, Box.full_space(1)).passed
 
 
 def test_extract_requires_optimal_and_metadata():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from patternrelax.certificates import Certificate, verify_certificate
 from patternrelax.cli import main
+from patternrelax.io import import_instance_json
 
 
 def test_cli_gen_relax_solve_verify_bench(tmp_path, capsys):
@@ -50,6 +52,42 @@ def test_cli_verify_detects_tampered_certificate(tmp_path, capsys):
     data = json.loads(cert.read_text())
     data["lambda"] = data["lambda"] + 0.5  # claim a better bound
     cert.write_text(json.dumps(data))
+    assert main(["verify", "--certificate", str(cert),
+                 "--instance", str(inst)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL")
+
+
+def _break_gram(blocks):
+    blk = next(b for b in blocks if b["kind"] == "sos" and len(b["basis"]) > 1)
+    blk["gram"] = [[1.0]]
+
+
+def _drop_weight(blocks):
+    del next(b for b in blocks if b["kind"] == "linear")["weight"]
+
+
+def _shorten_vertices(blocks):
+    blk = next(b for b in blocks if b["kind"] == "vertex")
+    blk["vertices"] = [v[:-1] for v in blk["vertices"]]
+
+
+@pytest.mark.parametrize("malform", [_break_gram, _drop_weight, _shorten_vertices],
+                         ids=["gram_smaller_than_basis", "linear_without_weight",
+                              "short_vertex_tuples"])
+def test_malformed_certificate_fails_without_raising(tmp_path, capsys, malform):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--tag", "S(2,4)", "--seed", "3", "--out", str(inst)])
+    cert = tmp_path / "cert.json"
+    assert main(["solve", "--instance", str(inst), "--method", "H",
+                 "--sense", "min", "--certificate", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    malform(data["blocks"])
+    cert.write_text(json.dumps(data))
+    f, box, _, _ = import_instance_json(inst.read_text())
+    report = verify_certificate(Certificate.from_json_dict(data), f, box)
+    assert not report.passed
+    assert any(p.startswith("piece ") for p in report.problems)
+    capsys.readouterr()
     assert main(["verify", "--certificate", str(cert),
                  "--instance", str(inst)]) == 1
     assert capsys.readouterr().out.startswith("FAIL")
