@@ -59,25 +59,41 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
+        if not isinstance(data, dict):
+            raise CertificateError("certificate JSON is not an object")
         for key in ("lambda", "kind", "blocks"):
             if key not in data:
                 raise CertificateError(f"certificate JSON missing field '{key}'")
         sense = "min"
         provenance = ""
         pieces = []
-        for blk in data["blocks"]:
-            kind = blk.get("kind")
-            if kind == "meta":
-                sense = blk.get("sense", "min")
-                provenance = blk.get("provenance", "")
-                continue
-            pieces.append(CertificatePiece(kind, {k: _FIELD_CODECS.get(k, _IDENTITY)[1](v)
-                                                  for k, v in blk.items() if k != "kind"}))
-        return cls(float(data["lambda"]), data["kind"], pieces, sense, provenance)
+        # the field decoders raise whatever numpy or Python raises on data of
+        # the wrong shape or type; each becomes a CertificateError
+        where = "blocks"
+        try:
+            for i, blk in enumerate(data["blocks"]):
+                where = f"block {i}"
+                kind = blk.get("kind")
+                if kind == "meta":
+                    sense = blk.get("sense", "min")
+                    provenance = blk.get("provenance", "")
+                    continue
+                pieces.append(CertificatePiece(kind, {k: _FIELD_CODECS.get(k, _IDENTITY)[1](v)
+                                                      for k, v in blk.items() if k != "kind"}))
+            where = "lambda"
+            lam = float(data["lambda"])
+        except (TypeError, ValueError, IndexError, KeyError, AttributeError) as exc:
+            raise CertificateError(f"{where} cannot be decoded: "
+                                   f"{type(exc).__name__}: {exc}") from exc
+        return cls(lam, data["kind"], pieces, sense, provenance)
 
     @classmethod
     def loads(cls, text: str) -> "Certificate":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CertificateError(f"certificate is not JSON: {exc}") from exc
+        return cls.from_json_dict(data)
 
 
 # JSON codecs of piece data fields, as (encode, decode) pairs; a field not in

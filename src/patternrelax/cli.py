@@ -9,7 +9,8 @@ from pathlib import Path
 
 from .assemble import assemble_relaxation
 from .bench import BenchConfig, family_for_method, gen_instance, records_to_csv, run_benchmark
-from .certificates import Certificate, extract_certificate, verify_certificate
+from .certificates import (Certificate, CertificateError, extract_certificate,
+                           verify_certificate)
 from .io import export_instance_json, import_instance_json
 from .ipm import solve_relaxation
 from .models import ModelPolicy
@@ -68,7 +69,11 @@ def cmd_solve(args):
 
 def cmd_verify(args):
     f, box, _, _ = _load_instance(args.instance)
-    cert = Certificate.loads(Path(args.certificate).read_text())
+    try:
+        cert = Certificate.loads(Path(args.certificate).read_text())
+    except CertificateError as exc:
+        print(f"FAIL (malformed certificate): {exc}")
+        return 1
     target = f if cert.sense == "min" else -f
     report = verify_certificate(cert, target, box)
     print(report)

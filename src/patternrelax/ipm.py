@@ -2,9 +2,13 @@
 
 Solves   min c'x  s.t.  A x = b,  G x + s = h,  s in K
 with K = R_+^l x S_+^{m_1} x ... x S_+^{m_J}, via the homogeneous self-dual
-embedding: Nesterov-Todd scaling, Mehrotra predictor-corrector, and a dense
-LU factorization of the reduced KKT system with static regularization plus
-iterative refinement.  Equalities enter the KKT system directly.
+embedding: Nesterov-Todd scaling, Mehrotra predictor-corrector, and an LU
+factorization of the reduced KKT system with a static-regularization fallback
+plus iterative refinement.  Equalities enter the KKT system directly.  KKT
+systems of at most _KKT.EXTENDED_DIM are factored dense, because only they
+may need the extended-precision LU below, which works on the dense matrix;
+larger ones, about 1% nonzero, are factored sparsely (splu) on a sparsity
+pattern built once per solve.
 
 Each KKT solve is one refinement loop against the residual accumulated in
 long double: six passes on the double-precision LU; if they stall on a small
@@ -21,10 +25,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from .program import ConicProgram
 
@@ -167,6 +173,8 @@ class _StandardForm:
         self.paths = [np.einsum_path("ab,nbc,cd->nad", np.empty((m, m)), F,
                                      np.empty((m, m)), optimize=True)[0]
                       if len(cols) else None for m, cols, F, _ in self.blocks]
+        self.kkt_pattern = _KKTPattern(self) \
+            if n + self.A.shape[0] > _KKT.EXTENDED_DIM else None
 
     def _drop_dependent_equalities(self):
         p = self.A.shape[0]
@@ -422,55 +430,155 @@ def _step_to_boundary(lam: _ConeVec, d: _ConeVec) -> float:
     return 1.0 / worst
 
 
+class _KKTPattern:
+    """CSC sparsity pattern of the KKT matrix [[H, A'], [A, 0]] of one solve.
+
+    H = Gl'(W'W)^{-1}Gl + the blocks' Schur complements changes every
+    iteration, but where it can be nonzero does not: the union of Gl'Gl, each
+    PSD block's columns x columns and A, plus the whole diagonal (for the
+    shift fallback).  The pattern is built once per solve together with a map
+    from each contribution to its slots in the CSC data array, so an iteration
+    only fills in values.
+    """
+
+    def __init__(self, sf: _StandardForm):
+        n, p = sf.n, sf.A.shape[0]
+        N = n + p
+        # coordinates of every contribution: diagonal, linear rows, blocks, A.
+        # Row k of Gl adds Gl[k, i] Gl[k, j] / w2[k] at (i, j) for each pair
+        # (e1, e2) of its stored entries
+        Gl = sps.csr_array(sf.Gl)
+        entry_row = np.repeat(np.arange(sf.l), np.diff(Gl.indptr))
+        count = np.diff(Gl.indptr)[entry_row]  # entries in each entry's row
+        e1 = np.repeat(np.arange(Gl.nnz), count)
+        lin_rows = entry_row[e1]
+        # e2 runs over the row's entries once for each e1
+        e2 = Gl.indptr[lin_rows] + np.arange(len(e1)) - np.repeat(np.cumsum(count) - count,
+                                                                   count)
+        blk = [np.meshgrid(cols, cols, indexing="ij") for _, cols, _, _ in sf.blocks
+               if len(cols)]
+        ai, aj = np.nonzero(sf.A)
+        diag = np.arange(N)
+        rows = np.concatenate([diag, Gl.indices[e1], *(i.ravel() for i, _ in blk),
+                               n + ai, aj])
+        cols = np.concatenate([diag, Gl.indices[e2], *(j.ravel() for _, j in blk),
+                               aj, n + ai])
+        keys, slot = np.unique(cols * N + rows, return_inverse=True)
+        self.indices = (keys % N).astype(np.int32)
+        self.col = keys // N  # column of each stored entry
+        self.indptr = np.searchsorted(self.col, np.arange(N + 1)).astype(np.int32)
+        self.shape = (N, N)
+        # where each contribution goes in the data array
+        self.diag = slot[:N]
+        k = N + len(e1)
+        self.lin = sps.csr_array((Gl.data[e1] * Gl.data[e2], (slot[N:k], lin_rows)),
+                                 shape=(len(keys), sf.l))
+        self.blocks = []
+        for i, _ in blk:
+            self.blocks.append(slot[k:k + i.size].reshape(i.shape))
+            k += i.size
+        self.base = np.zeros(len(keys))  # the fixed A values
+        self.base[slot[k:]] = np.concatenate([sf.A[ai, aj]] * 2)
+
+    def matrix(self, w2: np.ndarray, Hbs: list) -> sps.csc_array:
+        """The KKT matrix for the scaling W'W (diagonal w2 on the linear rows)
+        and the Schur complements Hb of the blocks with columns, in order."""
+        data = self.base + self.lin @ (1.0 / w2)
+        for slots, Hb in zip(self.blocks, Hbs):
+            data[slots] += Hb
+        return sps.csc_array((data, self.indices, self.indptr), shape=self.shape)
+
+
 class _KKT:
-    """Factorization of [[H, A'], [A, 0]] with H = G'(W'W)^{-1}G."""
+    """Factorization of [[H, A'], [A, 0]] with H = G'(W'W)^{-1}G.
+
+    Systems of at most EXTENDED_DIM are formed and factored dense: only they
+    may need the extended-precision LU, which works on the dense matrix.
+    Larger systems are about 1% nonzero; they are filled into the solve's
+    fixed sparsity pattern (_KKTPattern) and factored with splu.  Factoring
+    the small systems sparsely as well turned a dense(2,6)/C solve into a
+    numerical failure, with or without the extended LU behind it, and was
+    no faster with it.  Both factorizations use the same symmetric
+    equilibration and share the pivot-floor test and the shift fallback.
+    """
 
     REG = 1e-10
-    EXTENDED_DIM = 420  # extended-precision factorization up to this size
+    EXTENDED_DIM = 420  # dense and extended-precision factorization up to this size
 
     def __init__(self, sf: _StandardForm, scal: _Scaling):
         self.sf = sf
         self.scal = scal
         n, p = sf.n, sf.A.shape[0]
-        H = np.zeros((n, n))
-        if sf.l:
-            H += (sf.Gl.T / scal.w2) @ sf.Gl
+        Hbs = []  # Schur complement of each block with columns
         for (m, cols, F, _), F2, path, Wi in zip(sf.blocks, sf.F2, sf.paths, scal.Winv):
             if not len(cols):
                 continue
             T = np.einsum("ab,nbc,cd->nad", Wi, F, Wi, optimize=path)
-            Hb = np.dot(F2, T.transpose(1, 2, 0).reshape(m * m, len(cols)))
-            H[np.ix_(cols, cols)] += Hb
-        M = np.zeros((n + p, n + p))
-        M[:n, :n] = H
-        M[:n, n:] = sf.A.T
-        M[n:, :n] = sf.A
-        self.M = M
+            Hbs.append(np.dot(F2, T.transpose(1, 2, 0).reshape(m * m, len(cols))))
         self.n, self.p = n, p
-        # symmetric diagonal equilibration before factorizing
-        absM = np.abs(M)
-        d = np.sqrt(np.maximum(absM.max(axis=0), 1e-300))
-        self.d = 1.0 / d
-        Ms = M * self.d[:, None] * self.d[None, :]
-        self.Ms = Ms
         self.xlu = None
         self._xlu_failed = False
+        pattern = sf.kkt_pattern
+        if pattern is None:
+            H = np.zeros((n, n))
+            if sf.l:
+                H += (sf.Gl.T / scal.w2) @ sf.Gl
+            for cols, Hb in zip((cols for _, cols, _, _ in sf.blocks if len(cols)), Hbs):
+                H[np.ix_(cols, cols)] += Hb
+            M = np.zeros((n + p, n + p))
+            M[:n, :n] = H
+            M[:n, n:] = sf.A.T
+            M[n:, :n] = sf.A
+            # symmetric diagonal equilibration before factorizing
+            absM = np.abs(M)
+            d = np.sqrt(np.maximum(absM.max(axis=0), 1e-300))
+            self.d = 1.0 / d
+            Ms = M * self.d[:, None] * self.d[None, :]
+        else:
+            M = pattern.matrix(scal.w2, Hbs)
+            d = np.sqrt(np.maximum(np.maximum.reduceat(np.abs(M.data), M.indptr[:-1]),
+                                   1e-300))
+            self.d = 1.0 / d
+            Ms = sps.csc_array((M.data * self.d[M.indices] * self.d[pattern.col],
+                                M.indices, M.indptr), shape=M.shape)
+        self.M = M
+        self.Ms = Ms
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            self.lu = sla.lu_factor(Ms)
-            pivots = np.abs(np.diag(self.lu[0]))
-            pivot_floor = 1e-15 * max(1.0, float(pivots.max()) if pivots.size else 1.0)
-            if not np.all(np.isfinite(self.lu[0])) or (
-                    pivots.size and float(pivots.min()) <= pivot_floor):
+            try:
+                self._solve, pivots, factors = self._factor(Ms)
+                pivots = np.abs(pivots)
+                pivot_floor = 1e-15 * max(1.0, float(pivots.max()) if pivots.size else 1.0)
+                singular = not all(np.all(np.isfinite(f)) for f in factors) or (
+                    pivots.size and float(pivots.min()) <= pivot_floor)
+            except np.linalg.LinAlgError:
+                singular = True
+            if singular:
                 # (near-)singular: fall back to a tiny quasidefinite shift
-                self.lu = sla.lu_factor(self._shifted())
+                self._solve = self._factor(self._shifted())[0]
 
-    def _shifted(self) -> np.ndarray:
+    def _factor(self, Ms):
+        """A solve function of the LU of Ms, its pivots, and its factor arrays."""
+        if isinstance(Ms, np.ndarray):
+            lu = sla.lu_factor(Ms)
+            return partial(sla.lu_solve, lu), np.diag(lu[0]), (lu[0],)
+        try:
+            lu = spla.splu(Ms)
+        except RuntimeError as exc:  # splu stops at an exactly zero pivot
+            raise np.linalg.LinAlgError("singular KKT matrix") from exc
+        return lu.solve, lu.U.diagonal(), (lu.L.data, lu.U.data)
+
+    def _shifted(self):
         """The equilibrated matrix with a tiny quasidefinite shift."""
         n, p = self.n, self.p
         Mreg = self.Ms.copy()
-        Mreg[:n, :n] += self.REG * np.eye(n)
-        Mreg[n:, n:] -= self.REG * np.eye(p)
+        if isinstance(Mreg, np.ndarray):
+            Mreg[:n, :n] += self.REG * np.eye(n)
+            Mreg[n:, n:] -= self.REG * np.eye(p)
+        else:
+            diag = self.sf.kkt_pattern.diag
+            Mreg.data[diag[:n]] += self.REG
+            Mreg.data[diag[n:]] -= self.REG
         return Mreg
 
     def ensure_extended(self) -> bool:
@@ -495,7 +603,7 @@ class _KKT:
             raise np.linalg.LinAlgError("non-finite KKT right-hand side")
         if self.xlu is not None:
             return self.d * self.xlu.solve(self.d * rhs)
-        return self.d * sla.lu_solve(self.lu, self.d * rhs)
+        return self.d * self._solve(self.d * rhs)
 
     def _raw_solve(self, u: np.ndarray, v: np.ndarray, w: _ConeVec):
         # the factored solve works in double precision, and w is a double

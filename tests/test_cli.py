@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from patternrelax.certificates import Certificate, verify_certificate
+from patternrelax.certificates import Certificate, CertificateError, verify_certificate
 from patternrelax.cli import main
 from patternrelax.io import import_instance_json
 
@@ -91,6 +91,41 @@ def test_malformed_certificate_fails_without_raising(tmp_path, capsys, malform):
     assert main(["verify", "--certificate", str(cert),
                  "--instance", str(inst)]) == 1
     assert capsys.readouterr().out.startswith("FAIL")
+
+
+def _ragged_gram(data):
+    blk = next(b for b in data["blocks"] if b["kind"] == "sos" and len(b["basis"]) > 1)
+    blk["gram"] = [[1.0, 0.0], [0.0]]
+
+
+def _factor_without_payload(data):
+    blk = next(b for b in data["blocks"] if b["kind"] == "linear")
+    blk["factors"] = [[blk["factors"][0][0]]]
+
+
+def _drop_lambda(data):
+    del data["lambda"]
+
+
+@pytest.mark.parametrize("malform", [_ragged_gram, _factor_without_payload, _drop_lambda],
+                         ids=["ragged_gram", "factor_without_payload", "missing_lambda"])
+def test_undecodable_certificate_fails_without_raising(tmp_path, capsys, malform):
+    # data the field decoders cannot read is a CertificateError, which the
+    # CLI reports as a FAIL line rather than a traceback
+    inst = tmp_path / "inst.json"
+    main(["gen", "--tag", "S(2,4)", "--seed", "3", "--out", str(inst)])
+    cert = tmp_path / "cert.json"
+    assert main(["solve", "--instance", str(inst), "--method", "H",
+                 "--sense", "min", "--certificate", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    malform(data)
+    with pytest.raises(CertificateError):
+        Certificate.from_json_dict(data)
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--certificate", str(cert),
+                 "--instance", str(inst)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL (malformed certificate)")
 
 
 def test_cli_max_sense_certificate_round_trip(tmp_path, capsys):

@@ -264,7 +264,10 @@ def test_suite_has_at_least_thirty_cases():
 @pytest.mark.parametrize("name,build,status,value", CASES,
                          ids=[c[0] for c in CASES])
 def test_handbuilt_program(name, build, status, value):
-    result = solve(build())
+    _check_case(name, solve(build()), status, value)
+
+
+def _check_case(name, result, status, value):
     assert result.status == status, (name, result.status, result.residuals)
     if status == "optimal":
         assert abs(result.primal - value) <= 1e-7 * (1 + abs(value)), (
@@ -273,6 +276,52 @@ def test_handbuilt_program(name, build, status, value):
         res = result.residuals
         assert res["primal"] <= 1e-8 and res["dual"] <= 1e-8
         assert res["gap"] <= 1e-8
+
+
+def _force_sparse_kkt(monkeypatch):
+    """Route every KKT system through the sparse factorization; returns the
+    list of matrices factored."""
+    factored = []
+    factor = _KKT._factor
+
+    def recording_factor(self, Ms):
+        factored.append(Ms)
+        return factor(self, Ms)
+
+    monkeypatch.setattr(_KKT, "EXTENDED_DIM", 0)
+    monkeypatch.setattr(_KKT, "_factor", recording_factor)
+    return factored
+
+
+@pytest.mark.parametrize("name,build,status,value", CASES,
+                         ids=[c[0] for c in CASES])
+def test_handbuilt_program_sparse_kkt(monkeypatch, name, build, status, value):
+    # every hand-built program gives the status, iteration count and value of
+    # the dense factorization when its KKT systems are factored sparsely
+    dense = solve(build())
+    factored = _force_sparse_kkt(monkeypatch)
+    result = solve(build())
+    _check_case(name, result, status, value)
+    assert not any(isinstance(M, np.ndarray) for M in factored)
+    assert (result.status, result.iterations) == (dense.status, dense.iterations)
+    if status == "optimal":
+        assert abs(result.primal - dense.primal) <= 1e-12 * (1 + abs(dense.primal))
+
+
+def test_sparse_kkt_shift_fallback_on_singular_matrix(monkeypatch):
+    # columns 0 and 1 are equal in every constraint, so H and the KKT matrix
+    # are singular; the factorization must fall back to the shifted matrix
+    factored = _force_sparse_kkt(monkeypatch)
+    shifted = []
+    shift = _KKT._shifted
+    monkeypatch.setattr(_KKT, "_shifted", lambda self: shifted.append(1) or shift(self))
+    p = prog(3); p.c[:] = [1, 1, 2]
+    p.add_ineq({0: 1, 1: 1}, 1)
+    p.add_ineq({2: 1}, 0)
+    p.add_ineq({0: 1, 1: 1, 2: 1}, 0.5)
+    r = solve(p)
+    assert factored and shifted
+    _check_case("duplicated_column", r, "optimal", 1.0)
 
 
 def test_weak_duality_along_iterations():
@@ -452,3 +501,27 @@ def test_block_products_match_tensordot_formulas(tag, method):
         Wm = scal.Wmat[k]
         ref = w.mats[k].astype(ld) - Gdx + Wm @ dz.mats[k].astype(ld) @ Wm
         assert np.array_equal(r3.mats[k], ref.astype(float))
+
+
+@pytest.mark.parametrize("tag,method,sparse", [("dense(2,6)", "C", False), ("A6", "M", True)],
+                         ids=["dense26_C", "A6_M"])
+def test_kkt_matrix_matches_dense_formula(tag, method, sparse):
+    # the KKT matrix is [[Gl' diag(1/w2) Gl + sum of block terms, A'], [A, 0]];
+    # A6/M (dimension 472) is filled into the sparse pattern, dense(2,6)/C is
+    # small enough to stay a dense array, which the extended LU needs
+    inst = gen_instance(tag, 1)
+    prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box)
+    sf = _StandardForm(prog.lowered(SolverConfig().gmc_denominator_cap))
+    rng = np.random.default_rng(3)
+    scal = _Scaling(_interior_point(sf, rng), _interior_point(sf, rng))
+    kkt = _KKT(sf, scal)
+    p = sf.A.shape[0]
+    H = (sf.Gl.T / scal.w2) @ sf.Gl
+    for (m, cols, F, _), Wi in zip(sf.blocks, scal.Winv):
+        if len(cols):
+            T = np.einsum("ab,nbc,cd->nad", Wi, F, Wi)
+            H[np.ix_(cols, cols)] += np.tensordot(F, T, axes=([1, 2], [1, 2]))
+    ref = np.block([[H, sf.A.T], [sf.A, np.zeros((p, p))]])
+    assert isinstance(kkt.M, np.ndarray) != sparse
+    M = kkt.M.toarray() if sparse else kkt.M
+    assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
