@@ -1,20 +1,22 @@
 """Assemble a full pattern relaxation into one conic program.
 
-Per-pattern moment models are merged over shared monomial variables in one
-linear pass (`models.merge_models`), v_0 is pinned to 1, every support
-monomial of the objective gets its trivial box bounds, and constraints are
-deduplicated.  Constraints carry piece ids so the certificate module can
-reassemble dual information per pattern.
+The per-pattern moment models are read in place and share the monomial
+columns; each model's auxiliaries get their own block of columns.  v_0 is
+pinned to 1, every support monomial of the objective gets its trivial box
+bounds, and constraints are deduplicated.  Constraints carry piece ids so the
+certificate module can reassemble dual information per pattern; each piece's
+payload is the only record of its provenance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 
-from .models import ModelPolicy, merge_models, model_for_pattern
+from .models import ModelPolicy, model_for_pattern
 from .patterns import PatternFamily
 from .polynomials import (
     Box,
@@ -51,15 +53,17 @@ def assemble_relaxation(
             stacklevel=2,
         )
 
-    model = merge_models((model_for_pattern(p, box, policy) for p in fam), f.n)
-
-    monomials = sorted({zero} | model.variables | (fobj.support() - {zero}))
+    models = [model_for_pattern(p, box, policy) for p in fam]
+    variables = set().union(*(m.variables for m in models))
+    monomials = sorted({zero} | variables | (fobj.support() - {zero}))
     if monomials[0] != zero:
         monomials = [zero] + monomials
     col_of = {a: j for j, a in enumerate(monomials)}
     n_mono = len(monomials)
-    ncols = n_mono + model.aux_count
-    prog = ConicProgram(ncols, list(monomials) + [None] * model.aux_count)
+    # each model's auxiliaries take the columns after those of the models before it
+    aux_cols = list(itertools.accumulate((m.aux_count for m in models), initial=n_mono))
+    ncols = aux_cols.pop()
+    prog = ConicProgram(ncols, list(monomials) + [None] * (ncols - n_mono))
     prog.meta.update(
         {
             "n": f.n,
@@ -71,7 +75,17 @@ def assemble_relaxation(
             "model_aux_cols": list(range(n_mono, ncols)),
         }
     )
-    prog.aux_lift = model.aux_lift
+    # the models' lifts are called in one flat loop, so the lift's depth does
+    # not grow with the number of models
+    lifts = [m.aux_lift for m in models if m.aux_count]
+    if lifts and None not in lifts:
+        def aux_lift(x):
+            vals = []
+            for lift in lifts:
+                vals.extend(lift(x))
+            return vals
+
+        prog.aux_lift = aux_lift
 
     obj = linearize(fobj, context="conic")
     for alpha, c in obj.coeffs.items():
@@ -79,18 +93,21 @@ def assemble_relaxation(
 
     prog.add_eq({col_of[zero]: 1.0}, 1.0)
 
-    def to_coeff(form: LinearForm) -> dict:
+    def to_coeff(form: LinearForm, aux_col: int) -> dict:
         coeff = {col_of[a]: c for a, c in form.coeffs.items()}
         if form.constant:
             j0 = col_of[zero]
             coeff[j0] = coeff.get(j0, 0.0) + form.constant
         for i, c in form.aux.items():
-            coeff[n_mono + i] = c
+            coeff[aux_col + i] = c
         return coeff
 
-    group_piece: dict = {}
-    for gid, info in model.groups.items():
-        group_piece[gid] = prog.add_piece(info.kind, dict(info.payload))
+    # every model's group pieces come first, in model order, then group order
+    group_pieces = [
+        {gid: prog.add_piece(info.kind, dict(info.payload))
+         for gid, info in model.groups.items()}
+        for model in models
+    ]
 
     seen_rows: set = set()
 
@@ -106,57 +123,57 @@ def assemble_relaxation(
         if sense_row == "==":
             prog.add_eq(coeff, 0.0, piece=piece)
         else:
-            prog.add_ineq(coeff, 0.0, piece=piece, factors=factors)
+            prog.add_ineq(coeff, 0.0, piece=piece)
 
-    for row in model.rows:
-        if row.group is not None:
-            add_row(to_coeff(row.form), row.sense, None, group_piece[row.group])
-        else:
-            add_row(to_coeff(row.form), row.sense, row.factors)
+    for model, pieces, aux_col in zip(models, group_pieces, aux_cols):
+        for row in model.rows:
+            piece = pieces[row.group] if row.group is not None else None
+            add_row(to_coeff(row.form, aux_col), row.sense, row.factors, piece)
 
     seen_blocks: set = set()
-    for block in model.lmis:
-        m = block.size
-        coeff: dict = {}
-        const = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                e = block.entries[i][j]
-                const[i, j] += e.constant
-                for alpha, c in e.coeffs.items():
-                    col = col_of[alpha]
-                    coeff.setdefault(col, np.zeros((m, m)))[i, j] += c
-                for a_idx, c in e.aux.items():
-                    col = n_mono + a_idx
-                    coeff.setdefault(col, np.zeros((m, m)))[i, j] += c
-        # homogenize the constant part onto v_0
-        if np.any(const):
-            j0 = col_of[zero]
-            coeff.setdefault(j0, np.zeros((m, m)))
-            coeff[j0] += const
+    for model, pieces, aux_col in zip(models, group_pieces, aux_cols):
+        for block in model.lmis:
+            m = block.size
+            coeff: dict = {}
             const = np.zeros((m, m))
-        key = (m, tuple(sorted((j, M.round(12).tobytes()) for j, M in coeff.items())))
-        if key in seen_blocks:
-            continue
-        seen_blocks.add(key)
-        if block.group is not None:
-            piece = group_piece[block.group]
-        else:
-            piece = prog.add_piece(
-                "sos",
-                {"basis": block.basis, "multiplier_factors": block.multiplier_factors},
-            )
-        prog.add_block(m, coeff, const, piece=piece, basis=block.basis,
-                       multiplier_factors=block.multiplier_factors)
+            for i in range(m):
+                for j in range(m):
+                    e = block.entries[i][j]
+                    const[i, j] += e.constant
+                    for alpha, c in e.coeffs.items():
+                        col = col_of[alpha]
+                        coeff.setdefault(col, np.zeros((m, m)))[i, j] += c
+                    for a_idx, c in e.aux.items():
+                        col = aux_col + a_idx
+                        coeff.setdefault(col, np.zeros((m, m)))[i, j] += c
+            # homogenize the constant part onto v_0
+            if np.any(const):
+                j0 = col_of[zero]
+                coeff.setdefault(j0, np.zeros((m, m)))
+                coeff[j0] += const
+                const = np.zeros((m, m))
+            key = (m, tuple(sorted((j, M.round(12).tobytes()) for j, M in coeff.items())))
+            if key in seen_blocks:
+                continue
+            seen_blocks.add(key)
+            if block.group is not None:
+                piece = pieces[block.group]
+            else:
+                piece = prog.add_piece(
+                    "sos",
+                    {"basis": block.basis, "multiplier_factors": block.multiplier_factors},
+                )
+            prog.add_block(m, coeff, const, piece=piece)
 
-    for rec in model.gmcs:
-        piece = group_piece[rec.group] if rec.group is not None else prog.add_piece(
-            "circuit", {"beta": rec.beta, "gammas": rec.gammas,
-                        "lambdas": rec.lambdas, "sign_mode": rec.sign_mode})
-        prog.gmcs.append(
-            GMCData(col_of[rec.beta], tuple(col_of[g] for g in rec.gammas),
-                    rec.lambdas, rec.sign_mode, piece)
-        )
+    for model, pieces in zip(models, group_pieces):
+        for rec in model.gmcs:
+            piece = pieces[rec.group] if rec.group is not None else prog.add_piece(
+                "circuit", {"beta": rec.beta, "gammas": rec.gammas,
+                            "lambdas": rec.lambdas, "sign_mode": rec.sign_mode})
+            prog.gmcs.append(
+                GMCData(col_of[rec.beta], tuple(col_of[g] for g in rec.gammas),
+                        rec.lambdas, rec.sign_mode, piece)
+            )
 
     # trivial monomial bounds on the objective support
     j0 = col_of[zero]

@@ -180,14 +180,17 @@ class _StandardForm:
         p = self.A.shape[0]
         if p == 0:
             return
-        rank = np.linalg.matrix_rank(self.A, tol=1e-12 * max(1.0, np.max(np.abs(self.A))))
+        # the rank is read off the diagonal of a column-pivoted QR of A', whose
+        # pivots also pick the rows to keep
+        R, piv = sla.qr(self.A.T, pivoting=True, mode="r")
+        tol = 1e-12 * max(1.0, np.max(np.abs(self.A)))
+        rank = int(np.count_nonzero(np.abs(np.diag(R)) > tol))
         if rank == p:
             return
         x_star, *_ = np.linalg.lstsq(self.A, self.b, rcond=None)
         resid = self.b - self.A @ x_star
         if np.max(np.abs(resid)) > 1e-10 * (1.0 + np.max(np.abs(self.b))):
             raise InconsistentEqualities(resid)
-        _, _, piv = sla.qr(self.A.T, pivoting=True, mode="economic")
         keep = sorted(piv[:rank])
         self.eq_keep = [int(i) for i in keep]
         self.A = self.A[self.eq_keep]

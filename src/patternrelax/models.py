@@ -228,57 +228,6 @@ class MomentModel:
         return "\n".join(lines)
 
 
-def merge_models(models, n: int) -> MomentModel:
-    """Join models over their shared monomial variables in one pass.
-
-    Each model's aux indices are offset by the aux count of the models before
-    it, and its group ids by one past the largest group id so far.  The merged
-    aux lift calls each model's lift in turn, without nesting, so its depth
-    does not grow with the number of models.
-    """
-    out = MomentModel(n)
-    lifts = []
-    aux_off = 0
-    grp_off = 0
-    for model in models:
-        if model.n != n:
-            raise BuilderError("model dimension mismatch")
-
-        def shifted(form):
-            return form.shift_aux(aux_off) if aux_off and form.aux else form
-
-        def regroup(group):
-            return group + grp_off if group is not None else None
-
-        out.variables |= model.variables
-        for row in model.rows:
-            out.rows.append(Row(shifted(row.form), row.sense, row.factors, regroup(row.group)))
-        for block in model.lmis:
-            entries = [[shifted(e) for e in row_entries] for row_entries in block.entries]
-            out.lmis.append(LMIBlock(entries, block.basis, block.multiplier_factors,
-                                     regroup(block.group)))
-        for rec in model.gmcs:
-            out.gmcs.append(GMCRecord(rec.beta, rec.gammas, rec.lambdas, rec.sign_mode,
-                                      regroup(rec.group)))
-        for gid, info in model.groups.items():
-            out.groups[gid + grp_off] = info
-        if model.groups:
-            grp_off = max(out.groups) + 1
-        if model.aux_count:
-            lifts.append(model.aux_lift)
-            aux_off += model.aux_count
-    out.aux_count = aux_off
-    if lifts and None not in lifts:
-        def lift(x):
-            vals = []
-            for part in lifts:
-                vals.extend(part(x))
-            return vals
-
-        out.aux_lift = lift
-    return out
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -679,7 +628,7 @@ def _bounds_model(model: MomentModel, alpha: Exponent, box: Box):
 def _pairwise_mccormick(P: Pattern, box: Box) -> MomentModel:
     base = _pattern_base(P)
     supp = sorted(exp_support(base))
-    subs = []
+    model = MomentModel(P.n)
     for i, j in itertools.combinations(supp, 2):
         sub = Pattern(
             frozenset({zero_exponent(P.n), unit_exponent(P.n, i, base[i]),
@@ -687,8 +636,10 @@ def _pairwise_mccormick(P: Pattern, box: Box) -> MomentModel:
                        exp_add(unit_exponent(P.n, i, base[i]), unit_exponent(P.n, j, base[j]))}),
             kind="multilinear",
         )
-        subs.append(build_mccormick_model(sub, box))
-    model = merge_models(subs, P.n)
+        # a McCormick model has no auxiliaries and no groups
+        mc = build_mccormick_model(sub, box)
+        model.variables |= mc.variables
+        model.rows += mc.rows
     for alpha in sorted(P.exponents):
         if sum(alpha):
             _bounds_model(model, alpha, box)

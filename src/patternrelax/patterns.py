@@ -542,8 +542,8 @@ def univariate_sparse_family(A: Iterable) -> PatternFamily:
 
 FAMILY_BUILDERS = {
     "M": multilinear_family,
-    "C": lambda A: chain_family(A),
-    "S": lambda A: shifted_chain_family(A),
+    "C": chain_family,
+    "S": shifted_chain_family,
     "H": h_family,
     "MC": mc_family,
     "T": truncated_submonoid_family,

@@ -383,11 +383,6 @@ class LinearForm:
                 if abs(c) > COEFF_DROP_TOL:
                     self.aux[int(i)] = float(c)
 
-    def shift_aux(self, offset: int) -> "LinearForm":
-        return LinearForm(
-            self.constant, self.coeffs, {i + offset: c for i, c in self.aux.items()}
-        )
-
     def value(self, assignment: Mapping[Exponent, float], aux_values=None) -> float:
         total = self.constant
         for a, c in self.coeffs.items():
@@ -395,14 +390,6 @@ class LinearForm:
         for i, c in self.aux.items():
             total += c * aux_values[i]
         return total
-
-    def canonical_key(self):
-        """Hashable normal form used for row deduplication."""
-        return (
-            round(self.constant, 12),
-            tuple(sorted((a, round(c, 12)) for a, c in self.coeffs.items())),
-            tuple(sorted((i, round(c, 12)) for i, c in self.aux.items())),
-        )
 
     def __repr__(self):
         bits = []

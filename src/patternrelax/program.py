@@ -41,8 +41,6 @@ class PSDBlockData:
     coeff: dict  # column -> (m, m) symmetric ndarray
     const: np.ndarray
     piece: int | None = None
-    basis: tuple | None = None  # x-monomial basis for Gram certificates
-    multiplier_factors: tuple = ()
 
 
 @dataclass
@@ -59,7 +57,6 @@ class LinRow:
     coeff: dict  # column -> float
     rhs: float = 0.0  # a'x >= rhs  (or == rhs)
     piece: int | None = None
-    factors: tuple | None = None
 
 
 class ConicProgram:
@@ -91,13 +88,13 @@ class ConicProgram:
     def add_eq(self, coeff: dict, rhs: float, piece=None):
         self.eqs.append(LinRow(dict(coeff), float(rhs), piece))
 
-    def add_ineq(self, coeff: dict, rhs: float = 0.0, piece=None, factors=None):
-        self.ineqs.append(LinRow(dict(coeff), float(rhs), piece, factors))
+    def add_ineq(self, coeff: dict, rhs: float = 0.0, piece=None):
+        self.ineqs.append(LinRow(dict(coeff), float(rhs), piece))
 
-    def add_block(self, size, coeff, const, piece=None, basis=None, multiplier_factors=()):
+    def add_block(self, size, coeff, const, piece=None):
         self.blocks.append(
             PSDBlockData(size, {j: np.asarray(M, float) for j, M in coeff.items()},
-                         np.asarray(const, float), piece, basis, tuple(multiplier_factors))
+                         np.asarray(const, float), piece)
         )
 
     # -- lowering of geometric-mean cones -------------------------------------
@@ -109,12 +106,9 @@ class ConicProgram:
         out = ConicProgram(self.ncols, self.col_exponents)
         out.c = self.c.copy()
         out.eqs = [LinRow(dict(r.coeff), r.rhs, r.piece) for r in self.eqs]
-        out.ineqs = [LinRow(dict(r.coeff), r.rhs, r.piece, r.factors) for r in self.ineqs]
-        out.blocks = [
-            PSDBlockData(b.size, dict(b.coeff), b.const.copy(), b.piece, b.basis,
-                         b.multiplier_factors)
-            for b in self.blocks
-        ]
+        out.ineqs = [LinRow(dict(r.coeff), r.rhs, r.piece) for r in self.ineqs]
+        out.blocks = [PSDBlockData(b.size, dict(b.coeff), b.const.copy(), b.piece)
+                      for b in self.blocks]
         out.pieces = [Piece(p.kind, dict(p.payload)) for p in self.pieces]
         out.meta = dict(self.meta)
         out.aux_lift = self.aux_lift

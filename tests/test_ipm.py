@@ -107,6 +107,14 @@ def case_builders():
         return p
     add("lp_min_coord", lp12, "optimal", 0.0)
 
+    def lp13():
+        # the second equality is twice the first: presolve drops it
+        p = prog(2); p.c[:] = [1, 2]
+        p.add_eq({0: 1, 1: 1}, 1); p.add_eq({0: 2, 1: 2}, 2)
+        p.add_ineq({0: 1}, 0); p.add_ineq({1: 1}, 0)
+        return p
+    add("lp_dependent_eqs", lp13, "optimal", 1.0)
+
     # --- infeasible -------------------------------------------------------
     def inf1():
         p = prog(1); p.add_ineq({0: 1}, 1); p.add_ineq({0: -1}, 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from patternrelax import models
+from patternrelax.assemble import assemble_relaxation
 from patternrelax.models import (
     BuilderError,
     ModelPolicy,
@@ -17,11 +18,11 @@ from patternrelax.models import (
     build_multilinear_model,
     build_shifted_model,
     build_sparse_sos_moment_model,
-    merge_models,
     model_for_pattern,
 )
 from patternrelax.patterns import (
     Pattern,
+    PatternFamily,
     chain_family,
     expression_tree_family,
     h_family,
@@ -385,11 +386,11 @@ def test_pairwise_mccormick_fallback_for_wide_patterns():
 def test_merge_of_many_vertex_models_lifts_without_recursion():
     box = Box([-1.0, 0.5], [2.0, 3.0])
     pat = multilinear_family({(1, 1)}).patterns[0]
-    model = merge_models((build_multilinear_model(pat, box) for _ in range(5000)), 2)
-    assert model.aux_count == 5000 * 4
-    assert sorted(model.groups) == list(range(5000))
-    assert sorted({row.group for row in model.rows}) == list(range(5000))
-    assert model.max_violation(np.array([0.3, 1.7])) <= 1e-9
+    fam = PatternFamily([pat] * 5000)
+    prog = assemble_relaxation(Polynomial(2, {(1, 1): 1.0}), fam, box)
+    assert len(prog.meta["model_aux_cols"]) == 5000 * 4
+    assert sum(p.kind == "vertex" for p in prog.pieces) == 5000
+    assert prog.max_violation(prog.lift_point(np.array([0.3, 1.7]))) <= 1e-9
 
 
 def test_model_dump_mentions_all_constraint_kinds():
