@@ -16,8 +16,9 @@ system, the solve starts over once on an extended-precision LU of the same
 matrix and runs ten passes, and once that LU exists, later solves on the
 matrix run their ten passes on it from the start.
 
-Cone vectors are kept in sections: a flat array for the orthant part and one
-symmetric matrix per PSD block.
+Cone vectors (s, z, h and every direction) are flat float64 arrays: the
+orthant entries, then each PSD block's entries row by row (_Cone), and G is
+one CSR matrix, as in the standard form of CVXOPT and ECOS.
 """
 
 from __future__ import annotations
@@ -67,46 +68,41 @@ class SolveResult:
         return self.primal
 
 
-class _ConeVec:
-    """A point in R^l x S^{m_1} x ... x S^{m_J}."""
+def _inf_norm(v) -> float:
+    return float(np.max(np.abs(v), initial=0.0))
 
-    __slots__ = ("lin", "mats")
 
-    def __init__(self, lin, mats):
-        self.lin = np.asarray(lin, float)
-        self.mats = [np.asarray(M, float) for M in mats]
+def _sym(M):
+    return 0.5 * (M + M.T)
 
-    @classmethod
-    def identity(cls, l, sizes):
-        return cls(np.ones(l), [np.eye(m) for m in sizes])
 
-    def copy(self):
-        return _ConeVec(self.lin.copy(), [M.copy() for M in self.mats])
+class _Cone:
+    """Layout of R^l x S^{m_1} x ... x S^{m_J} in one flat array.
 
-    def axpy(self, alpha, other):
-        self.lin += alpha * other.lin
-        for M, N in zip(self.mats, other.mats):
-            M += alpha * N
+    A cone vector holds the l orthant entries, then each block's m*m entries
+    row by row; lin and mats give views of these sections.
+    """
 
-    def combo(self, alpha, other):
-        return _ConeVec(self.lin + alpha * other.lin,
-                        [M + alpha * N for M, N in zip(self.mats, other.mats)])
+    def __init__(self, l: int, sizes: list):
+        self.l = l
+        self.sizes = sizes
+        self.offsets = np.cumsum([l] + [m * m for m in sizes])  # block starts, then the end
 
-    def dot(self, other) -> float:
-        total = float(self.lin @ other.lin)
-        for M, N in zip(self.mats, other.mats):
-            total += float(np.dot(M.reshape(1, M.size), N.reshape(N.size, 1))[0, 0])
-        return total
+    def lin(self, v):
+        return v[: self.l]
 
-    def inf_norm(self) -> float:
-        worst = float(np.max(np.abs(self.lin))) if self.lin.size else 0.0
-        for M in self.mats:
-            if M.size:
-                worst = max(worst, float(np.max(np.abs(M))))
-        return worst
+    def mats(self, v):
+        return [v[o:o + m * m].reshape(m, m) for o, m in zip(self.offsets, self.sizes)]
 
-    def scale(self, t):
-        return _ConeVec(t * self.lin, [t * M for M in self.mats])
+    def stack(self, lin, mats):
+        return np.concatenate([lin, *(M.ravel() for M in mats)])
+
+    def identity(self):
+        e = np.zeros(self.offsets[-1])
+        e[: self.l] = 1.0
+        for M in self.mats(e):
+            np.fill_diagonal(M, 1.0)
+        return e
 
 
 class InconsistentEqualities(Exception):
@@ -117,10 +113,11 @@ class _StandardForm:
     """Array view of a lowered ConicProgram, equilibrated for the solver.
 
     Presolve drops linearly dependent equality rows (rejecting inconsistent
-    systems outright).  Columns, rows, PSD blocks (one scalar each, to
-    preserve the cone), and the objective are rescaled to O(1); the solver
+    systems outright).  Columns, rows (a PSD block's rows share one scalar,
+    to preserve the cone), and the objective are rescaled to O(1); the solver
     works on the scaled data and the recovery vectors map solutions and
-    duals back.
+    duals back.  G is one CSR matrix: the linear rows, then -vec(F_j) for
+    each PSD block F(x) = C + sum_j x_j F_j.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -139,42 +136,50 @@ class _StandardForm:
         self.eq_total = len(prog.eqs)
         self.eq_keep = list(range(self.eq_total))
         self._drop_dependent_equalities()
-        # linear rows a'x >= rhs become slacks s = a'x - rhs, i.e. G = -a, h = -rhs
-        self.Gl = np.zeros((len(prog.ineqs), n))
-        self.hl = np.zeros(len(prog.ineqs))
-        for i, row in enumerate(prog.ineqs):
-            for j, cval in row.coeff.items():
-                self.Gl[i, j] = -cval
-            self.hl[i] = -row.rhs
-        self.blocks = []
-        for blk in prog.blocks:
-            cols = np.array(sorted(blk.coeff), dtype=int)
-            F = np.stack([0.5 * (blk.coeff[j] + blk.coeff[j].T) for j in cols]) \
-                if len(cols) else np.zeros((0, blk.size, blk.size))
-            self.blocks.append([blk.size, cols, F, 0.5 * (blk.const + blk.const.T)])
-        self.sizes = [m for m, _, _, _ in self.blocks]
         self.l = len(prog.ineqs)
-        self.c = np.asarray(prog.c, float).copy()
-        self.nu = self.l + sum(self.sizes)
+        self.cone = _Cone(self.l, [blk.size for blk in prog.blocks])
+        self.nu = self.l + sum(self.cone.sizes)
         if self.nu == 0:
             raise ValueError("program has no cone constraints")
+        # linear rows a'x >= rhs become slacks s = a'x - rhs, i.e. G = -a, h = -rhs
+        indptr = np.cumsum([0] + [len(row.coeff) for row in prog.ineqs])
+        indices = np.fromiter((j for row in prog.ineqs for j in row.coeff), int, indptr[-1])
+        data = np.fromiter((-v for row in prog.ineqs for v in row.coeff.values()), float,
+                           indptr[-1])
+        pieces = [sps.csr_array((data, indices, indptr), shape=(self.l, n))]
+        h = [-np.array([row.rhs for row in prog.ineqs], dtype=float)]
+        block_cols = []
+        for blk in prog.blocks:
+            m, cols = blk.size, np.array(sorted(blk.coeff), dtype=int)
+            F2 = np.array([0.5 * (blk.coeff[j] + blk.coeff[j].T) for j in cols])
+            P = sps.csr_array(-F2.reshape(len(cols), m * m).T)
+            pieces.append(sps.csr_array((P.data, cols[P.indices], P.indptr), shape=(m * m, n)))
+            h.append(_sym(blk.const).ravel())
+            block_cols.append(cols)
+        self.G = sps.vstack(pieces, format="csr")
+        self.G.eliminate_zeros()
+        self.G.sort_indices()
+        self.h = np.concatenate(h)
+        self.c = np.asarray(prog.c, float).copy()
         self._equilibrate()
-        # loop-invariant forms of the scaled data: each block's coefficient
-        # stack as a (columns x m*m) matrix, long-double copies for the
-        # extended-precision residual, and each block's contraction path for
-        # the KKT build (it depends only on the shapes).  The transposes are
-        # views of the same arrays, held because making a view costs more than
-        # a product with it
+        # loop-invariant forms of the scaled data: each block's coefficients
+        # as a (columns x m*m) matrix with its contraction path for the KKT
+        # build (the path depends only on the shapes), long-double copies for
+        # the extended-precision residual, and the dense linear rows that the
+        # dense KKT build takes.  The transposes are views of the same arrays,
+        # held because making a view costs more than a product with it
+        self.blocks = [(m, cols, (-self.G[o:o + m * m][:, cols].T).toarray())
+                       for m, cols, o in zip(self.cone.sizes, block_cols, self.cone.offsets)]
+        self.paths = [np.einsum_path("ab,nbc,cd->nad", np.empty((m, m)),
+                                     F2.reshape(len(cols), m, m), np.empty((m, m)),
+                                     optimize=True)[0] for m, cols, F2 in self.blocks]
         ld = np.longdouble
-        self.F2 = [F.reshape(len(cols), m * m) for m, cols, F, _ in self.blocks]
-        self.F2_ld = [F2.astype(ld) for F2 in self.F2]
-        self.A_ld, self.Gl_ld = (sps.csr_array(M).astype(ld) for M in (self.A, self.Gl))
-        self.AT_ld, self.GlT_ld = self.A_ld.T, self.Gl_ld.T
-        self.paths = [np.einsum_path("ab,nbc,cd->nad", np.empty((m, m)), F,
-                                     np.empty((m, m)), optimize=True)[0]
-                      if len(cols) else None for m, cols, F, _ in self.blocks]
+        self.GT = self.G.T
+        self.A_ld, self.G_ld = sps.csr_array(self.A).astype(ld), self.G.astype(ld)
+        self.AT_ld, self.GT_ld = self.A_ld.T, self.G_ld.T
         self.kkt_pattern = _KKTPattern(self) \
             if n + self.A.shape[0] > _KKT.EXTENDED_DIM else None
+        self.Gl = self.G[: self.l].toarray() if self.kkt_pattern is None else None
 
     def _drop_dependent_equalities(self):
         p = self.A.shape[0]
@@ -203,94 +208,54 @@ class _StandardForm:
         return full
 
     def _equilibrate(self):
-        n = self.n
-        self.deq = np.ones(self.A.shape[0])
-        self.dlin = np.ones(self.l)
-        self.dblk = np.ones(len(self.blocks))
-        colmax = np.zeros(n)
-        if self.A.size:
-            colmax = np.maximum(colmax, np.max(np.abs(self.A), axis=0))
-        if self.Gl.size:
-            colmax = np.maximum(colmax, np.max(np.abs(self.Gl), axis=0))
-        for m, cols, F, _ in self.blocks:
-            if len(cols):
-                colmax[cols] = np.maximum(
-                    colmax[cols], np.max(np.abs(F), axis=(1, 2)))
-        colmax[colmax == 0.0] = 1.0
+        G = self.G
+        colmax = np.max(np.abs(self.A), axis=0, initial=0.0)
+        np.maximum.at(colmax, G.indices, np.abs(G.data))
+        # a column in no constraint; with a cost it is a ray of unboundedness
+        self.untouched = colmax == 0.0
+        colmax[self.untouched] = 1.0
         self.dcol = np.clip(1.0 / np.sqrt(colmax), 1e-8, 1e8)
         self.A *= self.dcol[None, :]
-        self.Gl *= self.dcol[None, :]
-        for blk in self.blocks:
-            _, cols, F, _ = blk
-            if len(cols):
-                blk[2] = F * self.dcol[cols][:, None, None]
+        G.data *= self.dcol[G.indices]
         self.c *= self.dcol
         # row scalings after column pass
-        if self.A.size:
-            rmax = np.maximum(np.max(np.abs(self.A), axis=1), np.abs(self.b))
-            rmax[rmax == 0.0] = 1.0
-            self.deq = 1.0 / rmax
-            self.A *= self.deq[:, None]
-            self.b *= self.deq
-        if self.Gl.size:
-            rmax = np.maximum(np.max(np.abs(self.Gl), axis=1), np.abs(self.hl))
-            rmax[rmax == 0.0] = 1.0
-            self.dlin = 1.0 / rmax
-            self.Gl *= self.dlin[:, None]
-            self.hl *= self.dlin
-        for k, blk in enumerate(self.blocks):
-            m, cols, F, C = blk
-            bmax = max(float(np.max(np.abs(F))) if F.size else 0.0,
-                       float(np.max(np.abs(C))) if C.size else 0.0)
-            if bmax > 0.0:
-                self.dblk[k] = 1.0 / bmax
-                blk[2] = F * self.dblk[k]
-                blk[3] = C * self.dblk[k]
+        rmax = np.maximum(np.max(np.abs(self.A), axis=1, initial=0.0), np.abs(self.b))
+        rmax[rmax == 0.0] = 1.0
+        self.deq = 1.0 / rmax
+        self.A *= self.deq[:, None]
+        self.b *= self.deq
+        rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
+        rmax = np.abs(self.h)
+        np.maximum.at(rmax, rows, np.abs(G.data))
+        for M in self.cone.mats(rmax):
+            M[...] = M.max()
+        rmax[rmax == 0.0] = 1.0
+        self.drow = 1.0 / rmax
+        G.data *= self.drow[rows]
+        self.h *= self.drow
         cmax = float(np.max(np.abs(self.c))) if np.any(self.c) else 1.0
         self.obj_scale = 1.0 / cmax
         self.c *= self.obj_scale
 
     def unscale_solution(self, X, Y, S, Z):
         """Map a scaled primal-dual point back to the original data."""
-        X0 = self.dcol * X
-        Y0 = self.deq * Y / self.obj_scale
-        S0_lin = S.lin / self.dlin if self.l else S.lin
-        Z0_lin = self.dlin * Z.lin / self.obj_scale if self.l else Z.lin
-        S0_mats = [M / dk for M, dk in zip(S.mats, self.dblk)]
-        Z0_mats = [M * dk / self.obj_scale for M, dk in zip(Z.mats, self.dblk)]
-        return X0, Y0, _ConeVec(S0_lin, S0_mats), _ConeVec(Z0_lin, Z0_mats)
-
-    def G_apply(self, x) -> _ConeVec:
-        mats = []
-        for (m, cols, _, _), F2 in zip(self.blocks, self.F2):
-            M = -np.dot(x[cols].reshape(1, len(cols)), F2).reshape(m, m) if len(cols) \
-                else np.zeros((m, m))
-            mats.append(M)
-        return _ConeVec(self.Gl @ x, mats)
-
-    def GT_apply(self, q: _ConeVec) -> np.ndarray:
-        out = self.Gl.T @ q.lin
-        for (m, cols, _, _), F2, Q in zip(self.blocks, self.F2, q.mats):
-            if len(cols):
-                out[cols] += -np.dot(F2, Q.reshape(m * m, 1)).reshape(len(cols))
-        return out
-
-    def h_vec(self) -> _ConeVec:
-        return _ConeVec(self.hl, [C for _, _, _, C in self.blocks])
+        return (self.dcol * X, self.deq * Y / self.obj_scale,
+                S / self.drow, self.drow * Z / self.obj_scale)
 
 
 class _Scaling:
     """Nesterov-Todd scaling for the current (s, z) pair."""
 
-    def __init__(self, s: _ConeVec, z: _ConeVec):
-        self.w2 = s.lin / z.lin if s.lin.size else np.zeros(0)  # W'W diag
-        self.lam_lin = np.sqrt(s.lin * z.lin) if s.lin.size else np.zeros(0)
+    def __init__(self, cone: _Cone, s: np.ndarray, z: np.ndarray):
+        self.cone = cone
+        self.w2 = cone.lin(s) / cone.lin(z)  # W'W diag
+        self.lam_lin = np.sqrt(cone.lin(s) * cone.lin(z))
         self.R = []
         self.Rinv = []
         self.lam_mats = []
         self.Wmat = []
         self.Winv = []
-        for S, Z in zip(s.mats, z.mats):
+        for S, Z in zip(cone.mats(s), cone.mats(z)):
             Ls = np.linalg.cholesky(S)
             Lz = np.linalg.cholesky(Z)
             U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
@@ -306,74 +271,77 @@ class _Scaling:
         self.w2_ld = self.w2.astype(np.longdouble)
         self.R_ld = [R.astype(np.longdouble) for R in self.R]
 
-    def scale_z(self, z: _ConeVec) -> _ConeVec:
+    def scale_z(self, z):
         """z-bar = W z; maps the current z to lambda."""
-        mats = [R.T @ M @ R for R, M in zip(self.R, z.mats)]
-        mats = [0.5 * (M + M.T) for M in mats]
-        return _ConeVec(np.sqrt(self.w2) * z.lin, mats)
+        cone = self.cone
+        return cone.stack(np.sqrt(self.w2) * cone.lin(z),
+                          [_sym(R.T @ M @ R) for R, M in zip(self.R, cone.mats(z))])
 
-    def scale_s(self, s: _ConeVec) -> _ConeVec:
+    def scale_s(self, s):
         """s-bar = W^{-T} s; maps the current s to lambda."""
-        mats = [Ri @ M @ Ri.T for Ri, M in zip(self.Rinv, s.mats)]
-        mats = [0.5 * (M + M.T) for M in mats]
-        return _ConeVec(s.lin / np.sqrt(self.w2), mats)
+        cone = self.cone
+        return cone.stack(cone.lin(s) / np.sqrt(self.w2),
+                          [_sym(Ri @ M @ Ri.T) for Ri, M in zip(self.Rinv, cone.mats(s))])
 
-    def WtW_inv_apply(self, v: _ConeVec) -> _ConeVec:
-        mats = [Wi @ M @ Wi for Wi, M in zip(self.Winv, v.mats)]
-        mats = [0.5 * (M + M.T) for M in mats]
-        return _ConeVec(v.lin / self.w2, mats)
+    def WtW_inv_apply(self, v):
+        cone = self.cone
+        return cone.stack(cone.lin(v) / self.w2,
+                          [_sym(Wi @ M @ Wi) for Wi, M in zip(self.Winv, cone.mats(v))])
 
-    def lam(self) -> _ConeVec:
-        return _ConeVec(self.lam_lin, [np.diag(sig) for sig in self.lam_mats])
+    def WtW_apply_ld(self, v):
+        """W'W v in long double, for v in long double."""
+        cone = self.cone
+        return cone.stack(self.w2_ld * cone.lin(v),
+                          [Wm @ M @ Wm for Wm, M in zip(self.Wmat, cone.mats(v))])
 
-    def lam_solve(self, d: _ConeVec) -> _ConeVec:
+    def lam(self):
+        return self.cone.stack(self.lam_lin, [np.diag(sig) for sig in self.lam_mats])
+
+    def lam_solve(self, d):
         """Solve lambda o u = d for u in the scaled space."""
-        lin = d.lin / self.lam_lin if d.lin.size else d.lin
-        mats = []
-        for sig, D in zip(self.lam_mats, d.mats):
-            denom = 0.5 * (sig[:, None] + sig[None, :])
-            mats.append(D / denom)
-        return _ConeVec(lin, mats)
+        cone = self.cone
+        return cone.stack(cone.lin(d) / self.lam_lin,
+                          [D / (0.5 * (sig[:, None] + sig[None, :]))
+                           for sig, D in zip(self.lam_mats, cone.mats(d))])
 
-    def mult_Wt_lam_solve_extended(self, ds_target: _ConeVec) -> _ConeVec:
+    def mult_Wt_lam_solve_extended(self, ds_target):
         """q = W'((lambda o)^{-1} ds_target), computed in extended precision.
 
         This vector has norm growing like 1/mu near convergence; it enters
         both the reduced KKT right-hand side and the recovery of ds, and the
         two uses must agree or the mismatch pollutes the primal cone
         residual.  Both use the same q: the products are accumulated in long
-        double, and the result is rounded to double when it is wrapped (the
-        _ConeVec constructor casts to float64).
+        double, and the result is rounded to double once, when returned.
         """
         ld = np.longdouble
-        u = self.lam_solve(ds_target)
-        lin = np.sqrt(self.w2_ld) * u.lin.astype(ld) if u.lin.size \
-            else u.lin.astype(ld)
-        mats = []
-        for R, U in zip(self.R_ld, u.mats):
-            M = R @ U.astype(ld) @ R.T
-            mats.append(0.5 * (M + M.T))
-        return _ConeVec(lin, mats)
+        cone = self.cone
+        u = self.lam_solve(ds_target).astype(ld)
+        return cone.stack(np.sqrt(self.w2_ld) * cone.lin(u),
+                          [_sym(R @ U @ R.T) for R, U in zip(self.R_ld, cone.mats(u))]
+                          ).astype(float)
 
-    def ds_from_dz(self, q: _ConeVec, dz: _ConeVec) -> _ConeVec:
+    def ds_from_dz(self, q, dz):
         """ds = q - W'W dz in extended precision (q from the helper above)."""
-        ld = np.longdouble
-        if q.lin.size:
-            lin = (q.lin - self.w2_ld * dz.lin.astype(ld)).astype(float)
-        else:
-            lin = np.asarray(q.lin, float)
-        mats = []
-        for Wm, Q, Dz in zip(self.Wmat, q.mats, dz.mats):
-            M = Q - Wm @ Dz.astype(ld) @ Wm
-            M = 0.5 * (M + M.T)
-            mats.append(M.astype(float))
-        return _ConeVec(lin, mats)
+        ds = q - self.WtW_apply_ld(dz.astype(np.longdouble))
+        for M in self.cone.mats(ds):
+            M[...] = _sym(M)
+        return ds.astype(float)
+
+    def step_to_boundary(self, d) -> float:
+        """Largest t with lambda + t*d in the cone."""
+        cone = self.cone
+        worst = float(np.max(-cone.lin(d) / self.lam_lin, initial=0.0))
+        for sig, D in zip(self.lam_mats, cone.mats(d)):
+            sig = np.sqrt(sig)
+            worst = max(worst, float(-np.linalg.eigvalsh(_sym(D / np.outer(sig, sig)))[0]))
+        if worst <= 0.0:
+            return math.inf
+        return 1.0 / worst
 
 
-def _jordan(u: _ConeVec, v: _ConeVec) -> _ConeVec:
-    lin = u.lin * v.lin
-    mats = [0.5 * (U @ V + V @ U) for U, V in zip(u.mats, v.mats)]
-    return _ConeVec(lin, mats)
+def _jordan(cone: _Cone, u, v):
+    return cone.stack(cone.lin(u) * cone.lin(v),
+                      [0.5 * (U @ V + V @ U) for U, V in zip(cone.mats(u), cone.mats(v))])
 
 
 class _ExtendedLU:
@@ -417,22 +385,6 @@ class _ExtendedLU:
         return x.astype(float)
 
 
-def _step_to_boundary(lam: _ConeVec, d: _ConeVec) -> float:
-    """Largest t with lam + t*d in the cone, for lam interior (lam diag)."""
-    worst = 0.0
-    if lam.lin.size:
-        ratios = -d.lin / lam.lin
-        worst = max(worst, float(np.max(ratios)))
-    for L, D in zip(lam.mats, d.mats):
-        sig = np.sqrt(np.diag(L))
-        M = D / np.outer(sig, sig)
-        eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-        worst = max(worst, float(-eigs[0]))
-    if worst <= 0.0:
-        return math.inf
-    return 1.0 / worst
-
-
 class _KKTPattern:
     """CSC sparsity pattern of the KKT matrix [[H, A'], [A, 0]] of one solve.
 
@@ -450,7 +402,7 @@ class _KKTPattern:
         # coordinates of every contribution: diagonal, linear rows, blocks, A.
         # Row k of Gl adds Gl[k, i] Gl[k, j] / w2[k] at (i, j) for each pair
         # (e1, e2) of its stored entries
-        Gl = sps.csr_array(sf.Gl)
+        Gl = sf.G[: sf.l]
         entry_row = np.repeat(np.arange(sf.l), np.diff(Gl.indptr))
         count = np.diff(Gl.indptr)[entry_row]  # entries in each entry's row
         e1 = np.repeat(np.arange(Gl.nnz), count)
@@ -458,8 +410,7 @@ class _KKTPattern:
         # e2 runs over the row's entries once for each e1
         e2 = Gl.indptr[lin_rows] + np.arange(len(e1)) - np.repeat(np.cumsum(count) - count,
                                                                    count)
-        blk = [np.meshgrid(cols, cols, indexing="ij") for _, cols, _, _ in sf.blocks
-               if len(cols)]
+        blk = [np.meshgrid(cols, cols, indexing="ij") for _, cols, _ in sf.blocks]
         ai, aj = np.nonzero(sf.A)
         diag = np.arange(N)
         rows = np.concatenate([diag, Gl.indices[e1], *(i.ravel() for i, _ in blk),
@@ -485,7 +436,7 @@ class _KKTPattern:
 
     def matrix(self, w2: np.ndarray, Hbs: list) -> sps.csc_array:
         """The KKT matrix for the scaling W'W (diagonal w2 on the linear rows)
-        and the Schur complements Hb of the blocks with columns, in order."""
+        and the Schur complements Hb of the blocks, in order."""
         data = self.base + self.lin @ (1.0 / w2)
         for slots, Hb in zip(self.blocks, Hbs):
             data[slots] += Hb
@@ -512,11 +463,9 @@ class _KKT:
         self.sf = sf
         self.scal = scal
         n, p = sf.n, sf.A.shape[0]
-        Hbs = []  # Schur complement of each block with columns
-        for (m, cols, F, _), F2, path, Wi in zip(sf.blocks, sf.F2, sf.paths, scal.Winv):
-            if not len(cols):
-                continue
-            T = np.einsum("ab,nbc,cd->nad", Wi, F, Wi, optimize=path)
+        Hbs = []  # Schur complement of each block
+        for (m, cols, F2), path, Wi in zip(sf.blocks, sf.paths, scal.Winv):
+            T = np.einsum("ab,nbc,cd->nad", Wi, F2.reshape(len(cols), m, m), Wi, optimize=path)
             Hbs.append(np.dot(F2, T.transpose(1, 2, 0).reshape(m * m, len(cols))))
         self.n, self.p = n, p
         self.xlu = None
@@ -524,9 +473,8 @@ class _KKT:
         pattern = sf.kkt_pattern
         if pattern is None:
             H = np.zeros((n, n))
-            if sf.l:
-                H += (sf.Gl.T / scal.w2) @ sf.Gl
-            for cols, Hb in zip((cols for _, cols, _, _ in sf.blocks if len(cols)), Hbs):
+            H += (sf.Gl.T / scal.w2) @ sf.Gl
+            for (_, cols, _), Hb in zip(sf.blocks, Hbs):
                 H[np.ix_(cols, cols)] += Hb
             M = np.zeros((n + p, n + p))
             M[:n, :n] = H
@@ -551,9 +499,9 @@ class _KKT:
             try:
                 self._solve, pivots, factors = self._factor(Ms)
                 pivots = np.abs(pivots)
-                pivot_floor = 1e-15 * max(1.0, float(pivots.max()) if pivots.size else 1.0)
+                pivot_floor = 1e-15 * max(1.0, float(pivots.max()))
                 singular = not all(np.all(np.isfinite(f)) for f in factors) or (
-                    pivots.size and float(pivots.min()) <= pivot_floor)
+                    float(pivots.min()) <= pivot_floor)
             except np.linalg.LinAlgError:
                 singular = True
             if singular:
@@ -608,18 +556,18 @@ class _KKT:
             return self.d * self.xlu.solve(self.d * rhs)
         return self.d * self._solve(self.d * rhs)
 
-    def _raw_solve(self, u: np.ndarray, v: np.ndarray, w: _ConeVec):
+    def _raw_solve(self, u: np.ndarray, v: np.ndarray, w: np.ndarray):
         # the factored solve works in double precision, and w is a double
-        # vector (q and w_tilde were rounded when wrapped as _ConeVec);
+        # vector (q and w_tilde were rounded to double where they were made);
         # accuracy comes from the extended-precision refinement loop around it
         sf, scal = self.sf, self.scal
-        rhs = np.concatenate([u + sf.GT_apply(scal.WtW_inv_apply(w)), v])
+        rhs = np.concatenate([u + sf.GT @ scal.WtW_inv_apply(w), v])
         sol = self._lin_solve(rhs)
         resid = rhs - self.M @ sol
         if np.max(np.abs(resid)) > 1e-13 * max(1.0, float(np.max(np.abs(rhs)))):
             sol += self._lin_solve(resid)
         dx, dy = sol[: self.n], sol[self.n:]
-        dz = scal.WtW_inv_apply(sf.G_apply(dx).combo(-1.0, w))
+        dz = scal.WtW_inv_apply(sf.G @ dx - w)
         return dx, dy, dz
 
     def _full_residual(self, u, v, w, dx, dy, dz):
@@ -628,32 +576,14 @@ class _KKT:
         Near convergence dz is huge while the target residual is tiny, so
         double-precision products would floor the attainable dual accuracy.
         """
-        sf, scal = self.sf, self.scal
-        ld = np.longdouble
-        dxl = dx.astype(ld)
-        gtz = sf.GlT_ld @ dz.lin.astype(ld) if sf.l else np.zeros(sf.n, dtype=ld)
-        for (m, cols, _, _), F2, Dz in zip(sf.blocks, sf.F2_ld, dz.mats):
-            if len(cols):
-                gtz[cols] += -np.dot(F2, Dz.astype(ld).reshape(m * m, 1)).reshape(len(cols))
-        r1 = (u.astype(ld) - (sf.AT_ld @ dy.astype(ld) + gtz)).astype(float)
+        sf, ld = self.sf, np.longdouble
+        dxl, dzl = dx.astype(ld), dz.astype(ld)
+        r1 = (u.astype(ld) - (sf.AT_ld @ dy.astype(ld) + sf.GT_ld @ dzl)).astype(float)
         r2 = (v.astype(ld) - sf.A_ld @ dxl).astype(float)
-        if sf.l:
-            r3_lin = (w.lin.astype(ld)
-                      - sf.Gl_ld @ dxl
-                      + scal.w2_ld * dz.lin.astype(ld)).astype(float)
-        else:
-            r3_lin = w.lin
-        r3_mats = []
-        for (m, cols, _, _), F2, Wmat, Dz, Wk in zip(sf.blocks, sf.F2_ld, scal.Wmat,
-                                                   dz.mats, w.mats):
-            Gdx = -np.dot(dxl[cols].reshape(1, len(cols)), F2).reshape(m, m) \
-                if len(cols) else np.zeros((m, m), dtype=ld)
-            WtWdz = Wmat @ Dz.astype(ld) @ Wmat
-            R = Wk.astype(ld) - Gdx + WtWdz
-            r3_mats.append(R.astype(float))
-        return r1, r2, _ConeVec(r3_lin, r3_mats)
+        r3 = (w.astype(ld) - sf.G_ld @ dxl + self.scal.WtW_apply_ld(dzl)).astype(float)
+        return r1, r2, r3
 
-    def solve3(self, u: np.ndarray, v: np.ndarray, w: _ConeVec):
+    def solve3(self, u: np.ndarray, v: np.ndarray, w: np.ndarray):
         """Solve the 3x3 system, refining against the full KKT residual.
 
         One refinement loop: six passes on the double-precision LU; if they
@@ -665,17 +595,14 @@ class _KKT:
         # the meaningful accuracy scale excludes |w|: the cone right-hand
         # side grows like 1/mu while the step equations need absolute
         # accuracy at the residual level
-        tol = 1e-13 * max(1.0, float(np.max(np.abs(u))) if u.size else 0.0,
-                          float(np.max(np.abs(v))) if v.size else 0.0)
+        tol = 1e-13 * max(1.0, _inf_norm(u), _inf_norm(v))
         passes = 6 if self.xlu is None else 10
         best = None
         while True:
             dx, dy, dz = self._raw_solve(u, v, w)
             for k in range(passes):
                 r1, r2, r3 = self._full_residual(u, v, w, dx, dy, dz)
-                err = max(float(np.max(np.abs(r1))),
-                          float(np.max(np.abs(r2))) if r2.size else 0.0,
-                          r3.inf_norm())
+                err = max(_inf_norm(r1), _inf_norm(r2), _inf_norm(r3))
                 if best is None or err < best[0]:
                     best = (err, dx.copy(), dy.copy(), dz.copy())
                 if err <= tol:
@@ -684,7 +611,7 @@ class _KKT:
                     cx, cy, cz = self._raw_solve(r1, r2, r3)
                     dx = dx + cx
                     dy = dy + cy
-                    dz = dz.combo(1.0, cz)
+                    dz = dz + cz
             if passes == 10 or not self.ensure_extended():
                 return best[1:]
             passes = 10
@@ -697,6 +624,11 @@ def solve(prog: ConicProgram, cfg: SolverConfig | None = None) -> SolveResult:
         sf = _StandardForm(prog)
     except InconsistentEqualities:
         return SolveResult("infeasible", math.inf, math.inf,
+                           residuals={"certificate": 0.0}, iterations=0)
+    if np.any(sf.c[sf.untouched]):
+        # a column in no constraint, with a cost: moving it against its cost
+        # is a ray with c'x < 0, A x = 0 and G x = 0
+        return SolveResult("unbounded", -math.inf, -math.inf,
                            residuals={"certificate": 0.0}, iterations=0)
     return _solve_hsde(sf, cfg)
 
@@ -713,18 +645,17 @@ def solve_relaxation(prog: ConicProgram, cfg: SolverConfig | None = None):
 
 
 def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
-    n, p = sf.n, sf.A.shape[0]
-    c, A, b = sf.c, sf.A, sf.b
-    h = sf.h_vec()
-    x = np.zeros(n)
-    y = np.zeros(p)
-    s = _ConeVec.identity(sf.l, sf.sizes)
-    z = _ConeVec.identity(sf.l, sf.sizes)
+    cone = sf.cone
+    c, A, b, G, GT, h = sf.c, sf.A, sf.b, sf.G, sf.GT, sf.h
+    x = np.zeros(sf.n)
+    y = np.zeros(A.shape[0])
+    s = cone.identity()
+    z = cone.identity()
     tau, kappa = 1.0, 1.0
     nu1 = sf.nu + 1
-    norm_b = max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
-    norm_h = max(1.0, h.inf_norm())
-    norm_c = max(1.0, float(np.max(np.abs(c))))
+    norm_b = max(1.0, _inf_norm(b))
+    norm_h = max(1.0, _inf_norm(h))
+    norm_c = max(1.0, _inf_norm(c))
     history = []
     best_state = None
     best_merit = math.inf
@@ -737,37 +668,30 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
         point is their max.
         """
         X, Y = x / tau, y / tau
-        S, Z = s.scale(1.0 / tau), z.scale(1.0 / tau)
+        S, Z = s * (1.0 / tau), z * (1.0 / tau)
         pcost = float(c @ X)
-        dcost = -(float(b @ Y) if p else 0.0) - h.dot(Z)
-        pres_eq = float(np.max(np.abs(A @ X - b))) / norm_b if p else 0.0
-        prz = sf.G_apply(X)
-        prz.axpy(1.0, S)
-        prz.axpy(-1.0, h)
-        dres_vec = (A.T @ Y if p else 0.0) + sf.GT_apply(Z) + c
+        dcost = -float(b @ Y) - float(h @ Z)
         res = {
-            "primal": max(pres_eq, prz.inf_norm() / norm_h),
-            "dual": float(np.max(np.abs(dres_vec))) / norm_c,
+            "primal": max(_inf_norm(A @ X - b) / norm_b, _inf_norm(G @ X + S - h) / norm_h),
+            "dual": _inf_norm(A.T @ Y + GT @ Z + c) / norm_c,
             "gap": abs(pcost - dcost) / (1.0 + abs(pcost)),
         }
         return (X, Y, S, Z), pcost, dcost, res
 
     def embedding(x, y, s, z, tau, kappa):
         """G x and the residuals and barrier parameter of the embedding."""
-        Gx = sf.G_apply(x)
-        rx = A.T @ y + sf.GT_apply(z) + c * tau if p else sf.GT_apply(z) + c * tau
-        ry = A @ x - b * tau if p else np.zeros(0)
-        rz = Gx.copy()
-        rz.axpy(1.0, s)
-        rz.axpy(-tau, h)
-        rtau = float(c @ x) + (float(b @ y) if p else 0.0) + h.dot(z) + kappa
-        mu = (s.dot(z) + tau * kappa) / nu1
+        Gx = G @ x
+        rx = A.T @ y + GT @ z + c * tau
+        ry = A @ x - b * tau
+        rz = Gx + s - tau * h
+        rtau = float(c @ x) + float(b @ y) + float(h @ z) + kappa
+        mu = (float(s @ z) + tau * kappa) / nu1
         return Gx, rx, ry, rz, rtau, mu
 
     def result_from(state, status, iterations):
         bx, by, bs, bz, btau, _ = state
         (X, Y, S, Z), pcost, dcost, res = metrics(bx, by, bs, bz, btau)
-        res["complementarity"] = S.dot(Z)
+        res["complementarity"] = float(S @ Z)
         if (res["primal"] <= cfg.feas_tol and res["dual"] <= cfg.feas_tol
                 and res["gap"] <= cfg.gap_tol):
             status = "optimal"
@@ -775,8 +699,8 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
         return SolveResult(
             status=status, primal=pcost / sf.obj_scale, dual=dcost / sf.obj_scale,
             x=X0, y_eq=sf.expand_eq_duals(Y0),
-            z_lin=Z0.lin, z_psd=[M.copy() for M in Z0.mats],
-            s_lin=S0.lin, s_psd=[M.copy() for M in S0.mats],
+            z_lin=cone.lin(Z0), z_psd=cone.mats(Z0),
+            s_lin=cone.lin(S0), s_psd=cone.mats(S0),
             residuals=res, iterations=iterations, history=history,
         )
 
@@ -807,29 +731,26 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             return current_result("numerical_failure", it)
 
         # infeasibility / unboundedness certificates from the embedding
-        by_hz = (float(b @ y) if p else 0.0) + h.dot(z)
+        by_hz = float(b @ y) + float(h @ z)
         if by_hz < -1e-12:
-            cert = float(np.max(np.abs(A.T @ y + sf.GT_apply(z)))) if p else \
-                float(np.max(np.abs(sf.GT_apply(z))))
+            cert = _inf_norm(A.T @ y + GT @ z)
             if cert / (-by_hz) <= cfg.feas_tol * norm_c:
                 return SolveResult("infeasible", math.inf, math.inf,
                                    residuals={"certificate": cert / (-by_hz)},
                                    iterations=it, history=history)
         cx = float(c @ x)
         if cx < -1e-12:
-            gxs = Gx.copy()
-            gxs.axpy(1.0, s)
-            cert = max(float(np.max(np.abs(A @ x))) if p else 0.0, gxs.inf_norm())
+            cert = max(_inf_norm(A @ x), _inf_norm(Gx + s))
             if cert / (-cx) <= cfg.feas_tol * max(norm_b, norm_h):
                 return SolveResult("unbounded", -math.inf, -math.inf,
                                    residuals={"certificate": cert / (-cx)},
                                    iterations=it, history=history)
 
-        if (s.lin.size and (np.min(s.lin) <= 0.0 or np.min(z.lin) <= 0.0)) or \
-                not (np.all(np.isfinite(s.lin)) and np.all(np.isfinite(z.lin))):
+        sz_lin = np.concatenate([cone.lin(s), cone.lin(z)])
+        if not np.all((sz_lin > 0.0) & (sz_lin < math.inf)):
             return current_result("numerical_failure", it)
         try:
-            scal = _Scaling(s, z)
+            scal = _Scaling(cone, s, z)
             kkt = _KKT(sf, scal)
             lam = scal.lam()
             dx2, dy2, dz2 = kkt.solve3(-c, b, h)
@@ -838,16 +759,15 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
 
         def direction(ds_target, dkt_target, eta):
             q = scal.mult_Wt_lam_solve_extended(ds_target)
-            w_tilde = rz.scale(-np.longdouble(eta))
-            w_tilde.axpy(-1.0, q)
+            w_tilde = (-np.longdouble(eta) * rz).astype(float) - q
             dx1, dy1, dz1 = kkt.solve3(-eta * rx, -eta * ry, w_tilde)
-            den = float(c @ dx2) + (float(b @ dy2) if p else 0.0) + h.dot(dz2) - kappa / tau
-            num = -eta * rtau - float(c @ dx1) - (float(b @ dy1) if p else 0.0) \
-                - h.dot(dz1) - dkt_target / tau
+            den = float(c @ dx2) + float(b @ dy2) + float(h @ dz2) - kappa / tau
+            num = -eta * rtau - float(c @ dx1) - float(b @ dy1) - float(h @ dz1) \
+                - dkt_target / tau
             dtau = num / den
             dx = dx1 + dtau * dx2
             dy = dy1 + dtau * dy2
-            dz = dz1.combo(dtau, dz2)
+            dz = dz1 + dtau * dz2
             ds = scal.ds_from_dz(q, dz)
             dkappa = (dkt_target - kappa * dtau) / tau
             return dx, dy, dz, ds, dtau, dkappa
@@ -855,34 +775,30 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
         def max_step(ds_bar, dz_bar, dtau, dkappa):
             """Largest step that keeps s, z, tau and kappa in their cones."""
             return min(
-                _step_to_boundary(lam, ds_bar),
-                _step_to_boundary(lam, dz_bar),
+                scal.step_to_boundary(ds_bar),
+                scal.step_to_boundary(dz_bar),
                 tau / -dtau if dtau < 0 else math.inf,
                 kappa / -dkappa if dkappa < 0 else math.inf,
             )
 
         # predictor
         try:
-            lam_sq = _jordan(lam, lam)
-            dxa, dya, dza, dsa, dtaua, dkappaa = direction(lam_sq.scale(-1.0),
-                                                           -tau * kappa, 1.0)
+            lam_sq = _jordan(cone, lam, lam)
+            dxa, dya, dza, dsa, dtaua, dkappaa = direction(-lam_sq, -tau * kappa, 1.0)
         except (np.linalg.LinAlgError, ValueError):
             return current_result("numerical_failure", it)
         dz_bar = scal.scale_z(dza)
         ds_bar = scal.scale_s(dsa)
         alpha_a = min(1.0, max_step(ds_bar, dz_bar, dtaua, dkappaa))
         mu_aff = (
-            s.combo(alpha_a, dsa).dot(z.combo(alpha_a, dza))
+            float((s + alpha_a * dsa) @ (z + alpha_a * dza))
             + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
         ) / nu1
         sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
 
         # corrector
         try:
-            e = _ConeVec.identity(sf.l, sf.sizes)
-            ds_comb = lam_sq.scale(-1.0)
-            ds_comb.axpy(-1.0, _jordan(ds_bar, dz_bar))
-            ds_comb.axpy(sigma * mu, e)
+            ds_comb = -lam_sq - _jordan(cone, ds_bar, dz_bar) + sigma * mu * cone.identity()
             dkt_comb = -tau * kappa - dtaua * dkappaa + sigma * mu
             dx, dy, dz, ds, dtau, dkappa = direction(ds_comb, dkt_comb, 1.0 - sigma)
         except (np.linalg.LinAlgError, ValueError):
@@ -896,8 +812,8 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             scored = []
             for a in cands:
                 try:
-                    *_, res_a = metrics(x + a * dx, y + a * dy, s.combo(a, ds),
-                                        z.combo(a, dz), tau + a * dtau)
+                    *_, res_a = metrics(x + a * dx, y + a * dy, s + a * ds,
+                                        z + a * dz, tau + a * dtau)
                     m_a = max(res_a.values())
                 except (FloatingPointError, ZeroDivisionError):
                     m_a = math.inf
@@ -906,8 +822,8 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             alpha = scored[0][1]
         x += alpha * dx
         y += alpha * dy
-        s.axpy(alpha, ds)
-        z.axpy(alpha, dz)
+        s += alpha * ds
+        z += alpha * dz
         tau += alpha * dtau
         kappa += alpha * dkappa
         if tau <= 0 or kappa < 0:

@@ -7,8 +7,7 @@ import pytest
 
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import family_for_method, gen_instance, solve_instance
-from patternrelax.ipm import (_KKT, SolveResult, SolverConfig, _ConeVec, _Scaling,
-                              _StandardForm, solve)
+from patternrelax.ipm import _KKT, SolveResult, SolverConfig, _Scaling, _StandardForm, solve
 from patternrelax.program import ConicProgram
 
 
@@ -171,6 +170,12 @@ def case_builders():
         p.add_block(2, {0: sym([[1, 0], [0, 0]])}, sym([[0, 0], [0, 1]]))
         return p
     add("unb_psd_ray", unb4, "unbounded")
+
+    def unb5():
+        # column 1 is in no constraint and has a cost: a free ray
+        p = prog(2); p.c[:] = [1, -1]; p.add_ineq({0: 1}, 0)
+        return p
+    add("unb_untouched_column", unb5, "unbounded")
 
     # --- semidefinite -----------------------------------------------------
     def sdp1():
@@ -431,84 +436,115 @@ def test_refinement_evaluates_each_pass_once(monkeypatch):
     assert with_extended and max(with_extended) <= 10
 
 
+def test_standard_form_stacks_rows_then_blocks():
+    # G holds the linear rows (-a), then -vec(F_j) of each PSD block row by
+    # row, and h holds -rhs, then vec(C); without the row and column scaling
+    # they are the program's data
+    p = prog(3)
+    p.add_ineq({2: -1.0, 0: 2.0}, 1.0)
+    p.add_block(2, {0: sym([[1, 2], [0, 3]]), 2: sym([[0, 1], [1, 0]])}, sym([[1, 0], [0, 1]]))
+    p.add_ineq({1: 4.0}, -2.0)
+    p.add_block(3, {1: np.diag([1.0, 2.0, 3.0])}, np.eye(3))
+    sf = _StandardForm(p)
+    ref_G = np.zeros((2 + 4 + 9, 3))
+    ref_G[0, [0, 2]] = [-2.0, 1.0]
+    ref_G[1, 1] = -4.0
+    ref_G[2:6, 0] = -np.array([1, 1, 1, 3])
+    ref_G[2:6, 2] = -np.array([0, 1, 1, 0])
+    ref_G[6:, 1] = -np.diag([1.0, 2.0, 3.0]).ravel()
+    ref_h = np.concatenate([[-1.0, 2.0], np.eye(2).ravel(), np.eye(3).ravel()])
+    G = sf.G.toarray() / sf.drow[:, None] / sf.dcol[None, :]
+    assert np.allclose(G, ref_G, rtol=1e-15, atol=0.0)
+    assert np.allclose(sf.h / sf.drow, ref_h, rtol=1e-15, atol=0.0)
+    # each block's rows share one scale, which keeps the cone
+    assert [len(set(d)) for d in (sf.drow[2:6], sf.drow[6:])] == [1, 1]
+    assert sf.cone.sizes == [2, 3] and list(sf.cone.offsets) == [2, 6, 15]
+
+
 def _interior_point(sf, rng):
     """A random strictly feasible cone vector for sf's cone."""
     mats = []
-    for m in sf.sizes:
+    for m in sf.cone.sizes:
         B = rng.standard_normal((m, m))
         mats.append(B @ B.T + m * np.eye(m))
-    return _ConeVec(rng.uniform(0.5, 2.0, sf.l), mats)
+    return sf.cone.stack(rng.uniform(0.5, 2.0, sf.l), mats)
 
 
 def _random_cone_vec(sf, rng, scale=1.0):
     mats = []
-    for m in sf.sizes:
+    for m in sf.cone.sizes:
         B = scale * rng.standard_normal((m, m))
         mats.append(0.5 * (B + B.T))
-    return _ConeVec(scale * rng.standard_normal(sf.l), mats)
+    return sf.cone.stack(scale * rng.standard_normal(sf.l), mats)
 
 
 @pytest.mark.parametrize("tag,method", [("dense(2,6)", "C"), ("A6", "M")],
                          ids=["dense26_C", "A6_M"])
 def test_block_products_match_tensordot_formulas(tag, method):
-    # the solver applies G, G' and the cone inner product through cached
-    # (columns x m*m) coefficient matrices, and evaluates the KKT residual on
-    # cached long-double data; each must give the same bits as the plain
-    # tensordot and dense long-double formulas below
+    # the solver applies G as one CSR matrix and evaluates the KKT residual
+    # on its long-double copy; G x must give the bits of the per-block
+    # tensordot formula, the residual those of a dense long-double G, and
+    # G' must be the adjoint of G under the cone inner product
     inst = gen_instance(tag, 1)
     prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box)
     sf = _StandardForm(prog.lowered(SolverConfig().gmc_denominator_cap))
+    cone = sf.cone
     rng = np.random.default_rng(7)
     ld = np.longdouble
 
     x = rng.standard_normal(sf.n)
     q = _random_cone_vec(sf, rng)
-    Gx = sf.G_apply(x)
-    assert np.array_equal(Gx.lin, sf.Gl @ x)
-    for (m, cols, F, _), M in zip(sf.blocks, Gx.mats):
-        ref = -np.tensordot(x[cols], F, axes=1) if len(cols) else np.zeros((m, m))
+    Gx = sf.G @ x
+    Gl = sf.G[: sf.l].toarray()
+    assert np.array_equal(cone.lin(Gx), Gl @ x)
+    for (m, cols, F2), M in zip(sf.blocks, cone.mats(Gx)):
+        ref = -np.tensordot(x[cols], F2.reshape(len(cols), m, m), axes=1)
         assert np.array_equal(M, ref)
-    ref = sf.Gl.T @ q.lin
-    for (m, cols, F, _), Q in zip(sf.blocks, q.mats):
-        if len(cols):
-            ref[cols] += -np.tensordot(F, Q, axes=([1, 2], [0, 1]))
-    GTq = sf.GT_apply(q)
-    assert np.array_equal(GTq, ref)
-    ref = float(Gx.lin @ q.lin)
-    for M, N in zip(Gx.mats, q.mats):
-        ref += float(np.tensordot(M, N))
-    assert Gx.dot(q) == ref
-    assert abs(Gx.dot(q) - x @ GTq) <= 1e-12 * max(1.0, abs(ref))
+    assert abs(Gx @ q - x @ (sf.GT @ q)) <= 1e-12 * max(1.0, abs(Gx @ q))
 
-    scal = _Scaling(_interior_point(sf, rng), _interior_point(sf, rng))
+    scal = _Scaling(cone, _interior_point(sf, rng), _interior_point(sf, rng))
     kkt = _KKT(sf, scal)
     p = sf.A.shape[0]
     dx, dy = 1e6 * rng.standard_normal(sf.n), 1e6 * rng.standard_normal(p)
     dz = _random_cone_vec(sf, rng, scale=1e6)
     # right-hand sides that nearly solve the system, so the residual is a
     # small difference of large terms and shows any lost precision
-    u = (sf.A.T @ dy + sf.GT_apply(dz)) * (1.0 + 1e-12 * rng.standard_normal(sf.n))
+    u = (sf.A.T @ dy + sf.GT @ dz) * (1.0 + 1e-12 * rng.standard_normal(sf.n))
     v = (sf.A @ dx) * (1.0 + 1e-12 * rng.standard_normal(p))
-    w = _ConeVec(sf.Gl @ dx - scal.w2 * dz.lin,
-                 [G - Wm @ Dz @ Wm for G, Wm, Dz in zip(sf.G_apply(dx).mats,
-                                                         scal.Wmat, dz.mats)])
+    w = sf.G @ dx - cone.stack(scal.w2 * cone.lin(dz),
+                               [Wm @ Dz @ Wm for Wm, Dz in zip(scal.Wmat, cone.mats(dz))])
     r1, r2, r3 = kkt._full_residual(u, v, w, dx, dy, dz)
-    dxl = dx.astype(ld)
-    gtz = sf.Gl.T.astype(ld) @ dz.lin.astype(ld)
-    for (m, cols, F, _), Dz in zip(sf.blocks, dz.mats):
-        if len(cols):
-            gtz[cols] += -np.tensordot(F.astype(ld), Dz.astype(ld), axes=([1, 2], [0, 1]))
+    G_ld, dxl, dzl = sf.G.toarray().astype(ld), dx.astype(ld), dz.astype(ld)
     assert np.array_equal(
-        r1, (u.astype(ld) - (sf.A.T.astype(ld) @ dy.astype(ld) + gtz)).astype(float))
+        r1, (u.astype(ld) - (sf.A.T.astype(ld) @ dy.astype(ld) + G_ld.T @ dzl)).astype(float))
     assert np.array_equal(r2, (v.astype(ld) - sf.A.astype(ld) @ dxl).astype(float))
-    assert np.array_equal(r3.lin, (w.lin.astype(ld) - sf.Gl.astype(ld) @ dxl
-                                   + scal.w2.astype(ld) * dz.lin.astype(ld)).astype(float))
-    for k, (m, cols, F, _) in enumerate(sf.blocks):
-        Gdx = -np.tensordot(dxl[cols], F.astype(ld), axes=1) if len(cols) \
-            else np.zeros((m, m), dtype=ld)
-        Wm = scal.Wmat[k]
-        ref = w.mats[k].astype(ld) - Gdx + Wm @ dz.mats[k].astype(ld) @ Wm
-        assert np.array_equal(r3.mats[k], ref.astype(float))
+    WtWdz = cone.stack(scal.w2.astype(ld) * cone.lin(dzl),
+                       [Wm @ Dz @ Wm for Wm, Dz in zip(scal.Wmat, cone.mats(dzl))])
+    assert np.array_equal(r3, (w.astype(ld) - G_ld @ dxl + WtWdz).astype(float))
+
+
+def test_long_double_products_are_rounded_to_double(monkeypatch):
+    # q, ds and the cone right-hand sides of the KKT solves (w_tilde, and the
+    # refinement residual r3) are accumulated in long double and rounded to
+    # double, so both uses of q see the same vector
+    dtypes = set()
+
+    def recording(method):
+        def wrapped(self, *args):
+            out = method(self, *args)
+            dtypes.add(out.dtype)
+            return out
+        return wrapped
+
+    raw_solve = _KKT._raw_solve
+    monkeypatch.setattr(_KKT, "_raw_solve",
+                        lambda self, u, v, w: dtypes.add(w.dtype) or raw_solve(self, u, v, w))
+    for name in ("mult_Wt_lam_solve_extended", "ds_from_dz"):
+        monkeypatch.setattr(_Scaling, name, recording(getattr(_Scaling, name)))
+    inst = gen_instance("dense(2,6)", 1)
+    _, r = solve_instance(inst.f, family_for_method("C", inst.f), inst.box)
+    assert r.status == "optimal"
+    assert dtypes == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("tag,method,sparse", [("dense(2,6)", "C", False), ("A6", "M", True)],
@@ -521,14 +557,15 @@ def test_kkt_matrix_matches_dense_formula(tag, method, sparse):
     prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box)
     sf = _StandardForm(prog.lowered(SolverConfig().gmc_denominator_cap))
     rng = np.random.default_rng(3)
-    scal = _Scaling(_interior_point(sf, rng), _interior_point(sf, rng))
+    scal = _Scaling(sf.cone, _interior_point(sf, rng), _interior_point(sf, rng))
     kkt = _KKT(sf, scal)
     p = sf.A.shape[0]
-    H = (sf.Gl.T / scal.w2) @ sf.Gl
-    for (m, cols, F, _), Wi in zip(sf.blocks, scal.Winv):
-        if len(cols):
-            T = np.einsum("ab,nbc,cd->nad", Wi, F, Wi)
-            H[np.ix_(cols, cols)] += np.tensordot(F, T, axes=([1, 2], [1, 2]))
+    Gl = sf.G[: sf.l].toarray()
+    H = (Gl.T / scal.w2) @ Gl
+    for (m, cols, F2), Wi in zip(sf.blocks, scal.Winv):
+        F = F2.reshape(len(cols), m, m)
+        T = np.einsum("ab,nbc,cd->nad", Wi, F, Wi)
+        H[np.ix_(cols, cols)] += np.tensordot(F, T, axes=([1, 2], [1, 2]))
     ref = np.block([[H, sf.A.T], [sf.A, np.zeros((p, p))]])
     assert isinstance(kkt.M, np.ndarray) != sparse
     M = kkt.M.toarray() if sparse else kkt.M
