@@ -18,7 +18,11 @@ matrix run their ten passes on it from the start.
 
 Cone vectors (s, z, h and every direction) are flat float64 arrays: the
 orthant entries, then each PSD block's entries row by row (_Cone), and G is
-one CSR matrix, as in the standard form of CVXOPT and ECOS.
+one CSR matrix, as in the standard form of CVXOPT and ECOS.  The blocks of
+one size are processed as one (k, m, m) stack: the scaling (_Scaling) and the
+Jordan product do one numpy call per distinct block size, not a Python loop
+per block, which is what many small blocks (chain and term-sparsity
+patterns) need.
 """
 
 from __future__ import annotations
@@ -72,8 +76,13 @@ def _inf_norm(v) -> float:
     return float(np.max(np.abs(v), initial=0.0))
 
 
+def _T(M):
+    """The transpose of each matrix of a stack (or of one matrix)."""
+    return M.swapaxes(-1, -2)
+
+
 def _sym(M):
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + _T(M))
 
 
 class _Cone:
@@ -81,12 +90,27 @@ class _Cone:
 
     A cone vector holds the l orthant entries, then each block's m*m entries
     row by row; lin and mats give views of these sections.
+
+    The blocks of one size form a group, in program order; index[g] holds
+    the positions of group g's entries as a (k, m, m) array.  batch gathers
+    each group into one stack and stack scatters the stacks back, so the
+    solver makes one numpy call per group instead of one per block, as SDPT3
+    does for many small blocks.  slots[j] is block j's group and place in it.
     """
 
     def __init__(self, l: int, sizes: list):
         self.l = l
         self.sizes = sizes
         self.offsets = np.cumsum([l] + [m * m for m in sizes])  # block starts, then the end
+        groups = {}  # size -> its blocks
+        for j, m in enumerate(sizes):
+            groups.setdefault(m, []).append(j)
+        self.index = [self.offsets[js, None, None] + np.arange(m * m).reshape(m, m)
+                      for m, js in groups.items()]
+        self.slots = [None] * len(sizes)
+        for g, js in enumerate(groups.values()):
+            for i, j in enumerate(js):
+                self.slots[j] = (g, i)
 
     def lin(self, v):
         return v[: self.l]
@@ -94,14 +118,23 @@ class _Cone:
     def mats(self, v):
         return [v[o:o + m * m].reshape(m, m) for o, m in zip(self.offsets, self.sizes)]
 
-    def stack(self, lin, mats):
-        return np.concatenate([lin, *(M.ravel() for M in mats)])
+    def batch(self, v):
+        """The blocks of v as one (k, m, m) stack per group (copies)."""
+        return [v[idx] for idx in self.index]
+
+    def stack(self, lin, batches):
+        """The cone vector with orthant entries lin and the group stacks batches."""
+        v = np.empty(self.offsets[-1], np.result_type(lin, *batches))
+        v[: self.l] = lin
+        for idx, B in zip(self.index, batches):
+            v[idx] = B
+        return v
 
     def identity(self):
         e = np.zeros(self.offsets[-1])
         e[: self.l] = 1.0
-        for M in self.mats(e):
-            np.fill_diagonal(M, 1.0)
+        for idx in self.index:
+            e[np.diagonal(idx, axis1=1, axis2=2)] = 1.0
         return e
 
 
@@ -244,7 +277,15 @@ class _StandardForm:
 
 
 class _Scaling:
-    """Nesterov-Todd scaling for the current (s, z) pair."""
+    """Nesterov-Todd scaling for the current (s, z) pair.
+
+    The block factors R, Rinv, W'W (Wmat, in long double), its inverse Winv
+    and the singular values sig (lambda's block diagonals) are held as one
+    stack per group of equal-size blocks (_Cone), and every method does one
+    numpy call per group.  Stacked matmul, cholesky, svd and eigvalsh run the
+    kernel of the 2-D call on each matrix, so the results are those of a loop
+    over the blocks.
+    """
 
     def __init__(self, cone: _Cone, s: np.ndarray, z: np.ndarray):
         self.cone = cone
@@ -252,21 +293,21 @@ class _Scaling:
         self.lam_lin = np.sqrt(cone.lin(s) * cone.lin(z))
         self.R = []
         self.Rinv = []
-        self.lam_mats = []
+        self.sig = []
         self.Wmat = []
         self.Winv = []
-        for S, Z in zip(cone.mats(s), cone.mats(z)):
+        for S, Z in zip(cone.batch(s), cone.batch(z)):
             Ls = np.linalg.cholesky(S)
             Lz = np.linalg.cholesky(Z)
-            U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
-            sighalf = np.sqrt(sig)
-            R = Ls @ Vt.T / sighalf
-            Rinv = (U / sighalf).T @ Lz.T
+            U, sig, Vt = np.linalg.svd(_T(Lz) @ Ls)
+            sighalf = np.sqrt(sig)[:, None, :]
+            R = Ls @ _T(Vt) / sighalf
+            Rinv = _T(U / sighalf) @ _T(Lz)
             self.R.append(R)
             self.Rinv.append(Rinv)
-            self.lam_mats.append(sig)
-            self.Wmat.append((R @ R.T).astype(np.longdouble))  # W'W, used in long double
-            self.Winv.append(Rinv.T @ Rinv)
+            self.sig.append(sig)
+            self.Wmat.append((R @ _T(R)).astype(np.longdouble))  # W'W, used in long double
+            self.Winv.append(_T(Rinv) @ Rinv)
         # long-double copies for the extended-precision products
         self.w2_ld = self.w2.astype(np.longdouble)
         self.R_ld = [R.astype(np.longdouble) for R in self.R]
@@ -275,34 +316,35 @@ class _Scaling:
         """z-bar = W z; maps the current z to lambda."""
         cone = self.cone
         return cone.stack(np.sqrt(self.w2) * cone.lin(z),
-                          [_sym(R.T @ M @ R) for R, M in zip(self.R, cone.mats(z))])
+                          [_sym(_T(R) @ M @ R) for R, M in zip(self.R, cone.batch(z))])
 
     def scale_s(self, s):
         """s-bar = W^{-T} s; maps the current s to lambda."""
         cone = self.cone
         return cone.stack(cone.lin(s) / np.sqrt(self.w2),
-                          [_sym(Ri @ M @ Ri.T) for Ri, M in zip(self.Rinv, cone.mats(s))])
+                          [_sym(Ri @ M @ _T(Ri)) for Ri, M in zip(self.Rinv, cone.batch(s))])
 
     def WtW_inv_apply(self, v):
         cone = self.cone
         return cone.stack(cone.lin(v) / self.w2,
-                          [_sym(Wi @ M @ Wi) for Wi, M in zip(self.Winv, cone.mats(v))])
+                          [_sym(Wi @ M @ Wi) for Wi, M in zip(self.Winv, cone.batch(v))])
 
     def WtW_apply_ld(self, v):
         """W'W v in long double, for v in long double."""
         cone = self.cone
         return cone.stack(self.w2_ld * cone.lin(v),
-                          [Wm @ M @ Wm for Wm, M in zip(self.Wmat, cone.mats(v))])
+                          [Wm @ M @ Wm for Wm, M in zip(self.Wmat, cone.batch(v))])
 
     def lam(self):
-        return self.cone.stack(self.lam_lin, [np.diag(sig) for sig in self.lam_mats])
+        return self.cone.stack(self.lam_lin,
+                               [sig[:, :, None] * np.eye(sig.shape[1]) for sig in self.sig])
 
     def lam_solve(self, d):
         """Solve lambda o u = d for u in the scaled space."""
         cone = self.cone
         return cone.stack(cone.lin(d) / self.lam_lin,
-                          [D / (0.5 * (sig[:, None] + sig[None, :]))
-                           for sig, D in zip(self.lam_mats, cone.mats(d))])
+                          [D / (0.5 * (sig[:, :, None] + sig[:, None, :]))
+                           for sig, D in zip(self.sig, cone.batch(d))])
 
     def mult_Wt_lam_solve_extended(self, ds_target):
         """q = W'((lambda o)^{-1} ds_target), computed in extended precision.
@@ -317,23 +359,29 @@ class _Scaling:
         cone = self.cone
         u = self.lam_solve(ds_target).astype(ld)
         return cone.stack(np.sqrt(self.w2_ld) * cone.lin(u),
-                          [_sym(R @ U @ R.T) for R, U in zip(self.R_ld, cone.mats(u))]
+                          [_sym(R @ U @ _T(R)) for R, U in zip(self.R_ld, cone.batch(u))]
                           ).astype(float)
 
     def ds_from_dz(self, q, dz):
         """ds = q - W'W dz in extended precision (q from the helper above)."""
+        cone = self.cone
         ds = q - self.WtW_apply_ld(dz.astype(np.longdouble))
-        for M in self.cone.mats(ds):
-            M[...] = _sym(M)
-        return ds.astype(float)
+        return cone.stack(cone.lin(ds), [_sym(M) for M in cone.batch(ds)]).astype(float)
 
     def step_to_boundary(self, d) -> float:
-        """Largest t with lambda + t*d in the cone."""
+        """Largest t with lambda + t*d in the cone.
+
+        A non-finite block entry gives NaN, as a NaN orthant entry does:
+        eigvalsh returns finite eigenvalues for a NaN matrix.
+        """
         cone = self.cone
         worst = float(np.max(-cone.lin(d) / self.lam_lin, initial=0.0))
-        for sig, D in zip(self.lam_mats, cone.mats(d)):
+        if not np.all(np.isfinite(d[cone.l:])):
+            return math.nan
+        for sig, D in zip(self.sig, cone.batch(d)):
             sig = np.sqrt(sig)
-            worst = max(worst, float(-np.linalg.eigvalsh(_sym(D / np.outer(sig, sig)))[0]))
+            eig = np.linalg.eigvalsh(_sym(D / (sig[:, :, None] * sig[:, None, :])))
+            worst = max(worst, float(np.max(-eig[:, 0])))
         if worst <= 0.0:
             return math.inf
         return 1.0 / worst
@@ -341,7 +389,7 @@ class _Scaling:
 
 def _jordan(cone: _Cone, u, v):
     return cone.stack(cone.lin(u) * cone.lin(v),
-                      [0.5 * (U @ V + V @ U) for U, V in zip(cone.mats(u), cone.mats(v))])
+                      [0.5 * (U @ V + V @ U) for U, V in zip(cone.batch(u), cone.batch(v))])
 
 
 class _ExtendedLU:
@@ -464,7 +512,8 @@ class _KKT:
         self.scal = scal
         n, p = sf.n, sf.A.shape[0]
         Hbs = []  # Schur complement of each block
-        for (m, cols, F2), path, Wi in zip(sf.blocks, sf.paths, scal.Winv):
+        for (m, cols, F2), path, (g, i) in zip(sf.blocks, sf.paths, sf.cone.slots):
+            Wi = scal.Winv[g][i]
             T = np.einsum("ab,nbc,cd->nad", Wi, F2.reshape(len(cols), m, m), Wi, optimize=path)
             Hbs.append(np.dot(F2, T.transpose(1, 2, 0).reshape(m * m, len(cols))))
         self.n, self.p = n, p

@@ -1,13 +1,15 @@
 """Hand-built LP/SDP programs with closed-form answers, plus IPM invariants."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import family_for_method, gen_instance, solve_instance
-from patternrelax.ipm import _KKT, SolveResult, SolverConfig, _Scaling, _StandardForm, solve
+from patternrelax.ipm import (_KKT, SolveResult, SolverConfig, _jordan, _Scaling, _StandardForm,
+                              solve)
 from patternrelax.program import ConicProgram
 
 
@@ -463,19 +465,34 @@ def test_standard_form_stacks_rows_then_blocks():
 
 def _interior_point(sf, rng):
     """A random strictly feasible cone vector for sf's cone."""
-    mats = []
-    for m in sf.cone.sizes:
+    v = np.empty(sf.cone.offsets[-1])
+    for M in sf.cone.mats(v):
+        m = len(M)
         B = rng.standard_normal((m, m))
-        mats.append(B @ B.T + m * np.eye(m))
-    return sf.cone.stack(rng.uniform(0.5, 2.0, sf.l), mats)
+        M[...] = B @ B.T + m * np.eye(m)
+    v[: sf.l] = rng.uniform(0.5, 2.0, sf.l)
+    return v
 
 
 def _random_cone_vec(sf, rng, scale=1.0):
-    mats = []
-    for m in sf.cone.sizes:
+    v = np.empty(sf.cone.offsets[-1])
+    for M in sf.cone.mats(v):
+        m = len(M)
         B = scale * rng.standard_normal((m, m))
-        mats.append(0.5 * (B + B.T))
-    return sf.cone.stack(scale * rng.standard_normal(sf.l), mats)
+        M[...] = 0.5 * (B + B.T)
+    v[: sf.l] = scale * rng.standard_normal(sf.l)
+    return v
+
+
+def _WtW_per_block(cone, scal, w2, v):
+    """W'W v block by block: w2 * v on the orthant, then Wm @ V @ Wm with
+    each block's long-double W'W from the group stacks."""
+    out = np.empty(len(v), np.result_type(w2, *scal.Wmat))
+    out[: cone.l] = w2 * cone.lin(v)
+    for (g, i), M, V in zip(cone.slots, cone.mats(out), cone.mats(v)):
+        Wm = scal.Wmat[g][i]
+        M[...] = Wm @ V @ Wm
+    return out
 
 
 @pytest.mark.parametrize("tag,method", [("dense(2,6)", "C"), ("A6", "M")],
@@ -511,15 +528,13 @@ def test_block_products_match_tensordot_formulas(tag, method):
     # small difference of large terms and shows any lost precision
     u = (sf.A.T @ dy + sf.GT @ dz) * (1.0 + 1e-12 * rng.standard_normal(sf.n))
     v = (sf.A @ dx) * (1.0 + 1e-12 * rng.standard_normal(p))
-    w = sf.G @ dx - cone.stack(scal.w2 * cone.lin(dz),
-                               [Wm @ Dz @ Wm for Wm, Dz in zip(scal.Wmat, cone.mats(dz))])
+    w = sf.G @ dx - _WtW_per_block(cone, scal, scal.w2, dz)
     r1, r2, r3 = kkt._full_residual(u, v, w, dx, dy, dz)
     G_ld, dxl, dzl = sf.G.toarray().astype(ld), dx.astype(ld), dz.astype(ld)
     assert np.array_equal(
         r1, (u.astype(ld) - (sf.A.T.astype(ld) @ dy.astype(ld) + G_ld.T @ dzl)).astype(float))
     assert np.array_equal(r2, (v.astype(ld) - sf.A.astype(ld) @ dxl).astype(float))
-    WtWdz = cone.stack(scal.w2.astype(ld) * cone.lin(dzl),
-                       [Wm @ Dz @ Wm for Wm, Dz in zip(scal.Wmat, cone.mats(dzl))])
+    WtWdz = _WtW_per_block(cone, scal, scal.w2.astype(ld), dzl)
     assert np.array_equal(r3, (w.astype(ld) - G_ld @ dxl + WtWdz).astype(float))
 
 
@@ -562,7 +577,8 @@ def test_kkt_matrix_matches_dense_formula(tag, method, sparse):
     p = sf.A.shape[0]
     Gl = sf.G[: sf.l].toarray()
     H = (Gl.T / scal.w2) @ Gl
-    for (m, cols, F2), Wi in zip(sf.blocks, scal.Winv):
+    for (m, cols, F2), (g, i) in zip(sf.blocks, sf.cone.slots):
+        Wi = scal.Winv[g][i]
         F = F2.reshape(len(cols), m, m)
         T = np.einsum("ab,nbc,cd->nad", Wi, F, Wi)
         H[np.ix_(cols, cols)] += np.tensordot(F, T, axes=([1, 2], [1, 2]))
@@ -570,3 +586,114 @@ def test_kkt_matrix_matches_dense_formula(tag, method, sparse):
     assert isinstance(kkt.M, np.ndarray) != sparse
     M = kkt.M.toarray() if sparse else kkt.M
     assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _lowered(tag, method):
+    inst = gen_instance(tag, 1)
+    prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box)
+    return prog.lowered(SolverConfig().gmc_denominator_cap)
+
+
+def _single_block():
+    # one 3x3 block and no linear rows: the cone has no orthant part
+    p = prog(3); p.c[:] = [1, -1, 1]
+    E = [np.zeros((3, 3)) for _ in range(3)]
+    for k, (a, b) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        E[k][a, b] = E[k][b, a] = 1.0
+    p.add_block(3, dict(enumerate(E)), np.eye(3))
+    return p
+
+
+def _concat(lin, mats):
+    """A cone vector from its orthant part and its blocks, in program order."""
+    return np.concatenate([lin, *(M.ravel() for M in mats)])
+
+
+def _sym2(M):
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize("build", [partial(_lowered, "dense(2,6)", "C"),
+                                   partial(_lowered, "A6", "M"), _single_block],
+                         ids=["dense26_C", "A6_M", "single_block"])
+def test_batched_cone_ops_match_per_block_formulas(build):
+    # the solver processes the blocks of one size as one stack (dense(2,6)/C
+    # interleaves sizes 4, 3 and 2; A6/M has no blocks); every result must
+    # be, bit for bit, the one of a loop over the blocks in program order
+    sf = _StandardForm(build())
+    cone = sf.cone
+    rng = np.random.default_rng(11)
+    ld = np.longdouble
+    s, z = _interior_point(sf, rng), _interior_point(sf, rng)
+    u, v = _random_cone_vec(sf, rng), _random_cone_vec(sf, rng)
+    for x in (s, u, u.astype(ld)):
+        assert np.array_equal(cone.stack(cone.lin(x), cone.batch(x)), x)
+    scal = _Scaling(cone, s, z)
+
+    ref = {"R": [], "Rinv": [], "sig": [], "Wmat": [], "Winv": [], "R_ld": []}
+    for S, Z in zip(cone.mats(s), cone.mats(z)):
+        Ls, Lz = np.linalg.cholesky(S), np.linalg.cholesky(Z)
+        U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
+        R = Ls @ Vt.T / np.sqrt(sig)
+        Rinv = (U / np.sqrt(sig)).T @ Lz.T
+        for name, val in zip(ref, (R, Rinv, sig, (R @ R.T).astype(ld), Rinv.T @ Rinv,
+                                   R.astype(ld))):
+            ref[name].append(val)
+    for name, blocks in ref.items():
+        assert all(np.array_equal(getattr(scal, name)[g][i], val)
+                   for (g, i), val in zip(cone.slots, blocks)), name
+    R, Rinv, sig, Wmat, Winv, R_ld = ref.values()
+    w2, lin = scal.w2, cone.lin
+
+    def lam_solve(d):
+        return _concat(lin(d) / scal.lam_lin,
+                       [D / (0.5 * (sg[:, None] + sg[None, :])) for sg, D in zip(sig, cone.mats(d))])
+
+    def WtW_ld(d):
+        return _concat(scal.w2_ld * lin(d), [Wm @ D @ Wm for Wm, D in zip(Wmat, cone.mats(d))])
+
+    def step(d):
+        worst = float(np.max(-lin(d) / scal.lam_lin, initial=0.0))
+        for sg, D in zip(sig, cone.mats(d)):
+            rt = np.sqrt(sg)
+            worst = max(worst, float(-np.linalg.eigvalsh(_sym2(D / np.outer(rt, rt)))[0]))
+        return math.inf if worst <= 0.0 else 1.0 / worst
+
+    uu = lam_solve(u).astype(ld)
+    q = _concat(np.sqrt(scal.w2_ld) * lin(uu),
+                [_sym2(Rl @ D @ Rl.T) for Rl, D in zip(R_ld, cone.mats(uu))]).astype(float)
+    ds = q - WtW_ld(v.astype(ld))
+    lam = _concat(scal.lam_lin, [np.diag(sg) for sg in sig])
+    checks = {
+        "scale_z": (scal.scale_z(u), _concat(np.sqrt(w2) * lin(u),
+                                             [_sym2(Ri.T @ D @ Ri) for Ri, D in zip(R, cone.mats(u))])),
+        "scale_s": (scal.scale_s(u), _concat(lin(u) / np.sqrt(w2),
+                                             [_sym2(Ri @ D @ Ri.T) for Ri, D in zip(Rinv, cone.mats(u))])),
+        "WtW_inv_apply": (scal.WtW_inv_apply(u), _concat(
+            lin(u) / w2, [_sym2(Wi @ D @ Wi) for Wi, D in zip(Winv, cone.mats(u))])),
+        "WtW_apply_ld": (scal.WtW_apply_ld(u.astype(ld)), WtW_ld(u.astype(ld))),
+        "lam": (scal.lam(), lam),
+        "lam_solve": (scal.lam_solve(u), lam_solve(u)),
+        "mult_Wt_lam_solve_extended": (scal.mult_Wt_lam_solve_extended(u), q),
+        "ds_from_dz": (scal.ds_from_dz(q, v),
+                       _concat(lin(ds), [_sym2(D) for D in cone.mats(ds)]).astype(float)),
+        "step_to_boundary": (np.array([scal.step_to_boundary(d) for d in (u, v, lam)]),
+                             np.array([step(d) for d in (u, v, lam)])),
+        "_jordan": (_jordan(cone, u, v), _concat(lin(u) * lin(v), [
+            0.5 * (U @ V + V @ U) for U, V in zip(cone.mats(u), cone.mats(v))])),
+    }
+    for name, (got, want) in checks.items():
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_step_to_boundary_is_nan_for_a_nan_block_direction():
+    # eigvalsh returns finite eigenvalues for a NaN matrix, so the step of a
+    # direction with one NaN block entry must be made non-finite explicitly,
+    # as it is for a NaN orthant entry
+    sf = _StandardForm(_lowered("dense(2,6)", "C"))
+    rng = np.random.default_rng(5)
+    scal = _Scaling(sf.cone, _interior_point(sf, rng), _interior_point(sf, rng))
+    d = _random_cone_vec(sf, rng)
+    assert math.isfinite(scal.step_to_boundary(d))
+    d[sf.cone.offsets[3] + 1] = np.nan
+    assert not math.isfinite(scal.step_to_boundary(d))
