@@ -2,19 +2,16 @@
 
 Solves   min c'x  s.t.  A x = b,  G x + s = h,  s in K
 with K = R_+^l x S_+^{m_1} x ... x S_+^{m_J}, via the homogeneous self-dual
-embedding: Nesterov-Todd scaling, Mehrotra predictor-corrector, and an LU
-factorization of the reduced KKT system with a static-regularization fallback
-plus iterative refinement.  Equalities enter the KKT system directly.  KKT
-systems of at most _KKT.EXTENDED_DIM are factored dense, because only they
-may need the extended-precision LU below, which works on the dense matrix;
-larger ones, about 1% nonzero, are factored sparsely (splu) on a sparsity
-pattern built once per solve.
+embedding: Nesterov-Todd scaling, Mehrotra predictor-corrector, and a sparse
+LU factorization of one augmented KKT system per iteration, with a
+static-regularization fallback plus iterative refinement.  Equalities and
+the linear cone rows enter the KKT system directly; only the PSD blocks are
+eliminated into their Schur complements.  The KKT matrix is filled into a
+sparsity pattern built once per solve and factored with splu, whatever its
+size.
 
-Each KKT solve is one refinement loop against the residual accumulated in
-long double: six passes on the double-precision LU; if they stall on a small
-system, the solve starts over once on an extended-precision LU of the same
-matrix and runs ten passes, and once that LU exists, later solves on the
-matrix run their ten passes on it from the start.
+Each KKT solve is one refinement loop of at most six passes against the
+residual accumulated in long double.
 
 Cone vectors (s, z, h and every direction) are flat float64 arrays: the
 orthant entries, then each PSD block's entries row by row (_Cone), and G is
@@ -30,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -196,23 +192,17 @@ class _StandardForm:
         self.c = np.asarray(prog.c, float).copy()
         self._equilibrate()
         # loop-invariant forms of the scaled data: each block's coefficients
-        # as a (columns x m*m) matrix with its contraction path for the KKT
-        # build (the path depends only on the shapes), long-double copies for
-        # the extended-precision residual, and the dense linear rows that the
-        # dense KKT build takes.  The transposes are views of the same arrays,
-        # held because making a view costs more than a product with it
+        # as a (columns x m*m) matrix for its Schur complement, long-double
+        # copies for the extended-precision residual, and the KKT sparsity
+        # pattern.  The transposes are views of the same arrays, held because
+        # making a view costs more than a product with it
         self.blocks = [(m, cols, (-self.G[o:o + m * m][:, cols].T).toarray())
                        for m, cols, o in zip(self.cone.sizes, block_cols, self.cone.offsets)]
-        self.paths = [np.einsum_path("ab,nbc,cd->nad", np.empty((m, m)),
-                                     F2.reshape(len(cols), m, m), np.empty((m, m)),
-                                     optimize=True)[0] for m, cols, F2 in self.blocks]
         ld = np.longdouble
         self.GT = self.G.T
         self.A_ld, self.G_ld = sps.csr_array(self.A).astype(ld), self.G.astype(ld)
         self.AT_ld, self.GT_ld = self.A_ld.T, self.G_ld.T
-        self.kkt_pattern = _KKTPattern(self) \
-            if n + self.A.shape[0] > _KKT.EXTENDED_DIM else None
-        self.Gl = self.G[: self.l].toarray() if self.kkt_pattern is None else None
+        self.kkt_pattern = _KKTPattern(self)
 
     def _drop_dependent_equalities(self):
         p = self.A.shape[0]
@@ -392,79 +382,33 @@ def _jordan(cone: _Cone, u, v):
                       [0.5 * (U @ V + V @ U) for U, V in zip(cone.batch(u), cone.batch(v))])
 
 
-class _ExtendedLU:
-    """Partially pivoted LU in extended precision for small KKT systems.
-
-    Double-precision factorizations stop refining once the KKT condition
-    number approaches 1/eps; near the central-path endgame that caps the
-    attainable residuals just above tight tolerances.  An 80-bit
-    factorization pushes the cap out by roughly four orders of magnitude.
-    """
-
-    def __init__(self, M: np.ndarray):
-        A = M.astype(np.longdouble).copy()
-        n = A.shape[0]
-        swaps = np.arange(n)
-        for k in range(n - 1):
-            p = k + int(np.argmax(np.abs(A[k:, k])))
-            if p != k:
-                A[[k, p]] = A[[p, k]]
-                swaps[[k, p]] = swaps[[p, k]]
-            akk = A[k, k]
-            if akk == 0.0:
-                raise np.linalg.LinAlgError("singular KKT matrix")
-            A[k + 1:, k] /= akk
-            A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
-        if A[n - 1, n - 1] == 0.0:
-            raise np.linalg.LinAlgError("singular KKT matrix")
-        self.A = A
-        self.perm = swaps
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        A = self.A
-        n = A.shape[0]
-        x = b.astype(np.longdouble)[self.perm]
-        for k in range(n - 1):
-            x[k + 1:] -= A[k + 1:, k] * x[k]
-        for k in range(n - 1, -1, -1):
-            if k < n - 1:
-                x[k] -= A[k, k + 1:] @ x[k + 1:]
-            x[k] /= A[k, k]
-        return x.astype(float)
-
-
 class _KKTPattern:
-    """CSC sparsity pattern of the KKT matrix [[H, A'], [A, 0]] of one solve.
+    """CSC sparsity pattern of the augmented KKT matrix of one solve,
 
-    H = Gl'(W'W)^{-1}Gl + the blocks' Schur complements changes every
-    iteration, but where it can be nonzero does not: the union of Gl'Gl, each
-    PSD block's columns x columns and A, plus the whole diagonal (for the
-    shift fallback).  The pattern is built once per solve together with a map
-    from each contribution to its slots in the CSC data array, so an iteration
-    only fills in values.
+        [[H, A', Gl'], [A, 0, 0], [Gl, 0, -diag(w2)]],
+
+    with H the sum of the PSD blocks' Schur complements and Gl the linear
+    rows of G.  H and w2 change every iteration, but where the matrix can be
+    nonzero does not: each block's columns x columns, A, Gl and their
+    transposes, plus the whole diagonal (for w2 and the shift fallback).  The
+    pattern is built once per solve together with the slots of each block
+    and of the diagonal in the CSC data array, so an iteration only fills in
+    values.
     """
 
     def __init__(self, sf: _StandardForm):
         n, p = sf.n, sf.A.shape[0]
-        N = n + p
-        # coordinates of every contribution: diagonal, linear rows, blocks, A.
-        # Row k of Gl adds Gl[k, i] Gl[k, j] / w2[k] at (i, j) for each pair
-        # (e1, e2) of its stored entries
-        Gl = sf.G[: sf.l]
-        entry_row = np.repeat(np.arange(sf.l), np.diff(Gl.indptr))
-        count = np.diff(Gl.indptr)[entry_row]  # entries in each entry's row
-        e1 = np.repeat(np.arange(Gl.nnz), count)
-        lin_rows = entry_row[e1]
-        # e2 runs over the row's entries once for each e1
-        e2 = Gl.indptr[lin_rows] + np.arange(len(e1)) - np.repeat(np.cumsum(count) - count,
-                                                                   count)
-        blk = [np.meshgrid(cols, cols, indexing="ij") for _, cols, _ in sf.blocks]
+        N = n + p + sf.l
+        # coordinates of every contribution: diagonal, blocks, then the fixed
+        # A and Gl entries below H and their transposes
+        Gl = sf.G[: sf.l].tocoo()
         ai, aj = np.nonzero(sf.A)
+        blk = [np.meshgrid(cols, cols, indexing="ij") for _, cols, _ in sf.blocks]
+        lower_r = np.concatenate([n + ai, n + p + Gl.row])
+        lower_c = np.concatenate([aj, Gl.col])
         diag = np.arange(N)
-        rows = np.concatenate([diag, Gl.indices[e1], *(i.ravel() for i, _ in blk),
-                               n + ai, aj])
-        cols = np.concatenate([diag, Gl.indices[e2], *(j.ravel() for _, j in blk),
-                               aj, n + ai])
+        rows = np.concatenate([diag, *(i.ravel() for i, _ in blk), lower_r, lower_c])
+        cols = np.concatenate([diag, *(j.ravel() for _, j in blk), lower_c, lower_r])
         keys, slot = np.unique(cols * N + rows, return_inverse=True)
         self.indices = (keys % N).astype(np.int32)
         self.col = keys // N  # column of each stored entry
@@ -472,81 +416,61 @@ class _KKTPattern:
         self.shape = (N, N)
         # where each contribution goes in the data array
         self.diag = slot[:N]
-        k = N + len(e1)
-        self.lin = sps.csr_array((Gl.data[e1] * Gl.data[e2], (slot[N:k], lin_rows)),
-                                 shape=(len(keys), sf.l))
+        self.lin_diag = self.diag[n + p:]
         self.blocks = []
+        k = N
         for i, _ in blk:
             self.blocks.append(slot[k:k + i.size].reshape(i.shape))
             k += i.size
-        self.base = np.zeros(len(keys))  # the fixed A values
-        self.base[slot[k:]] = np.concatenate([sf.A[ai, aj]] * 2)
+        self.base = np.zeros(len(keys))  # the fixed A and Gl values
+        self.base[slot[k:]] = np.concatenate([sf.A[ai, aj], Gl.data] * 2)
 
     def matrix(self, w2: np.ndarray, Hbs: list) -> sps.csc_array:
         """The KKT matrix for the scaling W'W (diagonal w2 on the linear rows)
         and the Schur complements Hb of the blocks, in order."""
-        data = self.base + self.lin @ (1.0 / w2)
+        data = self.base.copy()
+        data[self.lin_diag] = -w2
         for slots, Hb in zip(self.blocks, Hbs):
             data[slots] += Hb
         return sps.csc_array((data, self.indices, self.indptr), shape=self.shape)
 
 
 class _KKT:
-    """Factorization of [[H, A'], [A, 0]] with H = G'(W'W)^{-1}G.
+    """Factorization of the augmented KKT matrix of one iteration.
 
-    Systems of at most EXTENDED_DIM are formed and factored dense: only they
-    may need the extended-precision LU, which works on the dense matrix.
-    Larger systems are about 1% nonzero; they are filled into the solve's
-    fixed sparsity pattern (_KKTPattern) and factored with splu.  Factoring
-    the small systems sparsely as well turned a dense(2,6)/C solve into a
-    numerical failure, with or without the extended LU behind it, and was
-    no faster with it.  Both factorizations use the same symmetric
-    equilibration and share the pivot-floor test and the shift fallback.
+    The unknowns are (dx, dy, dz_lin).  The PSD part of dz is eliminated
+    through (W'W)^{-1}, which puts each block's Schur complement
+    F'(W'W)^{-1}F into H; the linear rows stay in the matrix with -w2 on
+    their diagonal, as in ECOS and CVXOPT's ldl KKT solver, instead of
+    entering H as Gl'(W'W)^{-1}Gl, which squares their scaling.  The matrix
+    is filled into the solve's fixed sparsity pattern (_KKTPattern),
+    equilibrated symmetrically and factored with splu; a (near-)singular one
+    is factored again with a tiny quasidefinite shift.
     """
 
     REG = 1e-10
-    EXTENDED_DIM = 420  # dense and extended-precision factorization up to this size
 
     def __init__(self, sf: _StandardForm, scal: _Scaling):
         self.sf = sf
         self.scal = scal
-        n, p = sf.n, sf.A.shape[0]
         Hbs = []  # Schur complement of each block
-        for (m, cols, F2), path, (g, i) in zip(sf.blocks, sf.paths, sf.cone.slots):
+        for (m, cols, F2), (g, i) in zip(sf.blocks, sf.cone.slots):
             Wi = scal.Winv[g][i]
-            T = np.einsum("ab,nbc,cd->nad", Wi, F2.reshape(len(cols), m, m), Wi, optimize=path)
-            Hbs.append(np.dot(F2, T.transpose(1, 2, 0).reshape(m * m, len(cols))))
-        self.n, self.p = n, p
-        self.xlu = None
-        self._xlu_failed = False
+            T = Wi @ F2.reshape(len(cols), m, m) @ Wi
+            Hbs.append(F2 @ T.reshape(len(cols), m * m).T)
+        self.n, self.p = sf.n, sf.A.shape[0]
         pattern = sf.kkt_pattern
-        if pattern is None:
-            H = np.zeros((n, n))
-            H += (sf.Gl.T / scal.w2) @ sf.Gl
-            for (_, cols, _), Hb in zip(sf.blocks, Hbs):
-                H[np.ix_(cols, cols)] += Hb
-            M = np.zeros((n + p, n + p))
-            M[:n, :n] = H
-            M[:n, n:] = sf.A.T
-            M[n:, :n] = sf.A
-            # symmetric diagonal equilibration before factorizing
-            absM = np.abs(M)
-            d = np.sqrt(np.maximum(absM.max(axis=0), 1e-300))
-            self.d = 1.0 / d
-            Ms = M * self.d[:, None] * self.d[None, :]
-        else:
-            M = pattern.matrix(scal.w2, Hbs)
-            d = np.sqrt(np.maximum(np.maximum.reduceat(np.abs(M.data), M.indptr[:-1]),
-                                   1e-300))
-            self.d = 1.0 / d
-            Ms = sps.csc_array((M.data * self.d[M.indices] * self.d[pattern.col],
-                                M.indices, M.indptr), shape=M.shape)
+        M = pattern.matrix(scal.w2, Hbs)
+        # symmetric diagonal equilibration before factorizing
+        d = np.sqrt(np.maximum(np.maximum.reduceat(np.abs(M.data), M.indptr[:-1]), 1e-300))
+        self.d = 1.0 / d
         self.M = M
-        self.Ms = Ms
+        self.Ms = sps.csc_array((M.data * self.d[M.indices] * self.d[pattern.col],
+                                 M.indices, M.indptr), shape=M.shape)
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                self._solve, pivots, factors = self._factor(Ms)
+                self._solve, pivots, factors = self._factor(self.Ms)
                 pivots = np.abs(pivots)
                 pivot_floor = 1e-15 * max(1.0, float(pivots.max()))
                 singular = not all(np.all(np.isfinite(f)) for f in factors) or (
@@ -559,64 +483,44 @@ class _KKT:
 
     def _factor(self, Ms):
         """A solve function of the LU of Ms, its pivots, and its factor arrays."""
-        if isinstance(Ms, np.ndarray):
-            lu = sla.lu_factor(Ms)
-            return partial(sla.lu_solve, lu), np.diag(lu[0]), (lu[0],)
         try:
             lu = spla.splu(Ms)
         except RuntimeError as exc:  # splu stops at an exactly zero pivot
             raise np.linalg.LinAlgError("singular KKT matrix") from exc
-        return lu.solve, lu.U.diagonal(), (lu.L.data, lu.U.data)
+        L, U = lu.L, lu.U  # each access builds a new matrix
+        return lu.solve, U.diagonal(), (L.data, U.data)
 
     def _shifted(self):
         """The equilibrated matrix with a tiny quasidefinite shift."""
-        n, p = self.n, self.p
         Mreg = self.Ms.copy()
-        if isinstance(Mreg, np.ndarray):
-            Mreg[:n, :n] += self.REG * np.eye(n)
-            Mreg[n:, n:] -= self.REG * np.eye(p)
-        else:
-            diag = self.sf.kkt_pattern.diag
-            Mreg.data[diag[:n]] += self.REG
-            Mreg.data[diag[n:]] -= self.REG
+        diag = self.sf.kkt_pattern.diag
+        Mreg.data[diag[: self.n]] += self.REG
+        Mreg.data[diag[self.n:]] -= self.REG
         return Mreg
 
-    def ensure_extended(self) -> bool:
-        """Build the extended-precision factorization on demand."""
-        if self.xlu is not None:
-            return True
-        if self._xlu_failed or self.Ms.shape[0] > self.EXTENDED_DIM:
-            return False
-        try:
-            self.xlu = _ExtendedLU(self.Ms)
-        except np.linalg.LinAlgError:
-            try:
-                self.xlu = _ExtendedLU(self._shifted())
-            except np.linalg.LinAlgError:
-                self._xlu_failed = True
-                return False
-        return True
-
     def _lin_solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
         if not np.all(np.isfinite(rhs)):
             raise np.linalg.LinAlgError("non-finite KKT right-hand side")
-        if self.xlu is not None:
-            return self.d * self.xlu.solve(self.d * rhs)
         return self.d * self._solve(self.d * rhs)
 
     def _raw_solve(self, u: np.ndarray, v: np.ndarray, w: np.ndarray):
         # the factored solve works in double precision, and w is a double
         # vector (q and w_tilde were rounded to double where they were made);
-        # accuracy comes from the extended-precision refinement loop around it
-        sf, scal = self.sf, self.scal
-        rhs = np.concatenate([u + sf.GT @ scal.WtW_inv_apply(w), v])
+        # accuracy comes from the extended-precision refinement loop around it.
+        # Only the PSD part of w is eliminated through (W'W)^{-1}: the linear
+        # part is the right-hand side of the linear rows, which give dz_lin
+        sf, scal, l = self.sf, self.scal, self.sf.l
+        wp = scal.WtW_inv_apply(w)
+        wp[:l] = 0.0
+        rhs = np.concatenate([u + sf.GT @ wp, v, w[:l]])
         sol = self._lin_solve(rhs)
         resid = rhs - self.M @ sol
         if np.max(np.abs(resid)) > 1e-13 * max(1.0, float(np.max(np.abs(rhs)))):
             sol += self._lin_solve(resid)
-        dx, dy = sol[: self.n], sol[self.n:]
+        n, p = self.n, self.p
+        dx, dy = sol[:n], sol[n:n + p]
         dz = scal.WtW_inv_apply(sf.G @ dx - w)
+        dz[:l] = sol[n + p:]
         return dx, dy, dz
 
     def _full_residual(self, u, v, w, dx, dy, dz):
@@ -635,35 +539,26 @@ class _KKT:
     def solve3(self, u: np.ndarray, v: np.ndarray, w: np.ndarray):
         """Solve the 3x3 system, refining against the full KKT residual.
 
-        One refinement loop: six passes on the double-precision LU; if they
-        stall and the system is small enough (EXTENDED_DIM), the solve starts
-        over once on the extended-precision LU of the same matrix and runs ten
-        passes.  Once that LU exists, later calls run their ten passes on it
-        from the start.  Returns the pass with the smallest residual.
+        One refinement loop of at most six passes on the factorization;
+        returns the pass with the smallest residual.
         """
         # the meaningful accuracy scale excludes |w|: the cone right-hand
         # side grows like 1/mu while the step equations need absolute
         # accuracy at the residual level
         tol = 1e-13 * max(1.0, _inf_norm(u), _inf_norm(v))
-        passes = 6 if self.xlu is None else 10
+        passes = 6
         best = None
-        while True:
-            dx, dy, dz = self._raw_solve(u, v, w)
-            for k in range(passes):
-                r1, r2, r3 = self._full_residual(u, v, w, dx, dy, dz)
-                err = max(_inf_norm(r1), _inf_norm(r2), _inf_norm(r3))
-                if best is None or err < best[0]:
-                    best = (err, dx.copy(), dy.copy(), dz.copy())
-                if err <= tol:
-                    return best[1:]
-                if k + 1 < passes:
-                    cx, cy, cz = self._raw_solve(r1, r2, r3)
-                    dx = dx + cx
-                    dy = dy + cy
-                    dz = dz + cz
-            if passes == 10 or not self.ensure_extended():
-                return best[1:]
-            passes = 10
+        dx, dy, dz = self._raw_solve(u, v, w)
+        for k in range(passes):
+            r1, r2, r3 = self._full_residual(u, v, w, dx, dy, dz)
+            err = max(_inf_norm(r1), _inf_norm(r2), _inf_norm(r3))
+            if best is None or err < best[0]:
+                best = (err, dx, dy, dz)
+            if err <= tol or k + 1 == passes:
+                break
+            cx, cy, cz = self._raw_solve(r1, r2, r3)
+            dx, dy, dz = dx + cx, dy + cy, dz + cz
+        return best[1:]
 
 
 def solve(prog: ConicProgram, cfg: SolverConfig | None = None) -> SolveResult:
@@ -822,13 +717,17 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             return dx, dy, dz, ds, dtau, dkappa
 
         def max_step(ds_bar, dz_bar, dtau, dkappa):
-            """Largest step that keeps s, z, tau and kappa in their cones."""
-            return min(
+            """Largest step that keeps s, z, tau and kappa in their cones.
+
+            NaN when any step length is NaN (a non-finite direction): numpy's
+            min propagates it, where Python's would keep a finite argument.
+            """
+            return float(np.min([
                 scal.step_to_boundary(ds_bar),
                 scal.step_to_boundary(dz_bar),
                 tau / -dtau if dtau < 0 else math.inf,
                 kappa / -dkappa if dkappa < 0 else math.inf,
-            )
+            ]))
 
         # predictor
         try:
@@ -838,7 +737,10 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             return current_result("numerical_failure", it)
         dz_bar = scal.scale_z(dza)
         ds_bar = scal.scale_s(dsa)
-        alpha_a = min(1.0, max_step(ds_bar, dz_bar, dtaua, dkappaa))
+        step_a = max_step(ds_bar, dz_bar, dtaua, dkappaa)
+        if math.isnan(step_a):
+            return current_result("numerical_failure", it)
+        alpha_a = min(1.0, step_a)
         mu_aff = (
             float((s + alpha_a * dsa) @ (z + alpha_a * dza))
             + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
@@ -852,8 +754,9 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
             dx, dy, dz, ds, dtau, dkappa = direction(ds_comb, dkt_comb, 1.0 - sigma)
         except (np.linalg.LinAlgError, ValueError):
             return current_result("numerical_failure", it)
-        alpha = min(1.0, 0.99 * max_step(scal.scale_s(ds), scal.scale_z(dz), dtau, dkappa))
-        if not math.isfinite(alpha) or alpha <= 1e-14:
+        step = max_step(scal.scale_s(ds), scal.scale_z(dz), dtau, dkappa)
+        alpha = min(1.0, 0.99 * step)
+        if math.isnan(step) or alpha <= 1e-14:
             return current_result("numerical_failure", it)
         if best_merit < 1e-4:
             # endgame: pick the step fraction with the best balanced merit

@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import family_for_method, gen_instance, solve_instance
@@ -293,9 +294,8 @@ def _check_case(name, result, status, value):
         assert res["gap"] <= 1e-8
 
 
-def _force_sparse_kkt(monkeypatch):
-    """Route every KKT system through the sparse factorization; returns the
-    list of matrices factored."""
+def _record_factored(monkeypatch):
+    """Record every matrix the KKT factorization is given; returns the list."""
     factored = []
     factor = _KKT._factor
 
@@ -303,7 +303,6 @@ def _force_sparse_kkt(monkeypatch):
         factored.append(Ms)
         return factor(self, Ms)
 
-    monkeypatch.setattr(_KKT, "EXTENDED_DIM", 0)
     monkeypatch.setattr(_KKT, "_factor", recording_factor)
     return factored
 
@@ -311,22 +310,23 @@ def _force_sparse_kkt(monkeypatch):
 @pytest.mark.parametrize("name,build,status,value", CASES,
                          ids=[c[0] for c in CASES])
 def test_handbuilt_program_sparse_kkt(monkeypatch, name, build, status, value):
-    # every hand-built program gives the status, iteration count and value of
-    # the dense factorization when its KKT systems are factored sparsely
-    dense = solve(build())
-    factored = _force_sparse_kkt(monkeypatch)
-    result = solve(build())
-    _check_case(name, result, status, value)
-    assert not any(isinstance(M, np.ndarray) for M in factored)
-    assert (result.status, result.iterations) == (dense.status, dense.iterations)
-    if status == "optimal":
-        assert abs(result.primal - dense.primal) <= 1e-12 * (1 + abs(dense.primal))
+    # every KKT system is factored as the sparse augmented matrix over
+    # (dx, dy, dz_lin), whatever the program's shape: with or without
+    # equalities, linear rows or PSD blocks
+    factored = _record_factored(monkeypatch)
+    p = build()
+    result = solve(p)
+    assert result.status == status
+    if result.iterations:
+        sf = _StandardForm(p)
+        N = sf.n + sf.A.shape[0] + sf.l
+        assert factored and all(sps.issparse(M) and M.shape == (N, N) for M in factored)
 
 
 def test_sparse_kkt_shift_fallback_on_singular_matrix(monkeypatch):
-    # columns 0 and 1 are equal in every constraint, so H and the KKT matrix
-    # are singular; the factorization must fall back to the shifted matrix
-    factored = _force_sparse_kkt(monkeypatch)
+    # columns 0 and 1 are equal in every constraint, so the KKT matrix is
+    # singular; the factorization must fall back to the shifted matrix
+    factored = _record_factored(monkeypatch)
     shifted = []
     shift = _KKT._shifted
     monkeypatch.setattr(_KKT, "_shifted", lambda self: shifted.append(1) or shift(self))
@@ -414,18 +414,17 @@ def test_result_reports_a_visited_iterate(seed, sense):
 
 
 def test_refinement_evaluates_each_pass_once(monkeypatch):
-    # a KKT solve runs at most six double-precision passes and then, once,
-    # ten on the extended-precision LU; a KKT that already has that LU runs
-    # only its ten passes, without repeating the double-precision ones
-    calls = []  # per solve3 call: [extended LU on entry, residual evaluations]
+    # a KKT solve runs one refinement loop of at most six passes, each with
+    # one residual evaluation
+    calls = []  # residual evaluations per solve3 call
     solve3, full_residual = _KKT.solve3, _KKT._full_residual
 
     def counting_solve3(self, u, v, w):
-        calls.append([self.xlu is not None, 0])
+        calls.append(0)
         return solve3(self, u, v, w)
 
     def counting_residual(self, *args):
-        calls[-1][1] += 1
+        calls[-1] += 1
         return full_residual(self, *args)
 
     monkeypatch.setattr(_KKT, "solve3", counting_solve3)
@@ -433,9 +432,7 @@ def test_refinement_evaluates_each_pass_once(monkeypatch):
     inst = gen_instance("dense(2,6)", 1)
     _, r = solve_instance(inst.f, family_for_method("C", inst.f), inst.box)
     assert r.status == "optimal"
-    assert max(count for _, count in calls) <= 16
-    with_extended = [count for had, count in calls if had]
-    assert with_extended and max(with_extended) <= 10
+    assert calls and min(calls) >= 1 and max(calls) <= 6
 
 
 def test_standard_form_stacks_rows_then_blocks():
@@ -562,30 +559,32 @@ def test_long_double_products_are_rounded_to_double(monkeypatch):
     assert dtypes == {np.dtype(np.float64)}
 
 
-@pytest.mark.parametrize("tag,method,sparse", [("dense(2,6)", "C", False), ("A6", "M", True)],
+@pytest.mark.parametrize("tag,method", [("dense(2,6)", "C"), ("A6", "M")],
                          ids=["dense26_C", "A6_M"])
-def test_kkt_matrix_matches_dense_formula(tag, method, sparse):
-    # the KKT matrix is [[Gl' diag(1/w2) Gl + sum of block terms, A'], [A, 0]];
-    # A6/M (dimension 472) is filled into the sparse pattern, dense(2,6)/C is
-    # small enough to stay a dense array, which the extended LU needs
+def test_kkt_matrix_matches_dense_formula(tag, method):
+    # the KKT matrix is [[H, A', Gl'], [A, 0, 0], [Gl, 0, -diag(w2)]] with H
+    # the sum of the block terms, on the unknowns (dx, dy, dz_lin); it is
+    # sparse for every size: dense(2,6)/C has 16 PSD blocks and 64 linear
+    # rows, A6/M 180 linear rows and no block
     inst = gen_instance(tag, 1)
     prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box)
     sf = _StandardForm(prog.lowered(SolverConfig().gmc_denominator_cap))
     rng = np.random.default_rng(3)
     scal = _Scaling(sf.cone, _interior_point(sf, rng), _interior_point(sf, rng))
     kkt = _KKT(sf, scal)
-    p = sf.A.shape[0]
-    Gl = sf.G[: sf.l].toarray()
-    H = (Gl.T / scal.w2) @ Gl
+    p, l = sf.A.shape[0], sf.l
+    Gl = sf.G[:l].toarray()
+    H = np.zeros((sf.n, sf.n))
     for (m, cols, F2), (g, i) in zip(sf.blocks, sf.cone.slots):
         Wi = scal.Winv[g][i]
         F = F2.reshape(len(cols), m, m)
         T = np.einsum("ab,nbc,cd->nad", Wi, F, Wi)
         H[np.ix_(cols, cols)] += np.tensordot(F, T, axes=([1, 2], [1, 2]))
-    ref = np.block([[H, sf.A.T], [sf.A, np.zeros((p, p))]])
-    assert isinstance(kkt.M, np.ndarray) != sparse
-    M = kkt.M.toarray() if sparse else kkt.M
-    assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
+    ref = np.block([[H, sf.A.T, Gl.T],
+                    [sf.A, np.zeros((p, p)), np.zeros((p, l))],
+                    [Gl, np.zeros((l, p)), -np.diag(scal.w2)]])
+    assert sps.issparse(kkt.M)
+    assert np.max(np.abs(kkt.M.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _lowered(tag, method):
@@ -697,3 +696,25 @@ def test_step_to_boundary_is_nan_for_a_nan_block_direction():
     assert math.isfinite(scal.step_to_boundary(d))
     d[sf.cone.offsets[3] + 1] = np.nan
     assert not math.isfinite(scal.step_to_boundary(d))
+
+
+@pytest.mark.parametrize("call", [8, 11], ids=["predictor", "corrector"])
+def test_nan_step_length_ends_the_solve_at_once(monkeypatch, call):
+    # each iteration measures four step lengths in two pairs, the
+    # predictor's first; one NaN among them ends the solve with
+    # numerical_failure after its pair, on that iteration and with a finite
+    # iterate, instead of a full step into NaN
+    calls = []
+    step_to_boundary = _Scaling.step_to_boundary
+
+    def nan_once(self, d):
+        calls.append(d)
+        return math.nan if len(calls) == call + 1 else step_to_boundary(self, d)
+
+    monkeypatch.setattr(_Scaling, "step_to_boundary", nan_once)
+    inst = gen_instance("dense(2,6)", 1)
+    _, r = solve_instance(inst.f, family_for_method("C", inst.f), inst.box)
+    assert r.status == "numerical_failure"
+    assert (r.iterations, len(calls)) == (call // 4, call - call % 2 + 2)
+    assert math.isfinite(r.primal) and math.isfinite(r.dual)
+    assert np.all(np.isfinite(r.x)) and np.all(np.isfinite(r.z_lin))
