@@ -452,19 +452,24 @@ def verify_certificate(cert: Certificate, f: Polynomial, box: Box,
     f must be the polynomial the certificate bounds from below (for a max
     solve that is the negated objective).  A piece whose data is malformed or
     that is not nonnegative adds nothing to the sum and a problem naming it.
+    The pieces' terms are added into one dict, in piece order, and the sum
+    polynomial is built once, so a partial sum is never rounded to zero.
     """
     problems: list = []
-    total = Polynomial.zero(f.n)
+    terms: dict = {}
     for i, piece in enumerate(cert.pieces):
         check = _PIECE_CHECKS.get(piece.kind)
         if check is None:
             problems.append(f"piece {i}: unknown piece kind {piece.kind!r}")
             continue
         try:
-            total = total + check(piece.data, f.n, box, tol)
+            part = check(piece.data, f.n, box, tol)
         except (ValueError, TypeError) as exc:
             # CertificateError and the builders' BuilderError are ValueErrors,
             # as are numbers and exponents of the wrong shape; TypeError is a
             # field of the wrong type, such as a null from JSON
             problems.append(f"piece {i} ({piece.kind}): {exc}")
-    return _residual_report(total, f, cert.lam, tol, problems)
+            continue
+        for alpha, c in part.terms.items():
+            terms[alpha] = terms.get(alpha, 0.0) + c
+    return _residual_report(Polynomial(f.n, terms), f, cert.lam, tol, problems)

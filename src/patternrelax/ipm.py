@@ -15,7 +15,10 @@ residual accumulated in long double.
 
 Cone vectors (s, z, h and every direction) are flat float64 arrays: the
 orthant entries, then each PSD block's entries row by row (_Cone), and G is
-one CSR matrix, as in the standard form of CVXOPT and ECOS.  The blocks of
+one CSR matrix, as in the standard form of CVXOPT and ECOS.  Each block's
+coefficients are read off G's rows; a block above DENSE_BLOCK_MAX holds
+them as sparse triples and forms its Schur complement from them, as
+Fujisawa, Kojima and Nakata do for sparse SDP data.  The blocks of
 one size are processed as one (k, m, m) stack: the scaling (_Scaling) and the
 Jordan product do one numpy call per distinct block size, not a Python loop
 per block, which is what many small blocks (chain and term-sparsity
@@ -134,6 +137,55 @@ class _Cone:
         return e
 
 
+# the largest PSD block whose Schur complement uses the dense formula
+# (_DenseBlock) and whose long-double products use numpy's long-double
+# matmul; larger blocks use the sparse formula (_SparseBlock) and _sliced_ld
+DENSE_BLOCK_MAX = 20
+# entries per dense stack of block matrices made at once (2 MB of float64)
+_CHUNK = 1 << 18
+
+
+def _slices(X, axis: int, bits: int) -> list:
+    """X (float64) as three slices X0 + X1 + X2, plus a rest below 2^-3bits
+    of the largest |X| along axis.  Slice k holds integer multiples of
+    2^(e - (k+1) bits), with 2^e the power of two above that largest |X|."""
+    _, e = np.frexp(np.max(np.abs(X), axis=axis, keepdims=True))
+    out = []
+    for k in range(1, 4):
+        grid = np.ldexp(1.0, e - k * bits)
+        S = np.rint(X / grid) * grid
+        out.append(S)
+        X = X - S
+    return out
+
+
+def _sliced_ld(A, B):
+    """A @ B for long-double stacks of (m, m) matrices, from float64 BLAS.
+
+    numpy multiplies long doubles in a scalar loop, four times slower than
+    this for m = 126.  Each operand is its double rounding plus a rest.  The
+    double parts are cut into slices on one power of two per row of A and per
+    column of B (Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012),
+    with few enough bits that the six leading slice products are exact in
+    any summation order; the rests enter through two plain products.  The
+    terms are added in long double, smallest first.  The error is about
+    2^-69 |A||B|, against m 2^-64 |A||B| for the long-double loop, but the
+    bits differ from the loop's.
+    """
+    bits = int(53 - math.log2(A.shape[-1])) // 2
+    Ah, Bh = A.astype(float), B.astype(float)
+    As, Bs = _slices(Ah, -1, bits), _slices(Bh, -2, bits)
+    out = ((A - Ah).astype(float) @ Bh + Ah @ (B - Bh).astype(float)).astype(np.longdouble)
+    for i, j in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)):
+        out += As[i] @ Bs[j]
+    return out
+
+
+def _matmul_ld(A, B):
+    """A @ B in long double: numpy's loop up to DENSE_BLOCK_MAX, else _sliced_ld."""
+    return A @ B if A.shape[-1] <= DENSE_BLOCK_MAX else _sliced_ld(A, B)
+
+
 class InconsistentEqualities(Exception):
     """Raised by presolve when the equality system has no solution."""
 
@@ -145,8 +197,11 @@ class _StandardForm:
     systems outright).  Columns, rows (a PSD block's rows share one scalar,
     to preserve the cone), and the objective are rescaled to O(1); the solver
     works on the scaled data and the recovery vectors map solutions and
-    duals back.  G is one CSR matrix: the linear rows, then -vec(F_j) for
-    each PSD block F(x) = C + sum_j x_j F_j.
+    duals back.  G is one CSR matrix, built from its nonzeros in one pass:
+    the linear rows, then -vec(F_j) for each PSD block F(x) = C + sum_j x_j F_j.
+    After the scaling each block's nonzero F_j entries are read straight off
+    G's rows into a _DenseBlock (m <= DENSE_BLOCK_MAX) or a _SparseBlock,
+    which form its Schur complement.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -170,34 +225,48 @@ class _StandardForm:
         self.nu = self.l + sum(self.cone.sizes)
         if self.nu == 0:
             raise ValueError("program has no cone constraints")
-        # linear rows a'x >= rhs become slacks s = a'x - rhs, i.e. G = -a, h = -rhs
-        indptr = np.cumsum([0] + [len(row.coeff) for row in prog.ineqs])
-        indices = np.fromiter((j for row in prog.ineqs for j in row.coeff), int, indptr[-1])
-        data = np.fromiter((-v for row in prog.ineqs for v in row.coeff.values()), float,
-                           indptr[-1])
-        pieces = [sps.csr_array((data, indices, indptr), shape=(self.l, n))]
+        # G's nonzeros as (row, column, value) triples, made into CSR in one
+        # pass: linear rows a'x >= rhs become slacks s = a'x - rhs, i.e.
+        # G = -a, h = -rhs; then -vec(F_j) of each block, row by row
+        nnz = [len(row.coeff) for row in prog.ineqs]
+        rows = [np.repeat(np.arange(self.l), nnz)]
+        cols = [np.fromiter((j for row in prog.ineqs for j in row.coeff), int, sum(nnz))]
+        vals = [np.fromiter((-v for row in prog.ineqs for v in row.coeff.values()), float,
+                            sum(nnz))]
         h = [-np.array([row.rhs for row in prog.ineqs], dtype=float)]
         block_cols = []
-        for blk in prog.blocks:
-            m, cols = blk.size, np.array(sorted(blk.coeff), dtype=int)
-            F2 = np.array([0.5 * (blk.coeff[j] + blk.coeff[j].T) for j in cols])
-            P = sps.csr_array(-F2.reshape(len(cols), m * m).T)
-            pieces.append(sps.csr_array((P.data, cols[P.indices], P.indptr), shape=(m * m, n)))
+        for blk, o in zip(prog.blocks, self.cone.offsets):
+            m, bcols = blk.size, np.array(sorted(blk.coeff), dtype=int)
+            # a chunk of columns at a time bounds the dense (columns x m*m) stack
+            step = max(1, _CHUNK // (m * m))
+            for chunk in np.split(bcols, range(step, len(bcols), step)):
+                F2 = np.array([0.5 * (blk.coeff[j] + blk.coeff[j].T) for j in chunk])
+                k, e = np.nonzero(F2.reshape(len(chunk), m * m))
+                rows.append(o + e)
+                cols.append(chunk[k])
+                vals.append(-F2.reshape(len(chunk), m * m)[k, e])
             h.append(_sym(blk.const).ravel())
-            block_cols.append(cols)
-        self.G = sps.vstack(pieces, format="csr")
-        self.G.eliminate_zeros()
-        self.G.sort_indices()
+            block_cols.append(bcols)
+        rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
+        keep = vals != 0.0
+        self.G = sps.coo_array((vals[keep], (rows[keep], cols[keep])),
+                               shape=(self.cone.offsets[-1], n)).tocsr()
         self.h = np.concatenate(h)
         self.c = np.asarray(prog.c, float).copy()
         self._equilibrate()
-        # loop-invariant forms of the scaled data: each block's coefficients
-        # as a (columns x m*m) matrix for its Schur complement, long-double
-        # copies for the extended-precision residual, and the KKT sparsity
-        # pattern.  The transposes are views of the same arrays, held because
-        # making a view costs more than a product with it
-        self.blocks = [(m, cols, (-self.G[o:o + m * m][:, cols].T).toarray())
-                       for m, cols, o in zip(self.cone.sizes, block_cols, self.cone.offsets)]
+        # loop-invariant forms of the scaled data: each block's coefficients,
+        # read off G's rows, for its Schur complement, long-double copies for
+        # the extended-precision residual, and the KKT sparsity pattern.  The
+        # transposes are views of the same arrays, held because making a view
+        # costs more than a product with it
+        G = self.G
+        self.blocks = []
+        for m, bcols, o in zip(self.cone.sizes, block_cols, self.cone.offsets):
+            lo, hi = G.indptr[o], G.indptr[o + m * m]
+            entry = np.repeat(np.arange(m * m), np.diff(G.indptr[o:o + m * m + 1]))
+            k = np.searchsorted(bcols, G.indices[lo:hi])
+            kind = _DenseBlock if m <= DENSE_BLOCK_MAX else _SparseBlock
+            self.blocks.append(kind(m, bcols, entry, k, -G.data[lo:hi]))
         ld = np.longdouble
         self.GT = self.G.T
         self.A_ld, self.G_ld = sps.csr_array(self.A).astype(ld), self.G.astype(ld)
@@ -323,7 +392,8 @@ class _Scaling:
         """W'W v in long double, for v in long double."""
         cone = self.cone
         return cone.stack(self.w2_ld * cone.lin(v),
-                          [Wm @ M @ Wm for Wm, M in zip(self.Wmat, cone.batch(v))])
+                          [_matmul_ld(_matmul_ld(Wm, M), Wm)
+                           for Wm, M in zip(self.Wmat, cone.batch(v))])
 
     def lam(self):
         return self.cone.stack(self.lam_lin,
@@ -349,7 +419,8 @@ class _Scaling:
         cone = self.cone
         u = self.lam_solve(ds_target).astype(ld)
         return cone.stack(np.sqrt(self.w2_ld) * cone.lin(u),
-                          [_sym(R @ U @ _T(R)) for R, U in zip(self.R_ld, cone.batch(u))]
+                          [_sym(_matmul_ld(_matmul_ld(R, U), _T(R)))
+                           for R, U in zip(self.R_ld, cone.batch(u))]
                           ).astype(float)
 
     def ds_from_dz(self, q, dz):
@@ -382,6 +453,73 @@ def _jordan(cone: _Cone, u, v):
                       [0.5 * (U @ V + V @ U) for U, V in zip(cone.batch(u), cone.batch(v))])
 
 
+class _DenseBlock:
+    """A small PSD block's coefficients as one dense (columns x m*m) matrix F2.
+
+    The block's nonzero coefficients arrive as triples: entry a*m + b, the
+    position k of column j in cols (sorted) and the value F_j[a, b].  The
+    Schur complement F2 (W'W)^{-1} F2' is one stacked product and one matrix
+    product, the fastest form for the small blocks of chain patterns.
+    """
+
+    def __init__(self, m: int, cols: np.ndarray, entry, k, val):
+        self.m, self.cols = m, cols
+        self.F2 = np.zeros((len(cols), m * m))
+        self.F2[k, entry] = val
+
+    def schur(self, Wi: np.ndarray) -> np.ndarray:
+        """H[k, k'] = <F_k, Wi F_k' Wi> over the block's columns."""
+        m, nc = self.m, len(self.cols)
+        T = Wi @ self.F2.reshape(nc, m, m) @ Wi
+        return self.F2 @ T.reshape(nc, m * m).T
+
+
+class _SparseBlock:
+    """A large PSD block's coefficients as sparse triples (see _DenseBlock).
+
+    The moment and localizing blocks of term-sparsity patterns have a few
+    nonzeros per column: F_j holds on average m*m / columns entries, where a
+    dense F2 holds m*m.  The Schur complement is formed as in Fujisawa,
+    Kojima and Nakata (Math. Prog. 79, 1997): Wi F_j Wi is the sum of
+    v Wi[:, a] Wi[b, :] over F_j's entries (a, b, v), one stacked product
+    for the columns with the same entry count, then contracted with the
+    sparse F.  Both F_k and Wi F_j Wi are symmetric, so the contraction
+    reads only the upper triangle, with the off-diagonal F entries doubled
+    (Fu).  No dense (columns x m*m) array is held.
+    """
+
+    def __init__(self, m: int, cols: np.ndarray, entry, k, val):
+        self.m, self.cols = m, cols
+        nc = len(cols)
+        F = sps.csr_array((val, (k, entry)), shape=(nc, m * m))
+        # the entries of the columns with r entries, r > 0, as (columns, r)
+        # arrays, in chunks that bound each stack of Wi F_j Wi
+        counts = np.diff(F.indptr)
+        step = max(1, _CHUNK // (m * m))
+        self.groups = []
+        for r in np.unique(counts[counts > 0]):
+            ks = np.flatnonzero(counts == r)
+            for kc in np.split(ks, range(step, len(ks), step)):
+                t = F.indptr[kc, None] + np.arange(r)
+                e = F.indices[t]
+                self.groups.append((kc, e // m, e % m, F.data[t][..., None]))
+        a, b = entry // m, entry % m
+        up = a <= b
+        self.upper, pos = np.unique(entry[up], return_inverse=True)
+        self.Fu = sps.csr_array((np.where(a[up] < b[up], 2.0, 1.0) * val[up], (k[up], pos)),
+                                shape=(nc, len(self.upper)))
+
+    def schur(self, Wi: np.ndarray) -> np.ndarray:
+        """H[k, k'] = <F_k, Wi F_k' Wi> over the block's columns."""
+        m, nc = self.m, len(self.cols)
+        H = np.zeros((nc, nc))
+        WiT = _T(Wi)
+        for kc, a, b, v in self.groups:
+            T = _T(WiT[a] * v) @ Wi[b]  # Wi F_j Wi for the columns kc
+            H[:, kc] = self.Fu @ T.reshape(len(kc), m * m).T[self.upper]
+        return H
+
+
 class _KKTPattern:
     """CSC sparsity pattern of the augmented KKT matrix of one solve,
 
@@ -391,7 +529,7 @@ class _KKTPattern:
     rows of G.  H and w2 change every iteration, but where the matrix can be
     nonzero does not: each block's columns x columns, A, Gl and their
     transposes, plus the whole diagonal (for w2 and the shift fallback).  The
-    pattern is built once per solve together with the slots of each block
+    pattern is built once per solve together with the slots of the blocks
     and of the diagonal in the CSC data array, so an iteration only fills in
     values.
     """
@@ -403,7 +541,7 @@ class _KKTPattern:
         # A and Gl entries below H and their transposes
         Gl = sf.G[: sf.l].tocoo()
         ai, aj = np.nonzero(sf.A)
-        blk = [np.meshgrid(cols, cols, indexing="ij") for _, cols, _ in sf.blocks]
+        blk = [np.meshgrid(b.cols, b.cols, indexing="ij") for b in sf.blocks]
         lower_r = np.concatenate([n + ai, n + p + Gl.row])
         lower_c = np.concatenate([aj, Gl.col])
         diag = np.arange(N)
@@ -417,11 +555,8 @@ class _KKTPattern:
         # where each contribution goes in the data array
         self.diag = slot[:N]
         self.lin_diag = self.diag[n + p:]
-        self.blocks = []
-        k = N
-        for i, _ in blk:
-            self.blocks.append(slot[k:k + i.size].reshape(i.shape))
-            k += i.size
+        k = N + sum(i.size for i, _ in blk)
+        self.hslots = slot[N:k]  # each block's columns x columns, row by row
         self.base = np.zeros(len(keys))  # the fixed A and Gl values
         self.base[slot[k:]] = np.concatenate([sf.A[ai, aj], Gl.data] * 2)
 
@@ -429,9 +564,12 @@ class _KKTPattern:
         """The KKT matrix for the scaling W'W (diagonal w2 on the linear rows)
         and the Schur complements Hb of the blocks, in order."""
         data = self.base.copy()
+        if Hbs:
+            # one pass that adds the blocks' terms slot by slot in block
+            # order, the sums of data[slots] += Hb block by block
+            data += np.bincount(self.hslots, np.concatenate([Hb.ravel() for Hb in Hbs]),
+                                len(data))
         data[self.lin_diag] = -w2
-        for slots, Hb in zip(self.blocks, Hbs):
-            data[slots] += Hb
         return sps.csc_array((data, self.indices, self.indptr), shape=self.shape)
 
 
@@ -440,12 +578,13 @@ class _KKT:
 
     The unknowns are (dx, dy, dz_lin).  The PSD part of dz is eliminated
     through (W'W)^{-1}, which puts each block's Schur complement
-    F'(W'W)^{-1}F into H; the linear rows stay in the matrix with -w2 on
-    their diagonal, as in ECOS and CVXOPT's ldl KKT solver, instead of
-    entering H as Gl'(W'W)^{-1}Gl, which squares their scaling.  The matrix
-    is filled into the solve's fixed sparsity pattern (_KKTPattern),
-    equilibrated symmetrically and factored with splu; a (near-)singular one
-    is factored again with a tiny quasidefinite shift.
+    F'(W'W)^{-1}F into H, formed by the block itself (_DenseBlock up to
+    DENSE_BLOCK_MAX, _SparseBlock above); the linear rows stay in the matrix
+    with -w2 on their diagonal, as in ECOS and CVXOPT's ldl KKT solver,
+    instead of entering H as Gl'(W'W)^{-1}Gl, which squares their scaling.
+    The matrix is filled into the solve's fixed sparsity pattern
+    (_KKTPattern), equilibrated symmetrically and factored with splu; a
+    (near-)singular one is factored again with a tiny quasidefinite shift.
     """
 
     REG = 1e-10
@@ -453,11 +592,7 @@ class _KKT:
     def __init__(self, sf: _StandardForm, scal: _Scaling):
         self.sf = sf
         self.scal = scal
-        Hbs = []  # Schur complement of each block
-        for (m, cols, F2), (g, i) in zip(sf.blocks, sf.cone.slots):
-            Wi = scal.Winv[g][i]
-            T = Wi @ F2.reshape(len(cols), m, m) @ Wi
-            Hbs.append(F2 @ T.reshape(len(cols), m * m).T)
+        Hbs = [blk.schur(scal.Winv[g][i]) for blk, (g, i) in zip(sf.blocks, sf.cone.slots)]
         self.n, self.p = sf.n, sf.A.shape[0]
         pattern = sf.kkt_pattern
         M = pattern.matrix(scal.w2, Hbs)

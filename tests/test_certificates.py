@@ -211,3 +211,33 @@ def test_soundness_spot_check_on_samples():
     assert verify_certificate(cert, f, box).passed
     for x in box.sample(rng, 500):
         assert f.evaluate(x) - cert.lam >= -1e-5
+
+
+def test_verify_sums_pieces_without_rounding_partial_sums():
+    # the x coefficients of the first two pieces cancel to below
+    # COEFF_DROP_TOL, which a fold of Polynomial sums rounds to zero before
+    # the third piece adds its own; one sum of all terms keeps it.  The
+    # verdict is the fold's and the residual within 1e-14 of it
+    from patternrelax.certificates import _PIECE_CHECKS, _residual_report
+    from patternrelax.polynomials import COEFF_DROP_TOL
+
+    basis = ((0,), (1,))
+    grams = [np.array([[1.0, 0.5], [0.5, 1.0]]),
+             np.array([[1.0, -0.5 + 4e-15], [-0.5 + 4e-15, 1.0]]),
+             np.array([[1.0, 0.25], [0.25, 1.0]])]
+    pieces = [CertificatePiece("sos", {"basis": basis, "gram": Q}) for Q in grams]
+    box = Box.full_space(1)
+    parts = [_PIECE_CHECKS["sos"](pc.data, 1, box, 1e-6) for pc in pieces]
+    partial = parts[0] + parts[1]
+    assert (1,) not in partial.terms
+    assert 0.0 < abs(parts[0].terms[(1,)] + parts[1].terms[(1,)]) < COEFF_DROP_TOL
+    f = Polynomial(1, {(0,): 3.5, (1,): 0.5, (2,): 3.0})
+    for lam in (0.5, 0.0):
+        cert = Certificate(lam, "sos", pieces)
+        fold = Polynomial.zero(1)
+        for part in parts:
+            fold = fold + part
+        old = _residual_report(fold, f, lam, 1e-6, [])
+        new = verify_certificate(cert, f, box, 1e-6)
+        assert new.passed == old.passed
+        assert abs(new.max_residual - old.max_residual) <= 1e-14

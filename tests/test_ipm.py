@@ -1,6 +1,7 @@
 """Hand-built LP/SDP programs with closed-form answers, plus IPM invariants."""
 
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -9,8 +10,8 @@ import scipy.sparse as sps
 
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import family_for_method, gen_instance, solve_instance
-from patternrelax.ipm import (_KKT, SolveResult, SolverConfig, _jordan, _Scaling, _StandardForm,
-                              solve)
+from patternrelax.ipm import (_KKT, DENSE_BLOCK_MAX, SolveResult, SolverConfig, _DenseBlock,
+                              _jordan, _matmul_ld, _Scaling, _SparseBlock, _StandardForm, solve)
 from patternrelax.program import ConicProgram
 
 
@@ -511,7 +512,8 @@ def test_block_products_match_tensordot_formulas(tag, method):
     Gx = sf.G @ x
     Gl = sf.G[: sf.l].toarray()
     assert np.array_equal(cone.lin(Gx), Gl @ x)
-    for (m, cols, F2), M in zip(sf.blocks, cone.mats(Gx)):
+    for blk, M in zip(sf.blocks, cone.mats(Gx)):
+        m, cols, F2 = blk.m, blk.cols, blk.F2
         ref = -np.tensordot(x[cols], F2.reshape(len(cols), m, m), axes=1)
         assert np.array_equal(M, ref)
     assert abs(Gx @ q - x @ (sf.GT @ q)) <= 1e-12 * max(1.0, abs(Gx @ q))
@@ -559,25 +561,30 @@ def test_long_double_products_are_rounded_to_double(monkeypatch):
     assert dtypes == {np.dtype(np.float64)}
 
 
-@pytest.mark.parametrize("tag,method", [("dense(2,6)", "C"), ("A6", "M")],
-                         ids=["dense26_C", "A6_M"])
+@pytest.mark.parametrize("tag,method", [("dense(2,6)", "C"), ("A6", "M"),
+                                        ("dense(3,8)", "tssos-sos")],
+                         ids=["dense26_C", "A6_M", "dense38_tssos"])
 def test_kkt_matrix_matches_dense_formula(tag, method):
     # the KKT matrix is [[H, A', Gl'], [A, 0, 0], [Gl, 0, -diag(w2)]] with H
     # the sum of the block terms, on the unknowns (dx, dy, dz_lin); it is
     # sparse for every size: dense(2,6)/C has 16 PSD blocks and 64 linear
-    # rows, A6/M 180 linear rows and no block
+    # rows, A6/M 180 linear rows and no block; dense(3,8)/tssos-sos has one
+    # 35x35 moment block, whose Schur complement takes the sparse formula
     inst = gen_instance(tag, 1)
     prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box)
     sf = _StandardForm(prog.lowered(SolverConfig().gmc_denominator_cap))
+    if method == "tssos-sos":
+        assert max(sf.cone.sizes) > DENSE_BLOCK_MAX
+        assert isinstance(sf.blocks[np.argmax(sf.cone.sizes)], _SparseBlock)
     rng = np.random.default_rng(3)
     scal = _Scaling(sf.cone, _interior_point(sf, rng), _interior_point(sf, rng))
     kkt = _KKT(sf, scal)
     p, l = sf.A.shape[0], sf.l
     Gl = sf.G[:l].toarray()
     H = np.zeros((sf.n, sf.n))
-    for (m, cols, F2), (g, i) in zip(sf.blocks, sf.cone.slots):
-        Wi = scal.Winv[g][i]
-        F = F2.reshape(len(cols), m, m)
+    for blk, (g, i), o in zip(sf.blocks, sf.cone.slots, sf.cone.offsets):
+        m, cols, Wi = blk.m, blk.cols, scal.Winv[g][i]
+        F = (-sf.G[o:o + m * m][:, cols].T).toarray().reshape(len(cols), m, m)
         T = np.einsum("ab,nbc,cd->nad", Wi, F, Wi)
         H[np.ix_(cols, cols)] += np.tensordot(F, T, axes=([1, 2], [1, 2]))
     ref = np.block([[H, sf.A.T, Gl.T],
@@ -718,3 +725,100 @@ def test_nan_step_length_ends_the_solve_at_once(monkeypatch, call):
     assert (r.iterations, len(calls)) == (call // 4, call - call % 2 + 2)
     assert math.isfinite(r.primal) and math.isfinite(r.dual)
     assert np.all(np.isfinite(r.x)) and np.all(np.isfinite(r.z_lin))
+
+
+def _shared_column_blocks():
+    # column 1 is in both blocks, column 2's coefficient in the 3x3 block is
+    # all zero, the linear row has an explicit zero, and the last block is
+    # large enough for the sparse Schur formula (with an all-zero column too)
+    p = prog(4); p.c[:] = [1, 1, 1, 1]
+    p.add_ineq({0: 1.0, 2: 0.0}, 0.5)
+    p.add_block(2, {0: sym([[1, 0], [0, 0]]), 1: sym([[0, 1], [1, 0]])}, np.eye(2))
+    p.add_block(3, {1: np.diag([1.0, 2.0, 3.0]), 2: np.zeros((3, 3))}, np.eye(3))
+    m = DENSE_BLOCK_MAX + 1
+    rng = np.random.default_rng(2)
+    coeff = {j: np.zeros((m, m)) for j in (0, 2, 3)}
+    for j, M in coeff.items():
+        if j != 2:
+            a, b = rng.integers(0, m, 5), rng.integers(0, m, 5)
+            M[a, b] = M[b, a] = rng.standard_normal(5)
+    p.add_block(m, coeff, np.eye(m))
+    return p
+
+
+def _reference_G_h(p):
+    """G and h as one CSR matrix per block, stacked, then cleaned up."""
+    n, l = p.ncols, len(p.ineqs)
+    indptr = np.cumsum([0] + [len(row.coeff) for row in p.ineqs])
+    indices = np.fromiter((j for row in p.ineqs for j in row.coeff), int, indptr[-1])
+    data = np.fromiter((-v for row in p.ineqs for v in row.coeff.values()), float, indptr[-1])
+    pieces = [sps.csr_array((data, indices, indptr), shape=(l, n))]
+    h = [-np.array([row.rhs for row in p.ineqs], dtype=float)]
+    for blk in p.blocks:
+        m, cols = blk.size, np.array(sorted(blk.coeff), dtype=int)
+        F2 = np.array([_sym2(blk.coeff[j]) for j in cols])
+        P = sps.csr_array(-F2.reshape(len(cols), m * m).T)
+        pieces.append(sps.csr_array((P.data, cols[P.indices], P.indptr), shape=(m * m, n)))
+        h.append(_sym2(blk.const).ravel())
+    G = sps.vstack(pieces, format="csr")
+    G.eliminate_zeros()
+    G.sort_indices()
+    return G, np.concatenate(h)
+
+
+@pytest.mark.parametrize("build", [partial(_lowered, "dense(2,6)", "C"), _shared_column_blocks,
+                                   _single_block, partial(_lowered, "A6", "M")],
+                         ids=["dense26_C", "shared_column", "single_block", "A6_M"])
+def test_standard_form_matches_sparse_slicing(monkeypatch, build):
+    # G is made from its nonzeros in one pass and each block's coefficients
+    # are read off G's rows; G and h must be, bit for bit, the stack of one
+    # CSR matrix per block, and each block's coefficients those of slicing
+    # the block's rows and columns out of the scaled G
+    p = build()
+    G_ref, h_ref = _reference_G_h(p)
+    with monkeypatch.context() as mp:
+        mp.setattr(_StandardForm, "_equilibrate", lambda self: None)
+        raw = _StandardForm(p)
+    assert raw.G.shape == G_ref.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(raw.G, name), getattr(G_ref, name)), name
+    assert raw.G.data.dtype == G_ref.data.dtype and np.array_equal(raw.h, h_ref)
+
+    sf = _StandardForm(p)
+    assert [blk.m for blk in sf.blocks] == sf.cone.sizes
+    for blk, o in zip(sf.blocks, sf.cone.offsets):
+        m, cols = blk.m, blk.cols
+        ref = (-sf.G[o:o + m * m][:, cols].T).toarray()
+        if m <= DENSE_BLOCK_MAX:
+            assert isinstance(blk, _DenseBlock) and np.array_equal(blk.F2, ref)
+        else:
+            # the sparse block's per-column entries scatter back to the same matrix
+            F2 = np.zeros_like(ref)
+            for kc, a, b, v in blk.groups:
+                F2[kc[:, None], a * m + b] = v[..., 0]
+            assert isinstance(blk, _SparseBlock) and np.array_equal(F2, ref)
+
+
+def test_long_double_products_of_large_blocks_are_as_accurate():
+    # above DENSE_BLOCK_MAX the long-double products are sums of exact
+    # float64 products of slices; each entry must be within 2^-62 |A||B| of
+    # the exact product, as numpy's long-double loop is (m 2^-64 |A||B|).
+    # Up to DENSE_BLOCK_MAX the product is the loop's, bit for bit
+    rng = np.random.default_rng(4)
+    ld = np.longdouble
+    k, m = 2, 3 * DENSE_BLOCK_MAX
+    A = (rng.standard_normal((k, m, m)) * np.exp(rng.uniform(-8, 8, (k, m, 1)))).astype(ld) / 3
+    B = rng.standard_normal((k, m, m)).astype(ld) / 7
+    got = _matmul_ld(A, B)
+    assert got.dtype == ld and got.shape == (k, m, m)
+    scale = np.abs(A) @ np.abs(B)
+
+    def exact(x):
+        return Fraction(*x.as_integer_ratio())
+
+    for kk, i, j in zip(rng.integers(0, k, 40), rng.integers(0, m, 40), rng.integers(0, m, 40)):
+        want = sum(exact(A[kk, i, t]) * exact(B[kk, t, j]) for t in range(m))
+        assert abs(exact(got[kk, i, j]) - want) <= Fraction(2) ** -62 * exact(scale[kk, i, j])
+    s = DENSE_BLOCK_MAX
+    As, Bs = A[:, :s, :s].copy(), B[:, :s, :s].copy()
+    assert np.array_equal(_matmul_ld(As, Bs), As @ Bs)

@@ -3,16 +3,20 @@
 Run from the repository root:
 
     python3 tools/solve_digests.py --tag "dense(2,6)" --method C --seeds 1-18
+    python3 tools/solve_digests.py --tag "S(4,10)" --method T --seeds 1 --senses min
 
 Each line is ``<instance id>:<sense> <digest>``. The digest covers every
 field of the result in declaration order: floats and arrays by their raw
 bytes (with dtype and shape), lists, tuples and dicts element by element,
 so two commits solve bit-identically exactly when their outputs ``diff``
-clean. Instances come from ``patternrelax.bench.gen_instance`` and pass
-through assemble, lower and solve with the default policy and solver
-configuration, as in ``patternrelax solve``. BLAS is pinned to one thread,
-as in the tests and the benchmark; set ``OPENBLAS_CORETYPE`` to compare
-under another kernel.
+clean. Each solve's status, iteration count and wall time go to stderr as
+``<instance id>:<sense> <status> <iterations> it <seconds> s``, where the
+time covers assemble, lower and solve, so stdout holds only the digests.
+Instances come from ``patternrelax.bench.gen_instance`` and pass through
+assemble, lower and solve with the default policy and solver configuration,
+as in ``patternrelax solve``. BLAS is pinned to one thread, as in the tests
+and the benchmark; set ``OPENBLAS_CORETYPE`` to compare under another
+kernel.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import struct  # noqa: E402
 import sys  # noqa: E402
+import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -86,8 +91,12 @@ def main(argv=None) -> None:
         inst = gen_instance(args.tag, seed)
         fam = family_for_method(args.method, inst.f)
         for sense in senses:
+            start = time.perf_counter()
             _, res = solve_instance(inst.f, fam, inst.box, sense=sense)
+            wall = time.perf_counter() - start
             print(f"{inst.id}:{sense} {digest(res)}", flush=True)
+            print(f"{inst.id}:{sense} {res.status} {res.iterations} it {wall:.3f} s",
+                  file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":
