@@ -134,25 +134,19 @@ def assemble_relaxation(
     for model, pieces, aux_col in zip(models, group_pieces, aux_cols):
         for block in model.lmis:
             m = block.size
-            coeff: dict = {}
-            const = np.zeros((m, m))
+            # the upper triangle of a symmetric block holds all of its data;
+            # the constant part is homogenized onto v_0
+            entries: dict = {}
             for i in range(m):
-                for j in range(m):
+                for j in range(i, m):
                     e = block.entries[i][j]
-                    const[i, j] += e.constant
-                    for alpha, c in e.coeffs.items():
-                        col = col_of[alpha]
-                        coeff.setdefault(col, np.zeros((m, m)))[i, j] += c
-                    for a_idx, c in e.aux.items():
-                        col = aux_col + a_idx
-                        coeff.setdefault(col, np.zeros((m, m)))[i, j] += c
-            # homogenize the constant part onto v_0
-            if np.any(const):
-                j0 = col_of[zero]
-                coeff.setdefault(j0, np.zeros((m, m)))
-                coeff[j0] += const
-                const = np.zeros((m, m))
-            key = (m, tuple(sorted((j, M.round(12).tobytes()) for j, M in coeff.items())))
+                    terms = [(col_of[alpha], c) for alpha, c in e.coeffs.items()]
+                    terms += [(aux_col + a_idx, c) for a_idx, c in e.aux.items()]
+                    if e.constant:
+                        terms.append((col_of[zero], e.constant))
+                    for col, c in terms:
+                        entries[col, i, j] = entries.get((col, i, j), 0.0) + c
+            key = (m, tuple(sorted((k, round(v, 12)) for k, v in entries.items())))
             if key in seen_blocks:
                 continue
             seen_blocks.add(key)
@@ -163,7 +157,7 @@ def assemble_relaxation(
                     "sos",
                     {"basis": block.basis, "multiplier_factors": block.multiplier_factors},
                 )
-            prog.add_block(m, coeff, const, piece=piece)
+            prog.add_block(m, entries, np.zeros((m, m)), piece=piece)
 
     for model, pieces in zip(models, group_pieces):
         for rec in model.gmcs:

@@ -149,7 +149,7 @@ def extract_certificate(prog: ConicProgram, result: SolveResult) -> Certificate:
     gram: dict = {}  # sos piece -> Gram matrix of its block
 
     # one pass over rows and blocks; a row's dual multiplies its coefficients,
-    # a block's dual is paired with each column's coefficient matrix
+    # a block's dual is paired with its entries, each off-diagonal one twice
     for rows, duals in ((prog.ineqs, result.z_lin), (prog.eqs, -result.y_eq)):
         for row, w in zip(rows, duals):
             pid = row.piece
@@ -172,11 +172,11 @@ def extract_certificate(prog: ConicProgram, result: SolveResult) -> Certificate:
             gram[pid] = Z
         elif pid in agg:
             target = agg[pid]
-            for col, M in blk.coeff.items():
+            for (col, i, j), v in blk.entries.items():
                 alpha = prog.col_exponents[col]
                 if alpha is not None:
-                    w = float(np.tensordot(0.5 * (M + M.T), Z))
-                    target[alpha] = target.get(alpha, 0.0) + w
+                    w = v * Z[i, j] if i == j else 2.0 * v * Z[i, j]
+                    target[alpha] = target.get(alpha, 0.0) + float(w)
 
     pieces = []
     for pid, meta in enumerate(prog.pieces):

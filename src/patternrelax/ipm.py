@@ -236,17 +236,16 @@ class _StandardForm:
         h = [-np.array([row.rhs for row in prog.ineqs], dtype=float)]
         block_cols = []
         for blk, o in zip(prog.blocks, self.cone.offsets):
-            m, bcols = blk.size, np.array(sorted(blk.coeff), dtype=int)
-            # a chunk of columns at a time bounds the dense (columns x m*m) stack
-            step = max(1, _CHUNK // (m * m))
-            for chunk in np.split(bcols, range(step, len(bcols), step)):
-                F2 = np.array([0.5 * (blk.coeff[j] + blk.coeff[j].T) for j in chunk])
-                k, e = np.nonzero(F2.reshape(len(chunk), m * m))
-                rows.append(o + e)
-                cols.append(chunk[k])
-                vals.append(-F2.reshape(len(chunk), m * m)[k, e])
+            # entry (col, i, j) -> v is F_col[i, j] = F_col[j, i] = v
+            m = blk.size
+            col, i, j = np.array(list(blk.entries), dtype=int).reshape(-1, 3).T
+            v = np.fromiter(blk.entries.values(), float, len(col))
+            off = i != j
+            rows += [o + i * m + j, o + j[off] * m + i[off]]
+            cols += [col, col[off]]
+            vals += [-v, -v[off]]
             h.append(_sym(blk.const).ravel())
-            block_cols.append(bcols)
+            block_cols.append(np.unique(col))
         rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
         keep = vals != 0.0
         self.G = sps.coo_array((vals[keep], (rows[keep], cols[keep])),

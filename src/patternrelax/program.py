@@ -37,9 +37,16 @@ class Piece:
 
 @dataclass
 class PSDBlockData:
+    """One PSD block F(x) = const + sum_col x_col F_col >= 0.
+
+    Each entry (col, i, j) -> v with i <= j sets F_col[i, j] = F_col[j, i] = v,
+    as in SDPA. The block's columns are those of its entries; an entry may be
+    zero.
+    """
+
     size: int
-    coeff: dict  # column -> (m, m) symmetric ndarray
-    const: np.ndarray
+    entries: dict  # (col, i, j) -> float, i <= j
+    const: np.ndarray  # (m, m) symmetric
     piece: int | None = None
 
 
@@ -91,11 +98,8 @@ class ConicProgram:
     def add_ineq(self, coeff: dict, rhs: float = 0.0, piece=None):
         self.ineqs.append(LinRow(dict(coeff), float(rhs), piece))
 
-    def add_block(self, size, coeff, const, piece=None):
-        self.blocks.append(
-            PSDBlockData(size, {j: np.asarray(M, float) for j, M in coeff.items()},
-                         np.asarray(const, float), piece)
-        )
+    def add_block(self, size, entries, const, piece=None):
+        self.blocks.append(PSDBlockData(size, dict(entries), np.asarray(const, float), piece))
 
     # -- lowering of geometric-mean cones -------------------------------------
 
@@ -107,7 +111,7 @@ class ConicProgram:
         out.c = self.c.copy()
         out.eqs = [LinRow(dict(r.coeff), r.rhs, r.piece) for r in self.eqs]
         out.ineqs = [LinRow(dict(r.coeff), r.rhs, r.piece) for r in self.ineqs]
-        out.blocks = [PSDBlockData(b.size, dict(b.coeff), b.const.copy(), b.piece)
+        out.blocks = [PSDBlockData(b.size, dict(b.entries), b.const.copy(), b.piece)
                       for b in self.blocks]
         out.pieces = [Piece(p.kind, dict(p.payload)) for p in self.pieces]
         out.meta = dict(self.meta)
@@ -155,8 +159,10 @@ class ConicProgram:
             worst = max(worst, -val)
         for blk in self.blocks:
             M = blk.const.copy()
-            for j, Mj in blk.coeff.items():
-                M = M + v[j] * Mj
+            for (col, i, j), c in blk.entries.items():
+                M[i, j] += v[col] * c
+                if i != j:
+                    M[j, i] += v[col] * c
             worst = max(worst, -float(np.linalg.eigvalsh(M)[0]))
         for rec in self.gmcs:
             prod = 1.0
@@ -231,15 +237,8 @@ def _lower_gmc(prog: ConicProgram, rec: GMCData, cap: int):
 
     def pair_block(a_col, b_col, node_col):
         # [[a, node], [node, b]] >= 0
-        coeff = {}
-        for col, mat in ((a_col, [[1.0, 0.0], [0.0, 0.0]]),
-                         (b_col, [[0.0, 0.0], [0.0, 1.0]]),
-                         (node_col, [[0.0, 1.0], [1.0, 0.0]])):
-            if col in coeff:
-                coeff[col] = coeff[col] + np.array(mat)
-            else:
-                coeff[col] = np.array(mat)
-        prog.add_block(2, coeff, np.zeros((2, 2)), piece=piece)
+        entries = {(a_col, 0, 0): 1.0, (b_col, 1, 1): 1.0, (node_col, 0, 1): 1.0}
+        prog.add_block(2, entries, np.zeros((2, 2)), piece=piece)
 
     level = slots
     while len(level) > 2:
@@ -309,16 +308,10 @@ def export_sdpa(prog: ConicProgram) -> str:
     for bi, blk in enumerate(prog.blocks, start=1):
         blkno = blk0 + bi
         F0 = -blk.const
-        for i in range(blk.size):
-            for j in range(i, blk.size):
-                if F0[i, j]:
-                    entries.append((0, blkno, i + 1, j + 1, F0[i, j]))
-        for col in sorted(blk.coeff):
-            M = blk.coeff[col]
-            for i in range(blk.size):
-                for j in range(i, blk.size):
-                    if M[i, j]:
-                        entries.append((col + 1, blkno, i + 1, j + 1, M[i, j]))
+        entries.extend((0, blkno, i + 1, j + 1, F0[i, j])
+                       for i, j in zip(*np.nonzero(np.triu(F0))))
+        entries.extend((col + 1, blkno, i + 1, j + 1, v)
+                       for (col, i, j), v in blk.entries.items() if v)
     entries.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
     for matno, blkno, i, j, v in entries:
         lines.append(f"{matno} {blkno} {i} {j} {_fmt(v)}")
@@ -347,43 +340,40 @@ def parse_sdpa(text: str) -> ConicProgram:
     cvec = [float(tok) for tok in rows[3].replace(",", " ").split()]
     if len(cvec) != nvars:
         raise ValueError("SDPA objective line does not match variable count")
-    mats: dict = {}
+    found = [[] for _ in sizes]  # per block: (matno, i, j, value), i <= j, 0-based
     for line in rows[4:]:
         toks = line.split()
         if len(toks) != 5:
             raise ValueError(f"bad SDPA entry line: {line!r}")
         k, b, i, j, v = int(toks[0]), int(toks[1]), int(toks[2]), int(toks[3]), float(toks[4])
-        mats.setdefault((k, b), []).append((i - 1, j - 1, v))
+        if not (0 <= k <= nvars and 1 <= b <= nblocks):
+            raise ValueError(f"SDPA matrix or block number out of range: {line!r}")
+        dim = abs(sizes[b - 1])
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise ValueError(f"SDPA entry index out of range: {line!r}")
+        if sizes[b - 1] < 0 and i != j:
+            raise ValueError("off-diagonal entry in a diagonal block")
+        found[b - 1].append((k, min(i, j) - 1, max(i, j) - 1, v))
     prog = ConicProgram(nvars)
     prog.c = np.array(cvec)
-    for b, size in enumerate(sizes, start=1):
+    for size, items in zip(sizes, found):
         if size < 0:  # diagonal block -> inequality rows
-            dim = -size
-            diag_rhs = np.zeros(dim)
-            for i, j, v in mats.get((0, b), []):
-                if i != j:
-                    raise ValueError("off-diagonal entry in a diagonal block")
-                diag_rhs[i] = v
-            row_coeffs = [dict() for _ in range(dim)]
-            for k in range(1, nvars + 1):
-                for i, j, v in mats.get((k, b), []):
-                    if i != j:
-                        raise ValueError("off-diagonal entry in a diagonal block")
+            row_coeffs = [dict() for _ in range(-size)]
+            diag_rhs = np.zeros(-size)
+            for k, i, _, v in items:
+                if k == 0:
+                    diag_rhs[i] = v
+                else:
                     row_coeffs[i][k - 1] = row_coeffs[i].get(k - 1, 0.0) + v
-            for i in range(dim):
-                prog.add_ineq(row_coeffs[i], diag_rhs[i])
-        else:
+            for coeff, rhs in zip(row_coeffs, diag_rhs):
+                prog.add_ineq(coeff, rhs)
+        else:  # a repeated entry replaces the earlier one
             const = np.zeros((size, size))
-            for i, j, v in mats.get((0, b), []):
-                const[i, j] = v
-                const[j, i] = v
-            coeff = {}
-            for k in range(1, nvars + 1):
-                if (k, b) in mats:
-                    M = np.zeros((size, size))
-                    for i, j, v in mats[(k, b)]:
-                        M[i, j] = v
-                        M[j, i] = v
-                    coeff[k - 1] = M
-            prog.add_block(size, coeff, -const)
+            entries = {}
+            for k, i, j, v in items:
+                if k == 0:
+                    const[i, j] = const[j, i] = v
+                else:
+                    entries[(k - 1, i, j)] = v
+            prog.add_block(size, entries, -const)
     return prog

@@ -9,7 +9,13 @@ from patternrelax.ipm import solve_relaxation
 from patternrelax.models import ModelPolicy, build_lasserre_model
 from patternrelax.patterns import PatternFamily, chain_family, multilinear_family
 from patternrelax.polynomials import Box, Polynomial, linearize
-from patternrelax.program import export_sdpa
+from patternrelax.program import export_sdpa, gmc_to_psd2, parse_sdpa
+
+
+def entries(coeff):
+    """Block entries (col, i, j) -> v, i <= j, of {col: dense symmetric matrix}."""
+    return {(col, i, j): float(M[i, j])
+            for col, M in coeff.items() for i in range(len(M)) for j in range(i, len(M))}
 
 
 def value_of(f, fam, box, policy=None, sense="min"):
@@ -101,7 +107,7 @@ def test_gamma_consistency_with_transformed_box():
                 if np.any(const):
                     bc.setdefault(col[zero], np.zeros((m, m)))
                     bc[col[zero]] += const
-                prog.add_block(m, bc, np.zeros((m, m)))
+                prog.add_block(m, entries(bc), np.zeros((m, m)))
             from patternrelax.ipm import solve
 
             return solve(prog)
@@ -184,12 +190,30 @@ PINNED_SDPA = [
     # shifted chains, whose bound rows on the shift monomial were emitted twice
     ("S(3,6)", 1, "S", None,
      "075d532d6bdfc9a2186a7aac64a5201a146eb6c6b3ada80ce66d4f008acda75e"),
+    # one 35x35 moment block, above the solver's DENSE_BLOCK_MAX
+    ("dense(3,8)", 1, "tssos-sos", None,
+     "d2dec1e9ffbe85a9959b7af46d555b824f20d4c66cf0f0c61c8521c0d83598f9"),
 ]
+
+# the same for lowered geometric-mean cones: towers of 2x2 blocks
+PINNED_GMC_SDPA = [
+    ((0.25, 0.25, 0.5), "f4da4b9cb3a836ea1603f7b24671f1cfb7416f0d55ab9bd2c34ced9c19aed5d8"),
+]
+
+
+def assert_pinned_and_reparsed(text, digest):
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the parser reads back exactly the program that was written
+    assert export_sdpa(parse_sdpa(text)) == text
 
 
 @pytest.mark.parametrize("tag,seed,method,policy,digest", PINNED_SDPA)
 def test_assembled_sdpa_is_pinned(tag, seed, method, policy, digest):
     inst = gen_instance(tag, seed)
     prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box, policy)
-    text = export_sdpa(prog.lowered())
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert_pinned_and_reparsed(export_sdpa(prog.lowered()), digest)
+
+
+@pytest.mark.parametrize("lambdas,digest", PINNED_GMC_SDPA)
+def test_gmc_tower_sdpa_is_pinned(lambdas, digest):
+    assert_pinned_and_reparsed(export_sdpa(gmc_to_psd2(lambdas)), digest)

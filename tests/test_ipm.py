@@ -23,6 +23,13 @@ def sym(rows):
     return np.array(rows, dtype=float)
 
 
+def entries(coeff):
+    """Block entries (col, i, j) -> v, i <= j, of {col: dense symmetric matrix};
+    zeros are kept, so an all-zero matrix keeps its column in the block."""
+    return {(col, i, j): float(M[i, j])
+            for col, M in coeff.items() for i in range(len(M)) for j in range(i, len(M))}
+
+
 def case_builders():
     cases = []
 
@@ -139,14 +146,14 @@ def case_builders():
 
     def inf4():
         p = prog(1)
-        p.add_block(2, {0: sym([[0, 1], [1, 0]])}, sym([[-1, 0], [0, -1]]))
+        p.add_block(2, entries({0: sym([[0, 1], [1, 0]])}), sym([[-1, 0], [0, -1]]))
         p.add_ineq({0: 1}, 0)
         return p
     add("inf_negative_diag_psd", inf4, "infeasible")
 
     def inf5():
         p = prog(1)
-        p.add_block(2, {0: sym([[1, 0], [0, 0]])}, sym([[0, 2], [2, 0.1]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 0]])}), sym([[0, 2], [2, 0.1]]))
         p.add_ineq({0: -1}, -1)  # x <= 1 but psd needs x >= 40
         return p
     add("inf_psd_vs_row", inf5, "infeasible")
@@ -171,7 +178,7 @@ def case_builders():
 
     def unb4():
         p = prog(1); p.c[:] = [-1]
-        p.add_block(2, {0: sym([[1, 0], [0, 0]])}, sym([[0, 0], [0, 1]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 0]])}), sym([[0, 0], [0, 1]]))
         return p
     add("unb_psd_ray", unb4, "unbounded")
 
@@ -184,27 +191,27 @@ def case_builders():
     # --- semidefinite -----------------------------------------------------
     def sdp1():
         p = prog(2); p.c[:] = [0, 1]
-        p.add_block(2, {0: sym([[0, 1], [1, 0]]), 1: sym([[0, 0], [0, 1]])},
+        p.add_block(2, entries({0: sym([[0, 1], [1, 0]]), 1: sym([[0, 0], [0, 1]])}),
                     sym([[1, 0], [0, 0]]))
         return p
     add("sdp_moment_v2", sdp1, "optimal", 0.0)
 
     def sdp2():
         p = prog(1); p.c[:] = [1]
-        p.add_block(2, {0: sym([[1, 0], [0, 1]])}, sym([[0, 1], [1, 0]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), sym([[0, 1], [1, 0]]))
         return p
     add("sdp_abs_bound", sdp2, "optimal", 1.0)
 
     def sdp3():
         p = prog(2); p.c[:] = [1, 1]
-        p.add_block(2, {0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])},
+        p.add_block(2, entries({0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])}),
                     sym([[0, 1], [1, 0]]))
         return p
     add("sdp_amgm", sdp3, "optimal", 2.0)
 
     def sdp4():
         p = prog(2); p.c[:] = [1, 0]
-        p.add_block(2, {0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])},
+        p.add_block(2, entries({0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])}),
                     sym([[0, 0.5], [0.5, 0]]))
         p.add_eq({0: 1, 1: 1}, 1.25)
         return p
@@ -212,19 +219,19 @@ def case_builders():
 
     def sdp5():
         p = prog(1); p.c[:] = [1]
-        p.add_block(2, {0: sym([[1, 0], [0, 1]])}, sym([[-1, 0], [0, -2]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), sym([[-1, 0], [0, -2]]))
         return p
     add("sdp_lambda_max", sdp5, "optimal", 2.0)
 
     def sdp6():
         p = prog(1); p.c[:] = [-1]
-        p.add_block(2, {0: sym([[-1, 0], [0, -1]])}, sym([[2, 1], [1, 2]]))
+        p.add_block(2, entries({0: sym([[-1, 0], [0, -1]])}), sym([[2, 1], [1, 2]]))
         return p
     add("sdp_lambda_min", sdp6, "optimal", -1.0)
 
     def sdp7():
         p = prog(2); p.c[:] = [1, 1]
-        p.add_block(2, {0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])},
+        p.add_block(2, entries({0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])}),
                     sym([[0, 1], [1, 0]]))
         p.add_ineq({0: -1}, -4)
         return p
@@ -238,28 +245,28 @@ def case_builders():
             2: sym([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
             3: sym([[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
         }
-        p.add_block(3, coeff, sym([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+        p.add_block(3, entries(coeff), sym([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
         p.add_eq({0: 1}, 0.5)
         return p
     add("sdp_fourth_moment", sdp8, "optimal", 0.0625)
 
     def sdp9():
         p = prog(1); p.c[:] = [1]
-        p.add_block(2, {0: sym([[1, 0], [0, 1]])}, sym([[0, 0], [0, 0]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), sym([[0, 0], [0, 0]]))
         return p
     add("sdp_degenerate_diag", sdp9, "optimal", 0.0)
 
     def sdp10():
         # two blocks sharing a variable: x >= 1 from block 1, minimize x + y
         p = prog(2); p.c[:] = [1, 1]
-        p.add_block(2, {0: sym([[1, 0], [0, 1]])}, sym([[0, 1], [1, 0]]))
-        p.add_block(2, {1: sym([[1, 0], [0, 1]])}, sym([[0, 2], [2, 0]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), sym([[0, 1], [1, 0]]))
+        p.add_block(2, entries({1: sym([[1, 0], [0, 1]])}), sym([[0, 2], [2, 0]]))
         return p
     add("sdp_two_blocks", sdp10, "optimal", 3.0)
 
     def mixed1():
         p = prog(3); p.c[:] = [1, 1, 1]
-        p.add_block(2, {0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])},
+        p.add_block(2, entries({0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])}),
                     sym([[0, 1], [1, 0]]))
         p.add_ineq({2: 1}, 0.5)
         p.add_eq({0: 1, 1: -1}, 0.0)
@@ -442,9 +449,10 @@ def test_standard_form_stacks_rows_then_blocks():
     # they are the program's data
     p = prog(3)
     p.add_ineq({2: -1.0, 0: 2.0}, 1.0)
-    p.add_block(2, {0: sym([[1, 2], [0, 3]]), 2: sym([[0, 1], [1, 0]])}, sym([[1, 0], [0, 1]]))
+    p.add_block(2, entries({0: sym([[1, 1], [1, 3]]), 2: sym([[0, 1], [1, 0]])}),
+                sym([[1, 0], [0, 1]]))
     p.add_ineq({1: 4.0}, -2.0)
-    p.add_block(3, {1: np.diag([1.0, 2.0, 3.0])}, np.eye(3))
+    p.add_block(3, entries({1: np.diag([1.0, 2.0, 3.0])}), np.eye(3))
     sf = _StandardForm(p)
     ref_G = np.zeros((2 + 4 + 9, 3))
     ref_G[0, [0, 2]] = [-2.0, 1.0]
@@ -606,7 +614,7 @@ def _single_block():
     E = [np.zeros((3, 3)) for _ in range(3)]
     for k, (a, b) in enumerate([(0, 1), (0, 2), (1, 2)]):
         E[k][a, b] = E[k][b, a] = 1.0
-    p.add_block(3, dict(enumerate(E)), np.eye(3))
+    p.add_block(3, entries(dict(enumerate(E))), np.eye(3))
     return p
 
 
@@ -733,8 +741,8 @@ def _shared_column_blocks():
     # large enough for the sparse Schur formula (with an all-zero column too)
     p = prog(4); p.c[:] = [1, 1, 1, 1]
     p.add_ineq({0: 1.0, 2: 0.0}, 0.5)
-    p.add_block(2, {0: sym([[1, 0], [0, 0]]), 1: sym([[0, 1], [1, 0]])}, np.eye(2))
-    p.add_block(3, {1: np.diag([1.0, 2.0, 3.0]), 2: np.zeros((3, 3))}, np.eye(3))
+    p.add_block(2, entries({0: sym([[1, 0], [0, 0]]), 1: sym([[0, 1], [1, 0]])}), np.eye(2))
+    p.add_block(3, entries({1: np.diag([1.0, 2.0, 3.0]), 2: np.zeros((3, 3))}), np.eye(3))
     m = DENSE_BLOCK_MAX + 1
     rng = np.random.default_rng(2)
     coeff = {j: np.zeros((m, m)) for j in (0, 2, 3)}
@@ -742,7 +750,7 @@ def _shared_column_blocks():
         if j != 2:
             a, b = rng.integers(0, m, 5), rng.integers(0, m, 5)
             M[a, b] = M[b, a] = rng.standard_normal(5)
-    p.add_block(m, coeff, np.eye(m))
+    p.add_block(m, entries(coeff), np.eye(m))
     return p
 
 
@@ -755,10 +763,12 @@ def _reference_G_h(p):
     pieces = [sps.csr_array((data, indices, indptr), shape=(l, n))]
     h = [-np.array([row.rhs for row in p.ineqs], dtype=float)]
     for blk in p.blocks:
-        m, cols = blk.size, np.array(sorted(blk.coeff), dtype=int)
-        F2 = np.array([_sym2(blk.coeff[j]) for j in cols])
-        P = sps.csr_array(-F2.reshape(len(cols), m * m).T)
-        pieces.append(sps.csr_array((P.data, cols[P.indices], P.indptr), shape=(m * m, n)))
+        # each entry scattered into a dense -vec(F_col) column, both triangles
+        m = blk.size
+        F = np.zeros((m, m, n))
+        for (col, i, j), v in blk.entries.items():
+            F[i, j, col] = F[j, i, col] = -v
+        pieces.append(sps.csr_array(F.reshape(m * m, n)))
         h.append(_sym2(blk.const).ravel())
     G = sps.vstack(pieces, format="csr")
     G.eliminate_zeros()

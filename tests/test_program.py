@@ -17,6 +17,12 @@ from patternrelax.program import (
 )
 
 
+def entries(coeff):
+    """Block entries (col, i, j) -> v, i <= j, of {col: dense symmetric matrix}."""
+    return {(col, i, j): float(M[i, j])
+            for col, M in coeff.items() for i in range(len(M)) for j in range(i, len(M))}
+
+
 def gmc_program(lambdas, sign_mode="even"):
     """Columns: [y, t_0, ..., t_k] with one GMC record."""
     k = len(lambdas)
@@ -118,7 +124,7 @@ def sdp_program():
     prog.c[:] = [0.0, 1.0]
     prog.add_block(
         2,
-        {0: np.array([[0.0, 1.0], [1.0, 0.0]]), 1: np.array([[0.0, 0.0], [0.0, 1.0]])},
+        entries({0: np.array([[0.0, 1.0], [1.0, 0.0]]), 1: np.array([[0.0, 0.0], [0.0, 1.0]])}),
         np.array([[1.0, 0.0], [0.0, 0.0]]),
     )
     return prog
@@ -167,7 +173,7 @@ def test_sdpa_round_trip_random_programs():
         if rng.uniform() < 0.5:
             m = 2
             coeff = {j: _sym(rng, m) for j in range(n)}
-            prog.add_block(m, coeff, np.eye(m) * float(rng.uniform(0.5, 2.0)))
+            prog.add_block(m, entries(coeff), np.eye(m) * float(rng.uniform(0.5, 2.0)))
         r1 = solve(prog)
         if r1.status != "optimal":
             continue
@@ -201,6 +207,14 @@ def test_parse_sdpa_rejects_malformed():
         parse_sdpa("1\n1\n")
     with pytest.raises(ValueError):
         parse_sdpa("1\n1\n-1\n0.0\n0 1 1 2 1.0\n")  # off-diagonal in diag block
+    with pytest.raises(ValueError):
+        parse_sdpa("1\n1\n2\n0.0\n1 1 0 2 1.0\n")  # index 0 would wrap to the last
+    with pytest.raises(ValueError):
+        parse_sdpa("1\n1\n-1\n0.0\n1 1 2 2 1.0\n")  # beyond a diagonal block
+    with pytest.raises(ValueError):
+        parse_sdpa("1\n1\n2\n0.0\n3 1 1 1 1.0\n")  # matrix 3 of one variable
+    with pytest.raises(ValueError):
+        parse_sdpa("1\n1\n2\n0.0\n1 2 1 1 1.0\n")  # block 2 of one
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ Each line is ``<instance id>:<sense> <digest>``. The digest covers every
 field of the result in declaration order: floats and arrays by their raw
 bytes (with dtype and shape), lists, tuples and dicts element by element,
 so two commits solve bit-identically exactly when their outputs ``diff``
-clean. Each solve's status, iteration count and wall time go to stderr as
-``<instance id>:<sense> <status> <iterations> it <seconds> s``, where the
-time covers assemble, lower and solve, so stdout holds only the digests.
+clean. Each solve's status, iteration count, wall time and the process's
+peak RSS so far go to stderr as
+``<instance id>:<sense> <status> <iterations> it <seconds> s <MB> MB peak RSS``,
+where the time covers assemble, lower and solve, so stdout holds only the
+digests.
 Instances come from ``patternrelax.bench.gen_instance`` and pass through
 assemble, lower and solve with the default policy and solver configuration,
 as in ``patternrelax solve``. BLAS is pinned to one thread, as in the tests
@@ -29,6 +31,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import resource  # noqa: E402
 import struct  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -95,8 +98,9 @@ def main(argv=None) -> None:
             _, res = solve_instance(inst.f, fam, inst.box, sense=sense)
             wall = time.perf_counter() - start
             print(f"{inst.id}:{sense} {digest(res)}", flush=True)
-            print(f"{inst.id}:{sense} {res.status} {res.iterations} it {wall:.3f} s",
-                  file=sys.stderr, flush=True)
+            rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+            print(f"{inst.id}:{sense} {res.status} {res.iterations} it {wall:.3f} s "
+                  f"{rss_mb:.0f} MB peak RSS", file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":
