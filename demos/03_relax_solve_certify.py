@@ -7,14 +7,7 @@ independently re-expanded certificates and a brute-force scan.
 
 import numpy as np
 
-from patternrelax import (
-    Box,
-    Polynomial,
-    assemble_relaxation,
-    extract_certificate,
-    solve_relaxation,
-    verify_certificate,
-)
+from patternrelax import Box, Polynomial, solve_relaxation
 from patternrelax.bench import brute_force_min, family_for_method
 
 f = Polynomial(2, {(2, 1): 1.0, (1, 1): -1.0, (0, 2): 0.3, (1, 0): -0.5})
@@ -27,27 +20,23 @@ print()
 
 for method in ("M", "H"):
     fam = family_for_method(method, f)
-    prog = assemble_relaxation(f, fam, box)
-    lowered, result = solve_relaxation(prog)
+    rel = solve_relaxation(f, fam, box)
+    lowered, result = rel.program, rel.result
     print(f"method {method}: {len(fam)} patterns -> {lowered.ncols} variables, "
           f"{len(lowered.ineqs)} rows, {len(lowered.blocks)} PSD blocks")
     print(f"  status {result.status} after {result.iterations} iterations")
-    print(f"  lower bound {result.primal:.9f}  (dual {result.dual:.9f})")
-    cert = extract_certificate(lowered, result)
-    report = verify_certificate(cert, f, box)
+    print(f"  lower bound {rel.bound:.9f}  (dual {result.dual:.9f})")
+    cert, report = rel.certify()
     kinds = {}
     for piece in cert.pieces:
         kinds[piece.kind] = kinds.get(piece.kind, 0) + 1
     print(f"  certificate kind={cert.kind}, pieces={kinds}")
     print(f"  independent verification: {report}")
-    gap = oracle.value - result.primal
+    gap = oracle.value - rel.bound
     print(f"  oracle gap (>= 0): {gap:.3e}")
     print()
 
 # a maximization run: the certificate then bounds -f from below
-fam = family_for_method("H", f)
-prog = assemble_relaxation(f, fam, box, sense="max")
-lowered, result = solve_relaxation(prog)
-print(f"maximization with H: upper bound {-result.primal:.9f}")
-cert = extract_certificate(lowered, result)
-print(f"  verification on -f: {verify_certificate(cert, -f, box)}")
+rel = solve_relaxation(f, family_for_method("H", f), box, sense="max")
+print(f"maximization with H: upper bound {rel.bound:.9f}")
+print(f"  verification on -f: {rel.certify()[1]}")

@@ -12,7 +12,6 @@ import numpy as np
 from patternrelax import (
     Box,
     Polynomial,
-    assemble_relaxation,
     solve_relaxation,
     tssos_partition,
     univariate_sparse_family,
@@ -25,8 +24,7 @@ f = Polynomial(1, {(10,): 0.4, (7,): -1.0, (3,): 0.8, (2,): -0.3, (0,): 0.5})
 fam = univariate_sparse_family({0, 2, 3, 7, 10})
 print(f"support {{0,2,3,7,10}} (5 terms, so k=2): {len(fam)} shifted blocks, "
       f"each 5 monomials wide")
-prog = assemble_relaxation(f, fam, Box.nonneg_orthant(1))
-lowered, result = solve_relaxation(prog)
+bound = solve_relaxation(f, fam, Box.nonneg_orthant(1)).bound
 
 coeffs = np.zeros(11)
 for (k,), c in f.terms.items():
@@ -34,8 +32,8 @@ for (k,), c in f.terms.items():
 deriv = np.array([k * coeffs[k] for k in range(1, 11)])
 crit = [r.real for r in np.roots(deriv[::-1]) if abs(r.imag) < 1e-9 and r.real > 0]
 oracle = min([coeffs[0]] + [f.evaluate([x]) for x in crit])
-print(f"  relaxation bound: {result.primal:.9f}")
-print(f"  true infimum:     {oracle:.9f}   (|diff| = {abs(result.primal - oracle):.2e})")
+print(f"  relaxation bound: {bound:.9f}")
+print(f"  true infimum:     {oracle:.9f}   (|diff| = {abs(bound - oracle):.2e})")
 print()
 
 # --- term-sparsity partition -------------------------------------------------
@@ -47,8 +45,7 @@ print(f"partition of the degree-2 basis for an even-support quartic:")
 for blk in blocks:
     print(f"  block {sorted(blk)}")
 box = Box.full_space(2)
-_, sparse = solve_relaxation(assemble_relaxation(
-    g, family_for_method("tssos-sos", g), box))
-_, dense = solve_relaxation(assemble_relaxation(g, dense_sos_family(2, 2), box))
-print(f"  sparse bound {sparse.primal:.9f} vs dense {dense.primal:.9f} "
-      f"(|diff| = {abs(sparse.primal - dense.primal):.2e})")
+sparse = solve_relaxation(g, family_for_method("tssos-sos", g), box).bound
+dense = solve_relaxation(g, dense_sos_family(2, 2), box).bound
+print(f"  sparse bound {sparse:.9f} vs dense {dense:.9f} "
+      f"(|diff| = {abs(sparse - dense):.2e})")

@@ -27,7 +27,7 @@ from .certificates import (
     verify_sos,
 )
 from .io import export_instance_json, import_instance_json
-from .ipm import SolveResult, SolverConfig, solve, solve_relaxation
+from .ipm import SolveResult, SolverConfig, solve
 from .models import (
     ModelPolicy,
     MomentModel,
@@ -58,6 +58,7 @@ from .patterns import (
     tssos_partition,
     univariate_sparse_family,
 )
+from .pipeline import Relaxation, solve_relaxation
 from .polynomials import (
     Box,
     Interval,

@@ -14,8 +14,6 @@ import itertools
 import math
 import warnings
 
-import numpy as np
-
 from .models import ModelPolicy, model_for_pattern
 from .patterns import PatternFamily
 from .polynomials import (
@@ -157,7 +155,7 @@ def assemble_relaxation(
                     "sos",
                     {"basis": block.basis, "multiplier_factors": block.multiplier_factors},
                 )
-            prog.add_block(m, entries, np.zeros((m, m)), piece=piece)
+            prog.add_block(m, entries, piece=piece)
 
     for model, pieces in zip(models, group_pieces):
         for rec in model.gmcs:

@@ -11,13 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assemble import assemble_relaxation
-from .ipm import SolverConfig, solve, solve_relaxation
+from .ipm import SolverConfig
 from .models import ModelPolicy
 from .patterns import (
     FAMILY_BUILDERS,
@@ -27,6 +25,7 @@ from .patterns import (
     univariate_sparse_family,
     Pattern,
 )
+from .pipeline import solve_relaxation
 from .polynomials import (Box, Polynomial, degrees_up_to, minkowski_sum, monomial_range,
                           zero_exponent)
 
@@ -276,12 +275,6 @@ def trivial_bounds(f: Polynomial, box: Box) -> tuple:
     return tmin, tmax
 
 
-def solve_instance(f, fam, box, policy=None, sense="min", cfg=None):
-    """Assemble, lower, and solve; returns (lowered program, result)."""
-    prog = assemble_relaxation(f, fam, box, policy, sense)
-    return solve_relaxation(prog, cfg or SolverConfig())
-
-
 def _tightness(f: Polynomial, box: Box, bounds) -> float:
     """(vmax - vmin) / (trivmax - trivmin), clipped to [0, 1+1e-6].
 
@@ -301,13 +294,12 @@ def triv_criterion(f: Polynomial, box: Box, fam: PatternFamily,
     """(max-relax - min-relax) / (trivmax - trivmin), clipped to [0, 1+1e-6]."""
 
     def bounds():
-        _, rmin = solve_instance(f, fam, box, policy, "min", cfg)
-        _, rmax = solve_instance(f, fam, box, policy, "max", cfg)
-        if rmin.status != "optimal" or rmax.status != "optimal":
-            raise RuntimeError(
-                f"triv criterion needs optimal solves, got {rmin.status}/{rmax.status}"
-            )
-        return rmin.primal, -rmax.primal  # max solve minimizes -f
+        rmin = solve_relaxation(f, fam, box, "min", policy, cfg)
+        rmax = solve_relaxation(f, fam, box, "max", policy, cfg)
+        statuses = (rmin.result.status, rmax.result.status)
+        if statuses != ("optimal", "optimal"):
+            raise RuntimeError("triv criterion needs optimal solves, got %s/%s" % statuses)
+        return rmin.bound, rmax.bound
 
     return _tightness(f, box, bounds)
 
@@ -334,41 +326,27 @@ class BenchConfig:
 
 
 def _bench_one(inst: Instance, method: str, cfg: BenchConfig) -> list:
-    records = []
-    values = {}
+    """The min and max rows of one (instance, method) pair.
+
+    A failure is recorded in the row's status, never raised.  time_s is the
+    solve time alone, 0 in a row whose solve did not run.
+    """
+    runs = {}  # sense -> (value, status, iters, time_s)
     try:
         fam = family_for_method(method, inst.f)
-    except Exception as exc:  # record the failure, never abort the run
         for sense in ("min", "max"):
-            records.append(BenchRecord(inst.id, inst.tag, method, sense,
-                                       math.nan, math.nan, f"error:{exc}", 0, 0.0))
-        return records
-    statuses = {}
-    iters = {}
-    times = {}
-    for sense in ("min", "max"):
-        t0 = time.perf_counter()
-        try:
-            prog = assemble_relaxation(inst.f, fam, inst.box, cfg.policy, sense)
-            lowered = prog.lowered(cfg.solver.gmc_denominator_cap)
-            t0 = time.perf_counter()  # time_s is the solve time alone
-            res = solve(lowered, cfg.solver)
-            status, it = res.status, res.iterations
-            val = res.primal if sense == "min" else -res.primal
-        except Exception as exc:
-            status, it, val = f"error:{exc}", 0, math.nan
-        times[sense] = time.perf_counter() - t0
-        statuses[sense] = status
-        iters[sense] = it
-        values[sense] = val
+            try:
+                rel = solve_relaxation(inst.f, fam, inst.box, sense, cfg.policy, cfg.solver)
+                runs[sense] = (rel.bound, rel.result.status, rel.result.iterations, rel.solve_s)
+            except Exception as exc:
+                runs[sense] = (math.nan, f"error:{exc}", 0, 0.0)
+    except Exception as exc:
+        runs = dict.fromkeys(("min", "max"), (math.nan, f"error:{exc}", 0, 0.0))
     triv = math.nan
-    if statuses["min"] == "optimal" and statuses["max"] == "optimal":
-        triv = _tightness(inst.f, inst.box, lambda: (values["min"], values["max"]))
-    for sense in ("min", "max"):
-        records.append(BenchRecord(inst.id, inst.tag, method, sense,
-                                   values[sense], triv, statuses[sense],
-                                   iters[sense], times[sense]))
-    return records
+    if runs["min"][1] == runs["max"][1] == "optimal":
+        triv = _tightness(inst.f, inst.box, lambda: (runs["min"][0], runs["max"][0]))
+    return [BenchRecord(inst.id, inst.tag, method, sense, value, triv, status, it, t)
+            for sense, (value, status, it, t) in runs.items()]
 
 
 def run_benchmark(cfg: BenchConfig) -> tuple:

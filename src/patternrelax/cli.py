@@ -12,14 +12,8 @@ from .bench import BenchConfig, family_for_method, gen_instance, records_to_csv,
 from .certificates import (Certificate, CertificateError, extract_certificate,
                            verify_certificate)
 from .io import export_instance_json, import_instance_json
-from .ipm import solve_relaxation
-from .models import ModelPolicy
+from .pipeline import solve_relaxation
 from .program import export_sdpa
-
-
-def _load_instance(path: str):
-    f, box, fam, meta = import_instance_json(Path(path).read_text())
-    return f, box, fam, meta
 
 
 def _family_for(args, f, fam_from_file):
@@ -39,9 +33,9 @@ def cmd_gen(args):
 
 
 def cmd_relax(args):
-    f, box, fam_file, _ = _load_instance(args.instance)
+    f, box, fam_file, _ = import_instance_json(Path(args.instance).read_text())
     fam = _family_for(args, f, fam_file)
-    prog = assemble_relaxation(f, fam, box, ModelPolicy(), args.sense)
+    prog = assemble_relaxation(f, fam, box, sense=args.sense)
     lowered = prog.lowered()
     text = export_sdpa(lowered)
     Path(args.export_sdpa).write_text(text)
@@ -50,25 +44,24 @@ def cmd_relax(args):
 
 
 def cmd_solve(args):
-    f, box, fam_file, _ = _load_instance(args.instance)
+    f, box, fam_file, _ = import_instance_json(Path(args.instance).read_text())
     fam = _family_for(args, f, fam_file)
-    prog = assemble_relaxation(f, fam, box, ModelPolicy(), args.sense)
-    lowered, result = solve_relaxation(prog)
-    value = result.primal if args.sense == "min" else -result.primal
+    rel = solve_relaxation(f, fam, box, args.sense)
+    result = rel.result
     print(f"status: {result.status}")
-    print(f"value:  {value:.10g}")
+    print(f"value:  {rel.bound:.10g}")
     print(f"dual:   {result.dual:.10g}  iters: {result.iterations}")
     if args.certificate:
         if result.status != "optimal":
             raise SystemExit(f"no certificate: solver status {result.status}")
-        cert = extract_certificate(lowered, result)
+        cert = extract_certificate(rel.program, result)
         Path(args.certificate).write_text(cert.dumps())
         print(f"wrote certificate {args.certificate} (lambda={cert.lam:.10g})")
     return 0 if result.status == "optimal" else 2
 
 
 def cmd_verify(args):
-    f, box, _, _ = _load_instance(args.instance)
+    f, box, _, _ = import_instance_json(Path(args.instance).read_text())
     try:
         cert = Certificate.loads(Path(args.certificate).read_text())
     except CertificateError as exc:

@@ -244,7 +244,10 @@ class _StandardForm:
             rows += [o + i * m + j, o + j[off] * m + i[off]]
             cols += [col, col[off]]
             vals += [-v, -v[off]]
-            h.append(_sym(blk.const).ravel())
+            hb = np.zeros((m, m))
+            for (a, b), c in blk.const.items():
+                hb[a, b] = hb[b, a] = c
+            h.append(hb.ravel())
             block_cols.append(np.unique(col))
         rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
         keep = vals != 0.0
@@ -709,17 +712,6 @@ def solve(prog: ConicProgram, cfg: SolverConfig | None = None) -> SolveResult:
         return SolveResult("unbounded", -math.inf, -math.inf,
                            residuals={"certificate": 0.0}, iterations=0)
     return _solve_hsde(sf, cfg)
-
-
-def solve_relaxation(prog: ConicProgram, cfg: SolverConfig | None = None):
-    """Lower a freshly assembled program and solve it.
-
-    Returns (lowered_program, result); duals in the result are indexed
-    against the lowered program's constraint lists.
-    """
-    cfg = cfg or SolverConfig()
-    lowered = prog.lowered(cfg.gmc_denominator_cap)
-    return lowered, solve(lowered, cfg)
 
 
 def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:

@@ -41,12 +41,13 @@ class PSDBlockData:
 
     Each entry (col, i, j) -> v with i <= j sets F_col[i, j] = F_col[j, i] = v,
     as in SDPA. The block's columns are those of its entries; an entry may be
-    zero.
+    zero. const holds the constant matrix the same way, (i, j) -> v; it is
+    empty on assembled blocks, whose constant part is homogenized onto v_0.
     """
 
     size: int
     entries: dict  # (col, i, j) -> float, i <= j
-    const: np.ndarray  # (m, m) symmetric
+    const: dict = field(default_factory=dict)  # (i, j) -> float, i <= j
     piece: int | None = None
 
 
@@ -98,8 +99,8 @@ class ConicProgram:
     def add_ineq(self, coeff: dict, rhs: float = 0.0, piece=None):
         self.ineqs.append(LinRow(dict(coeff), float(rhs), piece))
 
-    def add_block(self, size, entries, const, piece=None):
-        self.blocks.append(PSDBlockData(size, dict(entries), np.asarray(const, float), piece))
+    def add_block(self, size, entries, const=None, piece=None):
+        self.blocks.append(PSDBlockData(size, dict(entries), dict(const or {}), piece))
 
     # -- lowering of geometric-mean cones -------------------------------------
 
@@ -111,7 +112,7 @@ class ConicProgram:
         out.c = self.c.copy()
         out.eqs = [LinRow(dict(r.coeff), r.rhs, r.piece) for r in self.eqs]
         out.ineqs = [LinRow(dict(r.coeff), r.rhs, r.piece) for r in self.ineqs]
-        out.blocks = [PSDBlockData(b.size, dict(b.entries), b.const.copy(), b.piece)
+        out.blocks = [PSDBlockData(b.size, dict(b.entries), dict(b.const), b.piece)
                       for b in self.blocks]
         out.pieces = [Piece(p.kind, dict(p.payload)) for p in self.pieces]
         out.meta = dict(self.meta)
@@ -158,7 +159,9 @@ class ConicProgram:
             val = sum(c * v[j] for j, c in row.coeff.items()) - row.rhs
             worst = max(worst, -val)
         for blk in self.blocks:
-            M = blk.const.copy()
+            M = np.zeros((blk.size, blk.size))
+            for (i, j), c in blk.const.items():
+                M[i, j] = M[j, i] = c
             for (col, i, j), c in blk.entries.items():
                 M[i, j] += v[col] * c
                 if i != j:
@@ -238,7 +241,7 @@ def _lower_gmc(prog: ConicProgram, rec: GMCData, cap: int):
     def pair_block(a_col, b_col, node_col):
         # [[a, node], [node, b]] >= 0
         entries = {(a_col, 0, 0): 1.0, (b_col, 1, 1): 1.0, (node_col, 0, 1): 1.0}
-        prog.add_block(2, entries, np.zeros((2, 2)), piece=piece)
+        prog.add_block(2, entries, piece=piece)
 
     level = slots
     while len(level) > 2:
@@ -307,9 +310,8 @@ def export_sdpa(prog: ConicProgram) -> str:
                     entries.append((col + 1, 1, r, r, c))
     for bi, blk in enumerate(prog.blocks, start=1):
         blkno = blk0 + bi
-        F0 = -blk.const
-        entries.extend((0, blkno, i + 1, j + 1, F0[i, j])
-                       for i, j in zip(*np.nonzero(np.triu(F0))))
+        # SDPA's F0 is the negated constant: F(x) = sum_col x_col F_col - F0
+        entries.extend((0, blkno, i + 1, j + 1, -v) for (i, j), v in blk.const.items() if v)
         entries.extend((col + 1, blkno, i + 1, j + 1, v)
                        for (col, i, j), v in blk.entries.items() if v)
     entries.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
@@ -340,7 +342,7 @@ def parse_sdpa(text: str) -> ConicProgram:
     cvec = [float(tok) for tok in rows[3].replace(",", " ").split()]
     if len(cvec) != nvars:
         raise ValueError("SDPA objective line does not match variable count")
-    found = [[] for _ in sizes]  # per block: (matno, i, j, value), i <= j, 0-based
+    found = [{} for _ in sizes]  # per block: (matno, i, j) -> value, i <= j, 0-based
     for line in rows[4:]:
         toks = line.split()
         if len(toks) != 5:
@@ -353,27 +355,25 @@ def parse_sdpa(text: str) -> ConicProgram:
             raise ValueError(f"SDPA entry index out of range: {line!r}")
         if sizes[b - 1] < 0 and i != j:
             raise ValueError("off-diagonal entry in a diagonal block")
-        found[b - 1].append((k, min(i, j) - 1, max(i, j) - 1, v))
+        key = (k, min(i, j) - 1, max(i, j) - 1)
+        if key in found[b - 1]:  # neither summed nor replaced, in any block
+            raise ValueError(f"repeated SDPA entry: {line!r}")
+        found[b - 1][key] = v
     prog = ConicProgram(nvars)
     prog.c = np.array(cvec)
     for size, items in zip(sizes, found):
         if size < 0:  # diagonal block -> inequality rows
             row_coeffs = [dict() for _ in range(-size)]
             diag_rhs = np.zeros(-size)
-            for k, i, _, v in items:
+            for (k, i, _), v in items.items():
                 if k == 0:
                     diag_rhs[i] = v
                 else:
-                    row_coeffs[i][k - 1] = row_coeffs[i].get(k - 1, 0.0) + v
+                    row_coeffs[i][k - 1] = v
             for coeff, rhs in zip(row_coeffs, diag_rhs):
                 prog.add_ineq(coeff, rhs)
-        else:  # a repeated entry replaces the earlier one
-            const = np.zeros((size, size))
-            entries = {}
-            for k, i, j, v in items:
-                if k == 0:
-                    const[i, j] = const[j, i] = v
-                else:
-                    entries[(k - 1, i, j)] = v
-            prog.add_block(size, entries, -const)
+        else:
+            const = {(i, j): -v for (k, i, j), v in items.items() if k == 0}
+            entries = {(k - 1, i, j): v for (k, i, j), v in items.items() if k != 0}
+            prog.add_block(size, entries, const)
     return prog

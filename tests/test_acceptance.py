@@ -22,7 +22,7 @@ from patternrelax.models import ModelPolicy, build_lasserre_model, build_mccormi
 from patternrelax.patterns import Pattern, make_circuit, make_sdsos
 from patternrelax.polynomials import Box, Polynomial, degrees_up_to
 
-SOLVES = []  # (lowered program, result, minimized objective, box) for criterion 7
+SOLVES = []  # optimal relaxations, for criterion 7
 
 
 def _report(num, ok, detail):
@@ -32,11 +32,10 @@ def _report(num, ok, detail):
 
 
 def solve_with_family(f, fam, box, sense="min", policy=None):
-    prog = pr.assemble_relaxation(f, fam, box, policy, sense)
-    lowered, result = pr.solve_relaxation(prog)
-    if result.status == "optimal":
-        SOLVES.append((lowered, result, f if sense == "min" else -f, box))
-    return result
+    rel = pr.solve_relaxation(f, fam, box, sense, policy)
+    if rel.result.status == "optimal":
+        SOLVES.append(rel)
+    return rel.result
 
 
 def row_signature(model):
@@ -277,12 +276,12 @@ def test_criterion_7_duality_round_trip():
     assert SOLVES, "criteria 3-6 must run before the duality audit"
     worst_gap = 0.0
     worst_lam = 0.0
-    for lowered, result, f_min, box in SOLVES:
+    for rel in SOLVES:
+        result = rel.result
         gap = abs(result.primal - result.dual) / (1.0 + abs(result.primal))
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-6
-        cert = pr.extract_certificate(lowered, result)
-        report = pr.verify_certificate(cert, f_min, box)
+        cert, report = rel.certify()
         assert report.passed, report.problems
         lam_err = abs(cert.lam - result.dual) / (1.0 + abs(result.dual))
         worst_lam = max(worst_lam, lam_err)
@@ -341,15 +340,11 @@ def test_criterion_9_figure5_qualitative():
             for seed in range(1, 21):
                 inst = gen_instance(tag, seed)
                 fam = family_for_method(method, inst.f)
-                vals = {}
-                for sense in ("min", "max"):
-                    prog = pr.assemble_relaxation(inst.f, fam, inst.box,
-                                                  sense=sense)
-                    _, r = pr.solve_relaxation(prog)
-                    assert r.status == "optimal", (tag, method, seed, sense)
-                    vals[sense] = r.primal if sense == "min" else -r.primal
+                rmin, rmax = (pr.solve_relaxation(inst.f, fam, inst.box, sense)
+                              for sense in ("min", "max"))
+                assert rmin.result.status == rmax.result.status == "optimal", (tag, method, seed)
                 tmin, tmax = trivial_bounds(inst.f, inst.box)
-                trivs.append((vals["max"] - vals["min"]) / (tmax - tmin))
+                trivs.append((rmax.bound - rmin.bound) / (tmax - tmin))
             medians[(tag, method)] = float(np.median(trivs))
     ok = (medians[("A5", "C")] <= medians[("A5", "M")]
           and medians[("A6", "C")] <= medians[("A6", "M")]

@@ -5,24 +5,18 @@ import pytest
 
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import brute_force_min, family_for_method, gen_instance
-from patternrelax.ipm import solve_relaxation
-from patternrelax.models import ModelPolicy, build_lasserre_model
-from patternrelax.patterns import PatternFamily, chain_family, multilinear_family
-from patternrelax.polynomials import Box, Polynomial, linearize
+from patternrelax.models import ModelPolicy
+from patternrelax.patterns import (PatternFamily, chain_family, multilinear_family,
+                                   submonoid_pattern)
+from patternrelax.pipeline import solve_relaxation
+from patternrelax.polynomials import Box, Polynomial, monomial_range
 from patternrelax.program import export_sdpa, gmc_to_psd2, parse_sdpa
 
 
-def entries(coeff):
-    """Block entries (col, i, j) -> v, i <= j, of {col: dense symmetric matrix}."""
-    return {(col, i, j): float(M[i, j])
-            for col, M in coeff.items() for i in range(len(M)) for j in range(i, len(M))}
-
-
 def value_of(f, fam, box, policy=None, sense="min"):
-    prog = assemble_relaxation(f, fam, box, policy, sense)
-    _, r = solve_relaxation(prog)
-    assert r.status == "optimal", r.status
-    return r.primal if sense == "min" else -r.primal
+    rel = solve_relaxation(f, fam, box, sense, policy)
+    assert rel.result.status == "optimal", rel.result.status
+    return rel.bound
 
 
 def random_poly(rng, n, support):
@@ -65,55 +59,18 @@ def test_gamma_consistency_with_transformed_box():
     rng = np.random.default_rng(16)
     box = Box([0.0, -1.0], [1.0, 1.0])
     cols = [(2, 0), (0, 2)]  # x1^2 in [0,1], x2^2 in [0,1]
-    from patternrelax.polynomials import monomial_range
-
     ky = Box([monomial_range(c, box).lo for c in cols],
              [monomial_range(c, box).hi for c in cols])
+    fam_img = PatternFamily([submonoid_pattern(cols, 2)], 2)
+    fam_base = PatternFamily([submonoid_pattern([(1, 0), (0, 1)], 2)], 2)
     for _ in range(10):
         base_support = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
         coeffs = [float(rng.uniform(-1, 1)) for _ in base_support]
         f_image = Polynomial(2, {
             (2 * a, 2 * b): c for (a, b), c in zip(base_support, coeffs)})
         f_base = Polynomial(2, {ab: c for ab, c in zip(base_support, coeffs)})
-        m_img = build_lasserre_model(np.array(cols).T, 2, box)
-        m_base = build_lasserre_model(np.eye(2, dtype=int), 2, ky)
-
-        def opt(model, fobj, domain):
-            from patternrelax.program import ConicProgram
-
-            zero = (0, 0)
-            monos = sorted({zero} | model.variables | fobj.support())
-            col = {a: j for j, a in enumerate(monos)}
-            prog = ConicProgram(len(monos), monos)
-            obj = linearize(fobj, context="conic")
-            for a, c in obj.coeffs.items():
-                prog.c[col[a]] = c
-            prog.add_eq({col[zero]: 1.0}, 1.0)
-            for row in model.rows:
-                coeff = {col[a]: c for a, c in row.form.coeffs.items()}
-                if row.form.constant:
-                    coeff[col[zero]] = coeff.get(col[zero], 0.0) + row.form.constant
-                prog.add_ineq(coeff, 0.0)
-            for blk in model.lmis:
-                m = blk.size
-                bc = {}
-                const = np.zeros((m, m))
-                for i in range(m):
-                    for j in range(m):
-                        e = blk.entries[i][j]
-                        const[i, j] += e.constant
-                        for a, c in e.coeffs.items():
-                            bc.setdefault(col[a], np.zeros((m, m)))[i, j] += c
-                if np.any(const):
-                    bc.setdefault(col[zero], np.zeros((m, m)))
-                    bc[col[zero]] += const
-                prog.add_block(m, entries(bc), np.zeros((m, m)))
-            from patternrelax.ipm import solve
-
-            return solve(prog)
-
-        r_img = opt(m_img, f_image, box)
-        r_base = opt(m_base, f_base, ky)
+        r_img = solve_relaxation(f_image, fam_img, box).result
+        r_base = solve_relaxation(f_base, fam_base, ky).result
         assert r_img.status == r_base.status == "optimal"
         assert abs(r_img.primal - r_base.primal) <= 1e-6 * (1 + abs(r_base.primal))
 
@@ -122,8 +79,7 @@ def test_support_augmentation_warns_and_bounds():
     f = Polynomial(2, {(4, 0): 1.0, (1, 1): 1.0})
     fam = multilinear_family({(1, 1)})  # does not cover (4,0)
     with pytest.warns(UserWarning, match="not covered"):
-        prog = assemble_relaxation(f, fam, Box.unit(2))
-    _, r = solve_relaxation(prog)
+        r = solve_relaxation(f, fam, Box.unit(2)).result
     assert r.status == "optimal"
     # only box information is available for x1^4: bound is 0 + 0
     assert abs(r.primal) <= 1e-7

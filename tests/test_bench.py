@@ -195,10 +195,11 @@ def test_assembly_failure_recorded_not_raised(monkeypatch):
     def failing_assembly(*args, **kwargs):
         raise BuilderError("pattern cannot be modelled")
 
-    monkeypatch.setattr("patternrelax.bench.assemble_relaxation", failing_assembly)
+    monkeypatch.setattr("patternrelax.pipeline.assemble_relaxation", failing_assembly)
     cfg = BenchConfig(families=["S(2,3)"], methods=["M", "C"], samples=2)
     records, summary = run_benchmark(cfg)
     assert len(records) == 2 * 2 * 2  # instances x methods x senses
     assert all(r.status == "error:pattern cannot be modelled" for r in records)
     assert all(math.isnan(r.value) for r in records)
+    assert all(r.time_s == 0.0 for r in records)  # no solve ran
     assert all(math.isnan(row["triv_median"]) for row in summary)

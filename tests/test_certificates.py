@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from patternrelax.assemble import assemble_relaxation
 from patternrelax.certificates import (
     Certificate,
     CertificateError,
@@ -14,7 +13,7 @@ from patternrelax.certificates import (
     verify_handelman,
     verify_sos,
 )
-from patternrelax.ipm import solve_relaxation
+from patternrelax.pipeline import solve_relaxation
 from patternrelax.patterns import (
     PatternFamily,
     chain_family,
@@ -121,17 +120,16 @@ def test_circuit_weights_must_be_barycentric():
 def test_extract_requires_optimal_and_metadata():
     f = Polynomial(1, {(2,): 1.0, (1,): -1.0})
     fam = chain_family(f.support())
-    prog = assemble_relaxation(f, fam, Box.unit(1))
-    low, r = solve_relaxation(prog)
+    rel = solve_relaxation(f, fam, Box.unit(1))
     import dataclasses
 
-    bad = dataclasses.replace(r, status="max_iter")
+    bad = dataclasses.replace(rel.result, status="max_iter")
     with pytest.raises(CertificateError):
-        extract_certificate(low, bad)
+        extract_certificate(rel.program, bad)
     from patternrelax.program import ConicProgram
 
     with pytest.raises(CertificateError):
-        extract_certificate(ConicProgram(1), r)
+        extract_certificate(ConicProgram(1), rel.result)
 
 
 def test_round_trip_mccormick_certificate():
@@ -139,10 +137,9 @@ def test_round_trip_mccormick_certificate():
     fam = multilinear_family(f.support())
     from patternrelax.models import ModelPolicy
 
-    prog = assemble_relaxation(f, fam, Box.unit(2), ModelPolicy(multilinear="mccormick"))
-    low, r = solve_relaxation(prog)
-    cert = extract_certificate(low, r)
-    assert abs(cert.lam - r.dual) <= 1e-8
+    rel = solve_relaxation(f, fam, Box.unit(2), policy=ModelPolicy(multilinear="mccormick"))
+    cert = extract_certificate(rel.program, rel.result)
+    assert abs(cert.lam - rel.result.dual) <= 1e-8
     assert abs(cert.lam) <= 1e-7
     rep = verify_certificate(cert, f, Box.unit(2))
     assert rep.passed
@@ -155,9 +152,8 @@ def test_round_trip_mccormick_certificate():
 def test_round_trip_sos_certificate_kind():
     f = Polynomial(1, {(2,): 1.0})
     fam = chain_family(f.support())
-    prog = assemble_relaxation(f, fam, Box([-1.0], [1.0]))
-    low, r = solve_relaxation(prog)
-    cert = extract_certificate(low, r)
+    rel = solve_relaxation(f, fam, Box([-1.0], [1.0]))
+    cert = extract_certificate(rel.program, rel.result)
     rep = verify_certificate(cert, f, Box([-1.0], [1.0]))
     assert rep.passed
     assert abs(cert.lam) <= 1e-7  # min of x^2 on [-1,1]
@@ -167,9 +163,8 @@ def test_round_trip_circuit_certificate_and_json():
     f = Polynomial(1, {(4,): 1.0, (2,): -2.0, (0,): 1.0})
     fam = PatternFamily([make_circuit((2,), [(0,), (4,)])], 1)
     box = Box.full_space(1)
-    prog = assemble_relaxation(f, fam, box)
-    low, r = solve_relaxation(prog)
-    cert = extract_certificate(low, r)
+    rel = solve_relaxation(f, fam, box)
+    cert = extract_certificate(rel.program, rel.result)
     assert cert.kind == "circuit"
     assert verify_certificate(cert, f, box).passed
     data = cert.to_json_dict()
@@ -191,10 +186,9 @@ def test_tssos_block_certificate():
     f = Polynomial(2, {(4, 0): 2.0, (0, 4): 2.0, (2, 2): 1.0, (0, 0): 1.0})
     fam = family_for_method("tssos-sos", f)
     box = Box.full_space(2)
-    prog = assemble_relaxation(f, fam, box)
-    low, r = solve_relaxation(prog)
-    assert r.status == "optimal"
-    cert = extract_certificate(low, r)
+    rel = solve_relaxation(f, fam, box)
+    assert rel.result.status == "optimal"
+    cert = extract_certificate(rel.program, rel.result)
     grams = [p for p in cert.pieces if p.kind == "sos"]
     assert len(grams) >= 1
     assert verify_certificate(cert, f, box).passed
@@ -205,9 +199,8 @@ def test_soundness_spot_check_on_samples():
     f = Polynomial(2, {(1, 1): 1.0, (2, 0): -0.5, (0, 1): 0.25})
     fam = multilinear_family(f.support())
     box = Box.unit(2)
-    prog = assemble_relaxation(f, fam, box)
-    low, r = solve_relaxation(prog)
-    cert = extract_certificate(low, r)
+    rel = solve_relaxation(f, fam, box)
+    cert = extract_certificate(rel.program, rel.result)
     assert verify_certificate(cert, f, box).passed
     for x in box.sample(rng, 500):
         assert f.evaluate(x) - cert.lam >= -1e-5

@@ -1,10 +1,13 @@
+import csv
 import json
 
 import pytest
 
+from patternrelax.bench import family_for_method
 from patternrelax.certificates import Certificate, CertificateError, verify_certificate
 from patternrelax.cli import main
 from patternrelax.io import import_instance_json
+from patternrelax.pipeline import solve_relaxation
 
 
 def test_cli_gen_relax_solve_verify_bench(tmp_path, capsys):
@@ -134,10 +137,23 @@ def test_cli_max_sense_certificate_round_trip(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     assert main(["solve", "--instance", str(inst), "--method", "H",
                  "--sense", "max", "--certificate", str(cert)]) == 0
-    capsys.readouterr()
+    value_line = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("value:"))
     assert main(["verify", "--certificate", str(cert),
                  "--instance", str(inst)]) == 0
     assert capsys.readouterr().out.startswith("PASS")
+
+    # the CLI, bench's CSV and the library give the same upper bound on max f
+    f, box, _, _ = import_instance_json(inst.read_text())
+    rel = solve_relaxation(f, family_for_method("H", f), box, sense="max")
+    assert value_line == f"value:  {rel.bound:.10g}"
+    cfg, csv_out = tmp_path / "bench.json", tmp_path / "results.csv"
+    cfg.write_text(json.dumps({"families": ["S(2,4)"], "methods": ["H"], "base_seed": 7,
+                               "samples": 1}))
+    assert main(["bench", "--config", str(cfg), "--out", str(csv_out)]) == 0
+    row = next(r for r in csv.DictReader(csv_out.read_text().splitlines()) if r["sense"] == "max")
+    assert row["value"] == "%.12g" % rel.bound
+    assert rel.certify()[1].passed
 
 
 def test_cli_rejects_unknown_method(tmp_path):

@@ -9,9 +9,10 @@ import pytest
 import scipy.sparse as sps
 
 from patternrelax.assemble import assemble_relaxation
-from patternrelax.bench import family_for_method, gen_instance, solve_instance
+from patternrelax.bench import family_for_method, gen_instance
 from patternrelax.ipm import (_KKT, DENSE_BLOCK_MAX, SolveResult, SolverConfig, _DenseBlock,
                               _jordan, _matmul_ld, _Scaling, _SparseBlock, _StandardForm, solve)
+from patternrelax.pipeline import solve_relaxation
 from patternrelax.program import ConicProgram
 
 
@@ -28,6 +29,12 @@ def entries(coeff):
     zeros are kept, so an all-zero matrix keeps its column in the block."""
     return {(col, i, j): float(M[i, j])
             for col, M in coeff.items() for i in range(len(M)) for j in range(i, len(M))}
+
+
+def const(M):
+    """A block's constant (i, j) -> v, i <= j, of a dense symmetric matrix."""
+    return {(i, j): float(M[i, j])
+            for i in range(len(M)) for j in range(i, len(M)) if M[i, j]}
 
 
 def case_builders():
@@ -146,14 +153,14 @@ def case_builders():
 
     def inf4():
         p = prog(1)
-        p.add_block(2, entries({0: sym([[0, 1], [1, 0]])}), sym([[-1, 0], [0, -1]]))
+        p.add_block(2, entries({0: sym([[0, 1], [1, 0]])}), const(sym([[-1, 0], [0, -1]])))
         p.add_ineq({0: 1}, 0)
         return p
     add("inf_negative_diag_psd", inf4, "infeasible")
 
     def inf5():
         p = prog(1)
-        p.add_block(2, entries({0: sym([[1, 0], [0, 0]])}), sym([[0, 2], [2, 0.1]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 0]])}), const(sym([[0, 2], [2, 0.1]])))
         p.add_ineq({0: -1}, -1)  # x <= 1 but psd needs x >= 40
         return p
     add("inf_psd_vs_row", inf5, "infeasible")
@@ -178,7 +185,7 @@ def case_builders():
 
     def unb4():
         p = prog(1); p.c[:] = [-1]
-        p.add_block(2, entries({0: sym([[1, 0], [0, 0]])}), sym([[0, 0], [0, 1]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 0]])}), const(sym([[0, 0], [0, 1]])))
         return p
     add("unb_psd_ray", unb4, "unbounded")
 
@@ -192,47 +199,47 @@ def case_builders():
     def sdp1():
         p = prog(2); p.c[:] = [0, 1]
         p.add_block(2, entries({0: sym([[0, 1], [1, 0]]), 1: sym([[0, 0], [0, 1]])}),
-                    sym([[1, 0], [0, 0]]))
+                    const(sym([[1, 0], [0, 0]])))
         return p
     add("sdp_moment_v2", sdp1, "optimal", 0.0)
 
     def sdp2():
         p = prog(1); p.c[:] = [1]
-        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), sym([[0, 1], [1, 0]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), const(sym([[0, 1], [1, 0]])))
         return p
     add("sdp_abs_bound", sdp2, "optimal", 1.0)
 
     def sdp3():
         p = prog(2); p.c[:] = [1, 1]
         p.add_block(2, entries({0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])}),
-                    sym([[0, 1], [1, 0]]))
+                    const(sym([[0, 1], [1, 0]])))
         return p
     add("sdp_amgm", sdp3, "optimal", 2.0)
 
     def sdp4():
         p = prog(2); p.c[:] = [1, 0]
         p.add_block(2, entries({0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])}),
-                    sym([[0, 0.5], [0.5, 0]]))
+                    const(sym([[0, 0.5], [0.5, 0]])))
         p.add_eq({0: 1, 1: 1}, 1.25)
         return p
     add("sdp_eq_slice", sdp4, "optimal", 0.25)
 
     def sdp5():
         p = prog(1); p.c[:] = [1]
-        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), sym([[-1, 0], [0, -2]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), const(sym([[-1, 0], [0, -2]])))
         return p
     add("sdp_lambda_max", sdp5, "optimal", 2.0)
 
     def sdp6():
         p = prog(1); p.c[:] = [-1]
-        p.add_block(2, entries({0: sym([[-1, 0], [0, -1]])}), sym([[2, 1], [1, 2]]))
+        p.add_block(2, entries({0: sym([[-1, 0], [0, -1]])}), const(sym([[2, 1], [1, 2]])))
         return p
     add("sdp_lambda_min", sdp6, "optimal", -1.0)
 
     def sdp7():
         p = prog(2); p.c[:] = [1, 1]
         p.add_block(2, entries({0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])}),
-                    sym([[0, 1], [1, 0]]))
+                    const(sym([[0, 1], [1, 0]])))
         p.add_ineq({0: -1}, -4)
         return p
     add("sdp_amgm_with_row", sdp7, "optimal", 2.0)
@@ -245,29 +252,29 @@ def case_builders():
             2: sym([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
             3: sym([[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
         }
-        p.add_block(3, entries(coeff), sym([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+        p.add_block(3, entries(coeff), const(sym([[1, 0, 0], [0, 0, 0], [0, 0, 0]])))
         p.add_eq({0: 1}, 0.5)
         return p
     add("sdp_fourth_moment", sdp8, "optimal", 0.0625)
 
     def sdp9():
         p = prog(1); p.c[:] = [1]
-        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), sym([[0, 0], [0, 0]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), const(sym([[0, 0], [0, 0]])))
         return p
     add("sdp_degenerate_diag", sdp9, "optimal", 0.0)
 
     def sdp10():
         # two blocks sharing a variable: x >= 1 from block 1, minimize x + y
         p = prog(2); p.c[:] = [1, 1]
-        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), sym([[0, 1], [1, 0]]))
-        p.add_block(2, entries({1: sym([[1, 0], [0, 1]])}), sym([[0, 2], [2, 0]]))
+        p.add_block(2, entries({0: sym([[1, 0], [0, 1]])}), const(sym([[0, 1], [1, 0]])))
+        p.add_block(2, entries({1: sym([[1, 0], [0, 1]])}), const(sym([[0, 2], [2, 0]])))
         return p
     add("sdp_two_blocks", sdp10, "optimal", 3.0)
 
     def mixed1():
         p = prog(3); p.c[:] = [1, 1, 1]
         p.add_block(2, entries({0: sym([[1, 0], [0, 0]]), 1: sym([[0, 0], [0, 1]])}),
-                    sym([[0, 1], [1, 0]]))
+                    const(sym([[0, 1], [1, 0]])))
         p.add_ineq({2: 1}, 0.5)
         p.add_eq({0: 1, 1: -1}, 0.0)
         return p
@@ -416,7 +423,7 @@ def test_result_reports_a_visited_iterate(seed, sense):
     # costs and residuals are exactly those of one iterate in the history.
     inst = gen_instance("dense(2,8)", seed)
     fam = family_for_method("tssos-sos", inst.f)
-    _, r = solve_instance(inst.f, fam, inst.box, sense=sense)
+    r = solve_relaxation(inst.f, fam, inst.box, sense).result
     reported = (r.primal, r.dual, r.residuals["primal"], r.residuals["dual"])
     assert reported in r.history
 
@@ -438,7 +445,7 @@ def test_refinement_evaluates_each_pass_once(monkeypatch):
     monkeypatch.setattr(_KKT, "solve3", counting_solve3)
     monkeypatch.setattr(_KKT, "_full_residual", counting_residual)
     inst = gen_instance("dense(2,6)", 1)
-    _, r = solve_instance(inst.f, family_for_method("C", inst.f), inst.box)
+    r = solve_relaxation(inst.f, family_for_method("C", inst.f), inst.box).result
     assert r.status == "optimal"
     assert calls and min(calls) >= 1 and max(calls) <= 6
 
@@ -450,9 +457,9 @@ def test_standard_form_stacks_rows_then_blocks():
     p = prog(3)
     p.add_ineq({2: -1.0, 0: 2.0}, 1.0)
     p.add_block(2, entries({0: sym([[1, 1], [1, 3]]), 2: sym([[0, 1], [1, 0]])}),
-                sym([[1, 0], [0, 1]]))
+                const(sym([[1, 0], [0, 1]])))
     p.add_ineq({1: 4.0}, -2.0)
-    p.add_block(3, entries({1: np.diag([1.0, 2.0, 3.0])}), np.eye(3))
+    p.add_block(3, entries({1: np.diag([1.0, 2.0, 3.0])}), const(np.eye(3)))
     sf = _StandardForm(p)
     ref_G = np.zeros((2 + 4 + 9, 3))
     ref_G[0, [0, 2]] = [-2.0, 1.0]
@@ -508,9 +515,7 @@ def test_block_products_match_tensordot_formulas(tag, method):
     # on its long-double copy; G x must give the bits of the per-block
     # tensordot formula, the residual those of a dense long-double G, and
     # G' must be the adjoint of G under the cone inner product
-    inst = gen_instance(tag, 1)
-    prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box)
-    sf = _StandardForm(prog.lowered(SolverConfig().gmc_denominator_cap))
+    sf = _StandardForm(_lowered(tag, method))
     cone = sf.cone
     rng = np.random.default_rng(7)
     ld = np.longdouble
@@ -564,7 +569,7 @@ def test_long_double_products_are_rounded_to_double(monkeypatch):
     for name in ("mult_Wt_lam_solve_extended", "ds_from_dz"):
         monkeypatch.setattr(_Scaling, name, recording(getattr(_Scaling, name)))
     inst = gen_instance("dense(2,6)", 1)
-    _, r = solve_instance(inst.f, family_for_method("C", inst.f), inst.box)
+    r = solve_relaxation(inst.f, family_for_method("C", inst.f), inst.box).result
     assert r.status == "optimal"
     assert dtypes == {np.dtype(np.float64)}
 
@@ -578,9 +583,7 @@ def test_kkt_matrix_matches_dense_formula(tag, method):
     # sparse for every size: dense(2,6)/C has 16 PSD blocks and 64 linear
     # rows, A6/M 180 linear rows and no block; dense(3,8)/tssos-sos has one
     # 35x35 moment block, whose Schur complement takes the sparse formula
-    inst = gen_instance(tag, 1)
-    prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box)
-    sf = _StandardForm(prog.lowered(SolverConfig().gmc_denominator_cap))
+    sf = _StandardForm(_lowered(tag, method))
     if method == "tssos-sos":
         assert max(sf.cone.sizes) > DENSE_BLOCK_MAX
         assert isinstance(sf.blocks[np.argmax(sf.cone.sizes)], _SparseBlock)
@@ -614,7 +617,7 @@ def _single_block():
     E = [np.zeros((3, 3)) for _ in range(3)]
     for k, (a, b) in enumerate([(0, 1), (0, 2), (1, 2)]):
         E[k][a, b] = E[k][b, a] = 1.0
-    p.add_block(3, entries(dict(enumerate(E))), np.eye(3))
+    p.add_block(3, entries(dict(enumerate(E))), const(np.eye(3)))
     return p
 
 
@@ -728,7 +731,7 @@ def test_nan_step_length_ends_the_solve_at_once(monkeypatch, call):
 
     monkeypatch.setattr(_Scaling, "step_to_boundary", nan_once)
     inst = gen_instance("dense(2,6)", 1)
-    _, r = solve_instance(inst.f, family_for_method("C", inst.f), inst.box)
+    r = solve_relaxation(inst.f, family_for_method("C", inst.f), inst.box).result
     assert r.status == "numerical_failure"
     assert (r.iterations, len(calls)) == (call // 4, call - call % 2 + 2)
     assert math.isfinite(r.primal) and math.isfinite(r.dual)
@@ -741,8 +744,8 @@ def _shared_column_blocks():
     # large enough for the sparse Schur formula (with an all-zero column too)
     p = prog(4); p.c[:] = [1, 1, 1, 1]
     p.add_ineq({0: 1.0, 2: 0.0}, 0.5)
-    p.add_block(2, entries({0: sym([[1, 0], [0, 0]]), 1: sym([[0, 1], [1, 0]])}), np.eye(2))
-    p.add_block(3, entries({1: np.diag([1.0, 2.0, 3.0]), 2: np.zeros((3, 3))}), np.eye(3))
+    p.add_block(2, entries({0: sym([[1, 0], [0, 0]]), 1: sym([[0, 1], [1, 0]])}), const(np.eye(2)))
+    p.add_block(3, entries({1: np.diag([1.0, 2.0, 3.0]), 2: np.zeros((3, 3))}), const(np.eye(3)))
     m = DENSE_BLOCK_MAX + 1
     rng = np.random.default_rng(2)
     coeff = {j: np.zeros((m, m)) for j in (0, 2, 3)}
@@ -750,7 +753,7 @@ def _shared_column_blocks():
         if j != 2:
             a, b = rng.integers(0, m, 5), rng.integers(0, m, 5)
             M[a, b] = M[b, a] = rng.standard_normal(5)
-    p.add_block(m, entries(coeff), np.eye(m))
+    p.add_block(m, entries(coeff), const(np.eye(m)))
     return p
 
 
@@ -769,7 +772,10 @@ def _reference_G_h(p):
         for (col, i, j), v in blk.entries.items():
             F[i, j, col] = F[j, i, col] = -v
         pieces.append(sps.csr_array(F.reshape(m * m, n)))
-        h.append(_sym2(blk.const).ravel())
+        C = np.zeros((m, m))
+        for (i, j), v in blk.const.items():
+            C[i, j] = C[j, i] = v
+        h.append(C.ravel())
     G = sps.vstack(pieces, format="csr")
     G.eliminate_zeros()
     G.sort_indices()

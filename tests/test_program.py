@@ -125,7 +125,7 @@ def sdp_program():
     prog.add_block(
         2,
         entries({0: np.array([[0.0, 1.0], [1.0, 0.0]]), 1: np.array([[0.0, 0.0], [0.0, 1.0]])}),
-        np.array([[1.0, 0.0], [0.0, 0.0]]),
+        {(0, 0): 1.0},
     )
     return prog
 
@@ -173,7 +173,8 @@ def test_sdpa_round_trip_random_programs():
         if rng.uniform() < 0.5:
             m = 2
             coeff = {j: _sym(rng, m) for j in range(n)}
-            prog.add_block(m, entries(coeff), np.eye(m) * float(rng.uniform(0.5, 2.0)))
+            diag = float(rng.uniform(0.5, 2.0))
+            prog.add_block(m, entries(coeff), {(i, i): diag for i in range(m)})
         r1 = solve(prog)
         if r1.status != "optimal":
             continue
@@ -215,6 +216,11 @@ def test_parse_sdpa_rejects_malformed():
         parse_sdpa("1\n1\n2\n0.0\n3 1 1 1 1.0\n")  # matrix 3 of one variable
     with pytest.raises(ValueError):
         parse_sdpa("1\n1\n2\n0.0\n1 2 1 1 1.0\n")  # block 2 of one
+    # an entry given twice is an error in every block, not summed or replaced
+    with pytest.raises(ValueError, match="repeated"):
+        parse_sdpa("1\n1\n-1\n0.0\n1 1 1 1 1.0\n1 1 1 1 2.0\n")  # diagonal block
+    with pytest.raises(ValueError, match="repeated"):
+        parse_sdpa("1\n1\n2\n0.0\n1 1 1 1 1.0\n1 1 1 1 2.0\n")  # PSD block
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ peak RSS so far go to stderr as
 where the time covers assemble, lower and solve, so stdout holds only the
 digests.
 Instances come from ``patternrelax.bench.gen_instance`` and pass through
-assemble, lower and solve with the default policy and solver configuration,
-as in ``patternrelax solve``. BLAS is pinned to one thread, as in the tests
-and the benchmark; set ``OPENBLAS_CORETYPE`` to compare under another
-kernel.
+``patternrelax.pipeline.solve_relaxation`` (assemble, lower and solve) with
+the default policy and solver configuration, as in ``patternrelax solve``.
+BLAS is pinned to one thread, as in the tests and the benchmark; set
+``OPENBLAS_CORETYPE`` to compare under another kernel.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from patternrelax.bench import family_for_method, gen_instance, solve_instance  # noqa: E402
+from patternrelax.bench import family_for_method, gen_instance  # noqa: E402
+from patternrelax.pipeline import solve_relaxation  # noqa: E402
 
 
 def _feed(h, v) -> None:
@@ -95,7 +96,7 @@ def main(argv=None) -> None:
         fam = family_for_method(args.method, inst.f)
         for sense in senses:
             start = time.perf_counter()
-            _, res = solve_instance(inst.f, fam, inst.box, sense=sense)
+            res = solve_relaxation(inst.f, fam, inst.box, sense).result
             wall = time.perf_counter() - start
             print(f"{inst.id}:{sense} {digest(res)}", flush=True)
             rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
