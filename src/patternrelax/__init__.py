@@ -22,18 +22,13 @@ from .certificates import (
     Certificate,
     extract_certificate,
     verify_certificate,
-    verify_circuit,
-    verify_handelman,
-    verify_sos,
 )
 from .io import export_instance_json, import_instance_json
 from .ipm import SolveResult, SolverConfig, solve
 from .models import (
     ModelPolicy,
     MomentModel,
-    build_bound_factor_model,
     build_circuit_model,
-    build_dense_moment_model,
     build_lasserre_model,
     build_mccormick_model,
     build_multilinear_model,
@@ -64,7 +59,6 @@ from .polynomials import (
     Interval,
     LinearForm,
     Polynomial,
-    evaluate,
     linearize,
     minkowski_sum,
     monomial_range,

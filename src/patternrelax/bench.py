@@ -171,9 +171,6 @@ class BruteForceResult:
     point: np.ndarray
     budget_exceeded: bool = False
 
-    def __float__(self):
-        return self.value
-
 
 def brute_force_min(f: Polynomial, box: Box, budget: int = 2_000_000,
                     grid: int = 21, refine_steps: int = 200,

@@ -1,11 +1,13 @@
-"""Lower-bound certificates extracted from dual solutions, and their verifiers.
+"""Lower-bound certificates extracted from dual solutions, and their verifier.
 
 A certificate decomposes f - lambda into pieces, one per constraint group of
 the solved program: nonnegative combinations of product rows (Handelman),
 Gram forms on moment blocks (sparse SOS), vertex-supported multilinear
-pieces, and circuit pieces.  Verification re-expands every piece with
-poly-core arithmetic only and checks the sum coefficient-wise, so it shares
-no code with the model builders beyond poly-core.
+pieces, and circuit pieces.  verify_certificate is the one check of every
+certificate: it re-expands each piece with poly-core arithmetic only, proves
+it nonnegative on the box by the check of its kind, and compares the sum
+with f - lambda coefficient-wise, so it shares no code with the model
+builders beyond poly-core and the factor descriptors.
 """
 
 from __future__ import annotations
@@ -98,13 +100,8 @@ class Certificate:
 
 # JSON codecs of piece data fields, as (encode, decode) pairs; a field not in
 # the table is stored as is
-_POLY_FACTORS = ("affine", "poly")  # factor kinds whose payload is a Polynomial
-_FACTORS = (
-    lambda v: [[f[0], f[1].to_json_dict() if f[0] in _POLY_FACTORS else list(f[1])]
-               for f in v],
-    lambda v: tuple((f[0], Polynomial.from_json_dict(f[1]) if f[0] in _POLY_FACTORS
-                     else tuple(int(e) for e in f[1])) for f in v),
-)
+_FACTORS = (lambda v: [[f[0], list(f[1])] for f in v],
+            lambda v: tuple((f[0], tuple(int(e) for e in f[1])) for f in v))
 _EXPONENT_LIST = (lambda v: [list(e) for e in v], lambda v: tuple(tuple(e) for e in v))
 _OPTIONAL_EXPONENT = (lambda v: list(v) if v is not None else None,
                       lambda v: tuple(int(e) for e in v) if v is not None else None)
@@ -222,7 +219,9 @@ def extract_certificate(prog: ConicProgram, result: SolveResult) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# verification reports
+# verification: one check per piece kind validates the piece's data, proves
+# the piece nonnegative on the box and returns its polynomial, or raises
+# CertificateError; verify_certificate sums the pieces against f - lambda
 
 
 @dataclass
@@ -241,22 +240,27 @@ class VerifyReport:
         return f"{head} (lambda={self.lam:.9g}, residual={self.max_residual:.3g}): {body}"
 
 
-def _residual_report(total: Polynomial, f: Polynomial, lam: float, tol: float,
-                     problems: list) -> VerifyReport:
-    """The report on total == f - lam, coefficient-wise up to tol."""
-    target = f - lam
-    keys = set(total.terms) | set(target.terms)
-    residual = max((abs(total.terms.get(k, 0.0) - target.terms.get(k, 0.0)) for k in keys),
-                   default=0.0)
-    if residual > tol:
-        problems.append(f"coefficient residual {residual:.3e} exceeds {tol:g}")
-    return VerifyReport(not problems, lam, residual, problems)
+def _fields(data: dict, *names):
+    for name in names:
+        if name not in data:
+            raise CertificateError(f"missing field '{name}'")
+    return [data[name] for name in names]
 
 
-def verify_sos(f: Polynomial, lam: float, blocks, tol: float = COEFF_TOL) -> VerifyReport:
-    """Check f - lam == sum_i (x^{B_i})' Q_i x^{B_i} with every Q_i PSD."""
-    pieces = [CertificatePiece("sos", {"basis": tuple(basis), "gram": Q}) for basis, Q in blocks]
-    return verify_certificate(Certificate(lam, "sos", pieces), f, Box.full_space(f.n), tol)
+def _check_factors(factors, box: Box):
+    for fct in factors:
+        if factor_min_on_box(fct, box) < -1e-9:
+            raise CertificateError(f"factor {fct} is not nonnegative on the box")
+
+
+def _linear_piece(data: dict, n: int, box: Box) -> Polynomial:
+    """weight * prod(factors), with weight >= 0 and every factor >= 0 on the box."""
+    factors, weight = _fields(data, "factors", "weight")
+    z = float(weight)
+    if z < -DUAL_SIGN_TOL:
+        raise CertificateError(f"negative multiplier {z:.3e} on a product row")
+    _check_factors(factors, box)
+    return max(z, 0.0) * product_of_factors(factors, box, n)
 
 
 def _gram_polynomial(n: int, basis, Q: np.ndarray) -> Polynomial:
@@ -269,86 +273,7 @@ def _gram_polynomial(n: int, basis, Q: np.ndarray) -> Polynomial:
     return Polynomial(n, terms)
 
 
-def verify_handelman(f: Polynomial, lam: float, g, coeffs,
-                     tol: float = COEFF_TOL) -> VerifyReport:
-    """Check f - lam == sum_beta c_beta g^beta with nonnegative c_beta."""
-    for beta, c in coeffs.items():
-        if c < -DUAL_SIGN_TOL:
-            raise CertificateError(f"handelman coefficient {c} at {beta} is negative")
-    total = Polynomial.zero(f.n)
-    for beta, c in coeffs.items():
-        if len(beta) != len(g):
-            raise CertificateError("multi-index length does not match factor count")
-        term = Polynomial.constant(f.n, max(c, 0.0))
-        for gi, power in zip(g, beta):
-            term = term * gi ** power
-        total = total + term
-    return _residual_report(total, f, lam, tol, [])
-
-
-def verify_circuit(f: Polynomial, circuit, domain: str = "R_full",
-                   slack_tol: float = CIRCUIT_SLACK_TOL) -> VerifyReport:
-    """AGE/SONC nonnegativity test for f restricted to one circuit.
-
-    Even inner exponent (or the nonnegative orthant): passes iff
-    f_beta + prod (f_gamma/lambda)^lambda >= -tol.  Odd inner exponent on
-    the full space: the same with -|f_beta|.
-    """
-    meta = circuit.meta if hasattr(circuit, "meta") else circuit
-    beta = tuple(meta["beta"])
-    gammas = [tuple(g) for g in meta["gammas"]]
-    lambdas = list(meta["lambdas"])
-    if not lambdas:
-        raise CertificateError("circuit carries no barycentric weights")
-    fbeta = f.coefficient(beta)
-    fg = [f.coefficient(g) for g in gammas]
-    even = all(e % 2 == 0 for e in beta) or domain == "R_plus"
-    problems = []
-    if any(v <= 0.0 for v in fg):
-        # outer coefficients must be positive unless the inner term vanishes
-        if not (even and abs(fbeta) <= slack_tol
-                and all(v >= -slack_tol for v in fg)):
-            problems.append("nonpositive coefficient on an outer circuit exponent")
-            return VerifyReport(False, math.nan, math.nan, problems)
-    prod = 1.0
-    for v, lamb in zip(fg, lambdas):
-        prod *= (max(v, 0.0) / lamb) ** lamb
-    slack = (fbeta if even else -abs(fbeta)) + prod
-    if slack < -slack_tol:
-        problems.append(f"circuit condition violated by {-slack:.3e}")
-    return VerifyReport(not problems, slack, slack, problems)
-
-
-# ---------------------------------------------------------------------------
-# combined verification of extracted certificates: one check per piece kind
-# validates the piece's data, proves the piece nonnegative on the box and
-# returns its polynomial, or raises CertificateError
-
-
-def _fields(data: dict, *names):
-    for name in names:
-        if name not in data:
-            raise CertificateError(f"missing field '{name}'")
-    return [data[name] for name in names]
-
-
-def _check_factors(factors, box: Box, n: int):
-    for fct in factors:
-        if factor_min_on_box(fct, box, n) < -1e-9:
-            raise CertificateError(f"factor {fct} is not nonnegative on the box")
-
-
-def _linear_piece(data: dict, n: int, box: Box, tol: float) -> Polynomial:
-    """weight * prod(factors), with weight >= 0 and every factor >= 0 on the box."""
-    factors, weight = _fields(data, "factors", "weight")
-    z = float(weight)
-    if z < -DUAL_SIGN_TOL:
-        raise CertificateError(f"negative multiplier {z:.3e} on a product row")
-    _check_factors(factors, box, n)
-    return max(z, 0.0) * product_of_factors(factors, box, n)
-
-
-def _sos_piece(data: dict, n: int, box: Box, tol: float) -> Polynomial:
+def _sos_piece(data: dict, n: int, box: Box) -> Polynomial:
     """prod(multiplier factors) * (x^B)' Q x^B, with Q PSD up to EIG_TOL.
 
     Eigenvalues inside the tolerance are clipped to zero.
@@ -366,12 +291,12 @@ def _sos_piece(data: dict, n: int, box: Box, tol: float) -> Polynomial:
     eigs, vecs = np.linalg.eigh(Qs)
     if eigs[0] < -EIG_TOL * scale:
         raise CertificateError(f"Gram eigenvalue {eigs[0]:.3e} below -{EIG_TOL:g}*(1+|Q|)")
-    _check_factors(factors, box, n)
+    _check_factors(factors, box)
     clipped = vecs @ np.diag(np.clip(eigs, 0.0, None)) @ vecs.T
     return product_of_factors(factors, box, n) * _gram_polynomial(n, basis, clipped)
 
 
-def _vertex_piece(data: dict, n: int, box: Box, tol: float) -> Polynomial:
+def _vertex_piece(data: dict, n: int, box: Box) -> Polynomial:
     """x^shift * p, with x^shift >= 0 on the box and p multilinear in the
     y_i = x_i^base_i (i in support) and >= 0 at every vertex of their box."""
     terms, base, support, vertices = _fields(data, "poly", "base_alpha", "support", "vertices")
@@ -412,8 +337,13 @@ def _vertex_piece(data: dict, n: int, box: Box, tol: float) -> Polynomial:
     return poly
 
 
-def _circuit_piece(data: dict, n: int, box: Box, tol: float) -> Polynomial:
-    """A polynomial on one circuit's exponents that passes verify_circuit."""
+def _circuit_piece(data: dict, n: int, box: Box) -> Polynomial:
+    """A polynomial on one circuit's exponents that passes the AGE/SONC test.
+
+    With an even inner exponent (or on the nonnegative orthant) the test is
+    f_beta + prod (f_gamma/lambda)^lambda >= -CIRCUIT_SLACK_TOL; with an odd
+    inner exponent on the full space it is the same with -|f_beta|.
+    """
     terms, beta, gammas, lambdas = _fields(data, "poly", "beta", "gammas", "lambdas")
     if len(beta) != n or any(len(g) != n for g in gammas) or len(lambdas) != len(gammas):
         raise CertificateError(f"exponents or weights do not fit {n} variables")
@@ -428,12 +358,23 @@ def _circuit_piece(data: dict, n: int, box: Box, tol: float) -> Polynomial:
     for a, c in poly.terms.items():
         if a in allowed:
             kept[a] = c
-        elif abs(c) > tol:
+        elif abs(c) > COEFF_TOL:
             raise CertificateError(f"touches foreign exponent {a}")
     poly = Polynomial(n, kept)
-    rep = verify_circuit(poly, data, data.get("domain", "R_full"))
-    if not rep.passed:
-        raise CertificateError("; ".join(rep.problems))
+    fbeta = poly.coefficient(tuple(beta))
+    fg = [poly.coefficient(tuple(g)) for g in gammas]
+    even = all(e % 2 == 0 for e in beta) or data.get("domain", "R_full") == "R_plus"
+    # outer coefficients must be positive unless the inner term vanishes
+    if any(v <= 0.0 for v in fg) and not (
+            even and abs(fbeta) <= CIRCUIT_SLACK_TOL
+            and all(v >= -CIRCUIT_SLACK_TOL for v in fg)):
+        raise CertificateError("nonpositive coefficient on an outer circuit exponent")
+    prod = 1.0
+    for v, lamb in zip(fg, lambdas):
+        prod *= (max(v, 0.0) / lamb) ** lamb
+    slack = (fbeta if even else -abs(fbeta)) + prod
+    if slack < -CIRCUIT_SLACK_TOL:
+        raise CertificateError(f"circuit condition violated by {-slack:.3e}")
     return poly
 
 
@@ -445,15 +386,15 @@ _PIECE_CHECKS = {
 }
 
 
-def verify_certificate(cert: Certificate, f: Polynomial, box: Box,
-                       tol: float = COEFF_TOL) -> VerifyReport:
+def verify_certificate(cert: Certificate, f: Polynomial, box: Box) -> VerifyReport:
     """Re-expand every piece independently and check sum == f - lambda.
 
     f must be the polynomial the certificate bounds from below (for a max
     solve that is the negated objective).  A piece whose data is malformed or
     that is not nonnegative adds nothing to the sum and a problem naming it.
     The pieces' terms are added into one dict, in piece order, and the sum
-    polynomial is built once, so a partial sum is never rounded to zero.
+    polynomial is built once, so a partial sum is never rounded to zero; it
+    must match f - lambda coefficient-wise up to COEFF_TOL.
     """
     problems: list = []
     terms: dict = {}
@@ -463,7 +404,7 @@ def verify_certificate(cert: Certificate, f: Polynomial, box: Box,
             problems.append(f"piece {i}: unknown piece kind {piece.kind!r}")
             continue
         try:
-            part = check(piece.data, f.n, box, tol)
+            part = check(piece.data, f.n, box)
         except (ValueError, TypeError) as exc:
             # CertificateError and the builders' BuilderError are ValueErrors,
             # as are numbers and exponents of the wrong shape; TypeError is a
@@ -472,4 +413,11 @@ def verify_certificate(cert: Certificate, f: Polynomial, box: Box,
             continue
         for alpha, c in part.terms.items():
             terms[alpha] = terms.get(alpha, 0.0) + c
-    return _residual_report(Polynomial(f.n, terms), f, cert.lam, tol, problems)
+    total = Polynomial(f.n, terms)
+    target = f - cert.lam
+    keys = set(total.terms) | set(target.terms)
+    residual = max((abs(total.terms.get(k, 0.0) - target.terms.get(k, 0.0)) for k in keys),
+                   default=0.0)
+    if residual > COEFF_TOL:
+        problems.append(f"coefficient residual {residual:.3e} exceeds {COEFF_TOL:g}")
+    return VerifyReport(not problems, cert.lam, residual, problems)

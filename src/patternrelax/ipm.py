@@ -66,10 +66,6 @@ class SolveResult:
     iterations: int = 0
     history: list = field(default_factory=list)
 
-    @property
-    def value(self) -> float:
-        return self.primal
-
 
 def _inf_norm(v) -> float:
     return float(np.max(np.abs(v), initial=0.0))

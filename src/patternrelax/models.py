@@ -1,10 +1,14 @@
 """Per-pattern convex models on shared monomial variables.
 
-Every builder emits a MomentModel: linear rows, LMI blocks with affine
-entries, and geometric-mean-cone memberships, all over monomial variables
-v_alpha plus model-local auxiliary scalars.  A model also records enough
-provenance (factor lists, vertex tables, circuit data) for the certificate
-module to re-derive and verify each dual piece independently.
+model_for_pattern routes each pattern to one builder: box-vertex mixtures or
+McCormick rows for multilinear patterns, moment and localizer LMIs for
+chains and submonoids, shifted (homogenized) models, sparse SOS moment
+blocks, and geometric-mean-cone memberships for circuits.  Every builder
+emits a MomentModel: linear rows, LMI blocks with affine entries, and
+geometric-mean-cone memberships, all over monomial variables v_alpha plus
+model-local auxiliary scalars.  A model also records enough provenance
+(factor lists, vertex tables, circuit data) for the certificate module to
+re-derive and verify each dual piece independently.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 from .polynomials import (
     Box,
     Exponent,
-    Interval,
     LinearForm,
     Polynomial,
     as_exponent,
@@ -50,13 +53,14 @@ class SupportOverlap(BuilderError):
 
 # ---------------------------------------------------------------------------
 # factor descriptors: primitive data from which a verifier can re-expand the
-# nonnegative polynomial behind a row or LMI multiplier with poly-core only
+# nonnegative polynomial behind a row or LMI multiplier with poly-core only.
+# A factor is ("mon_minus_lo", gamma), ("up_minus_mon", gamma) or
+# ("monomial", gamma): x^gamma minus its lower bound on the box, its upper
+# bound minus x^gamma, or x^gamma itself
 
 
 def factor_polynomial(factor, box: Box, n: int) -> Polynomial:
     kind = factor[0]
-    if kind in ("affine", "poly"):
-        return factor[1]
     if kind == "mon_minus_lo":
         gamma = factor[1]
         lo = monomial_range(gamma, box).lo
@@ -74,26 +78,13 @@ def factor_polynomial(factor, box: Box, n: int) -> Polynomial:
     raise BuilderError(f"unknown factor kind {kind!r}")
 
 
-def factor_min_on_box(factor, box: Box, n: int) -> float:
+def factor_min_on_box(factor, box: Box) -> float:
     """A certified lower bound of the factor over the box."""
     kind = factor[0]
     if kind in ("mon_minus_lo", "up_minus_mon"):
         return 0.0
     if kind == "monomial":
         return monomial_range(factor[1], box).lo
-    if kind == "poly":
-        raise BuilderError("nonnegativity of a general multiplier is not certifiable")
-    if kind == "affine":
-        p = factor[1]
-        total = p.coefficient(zero_exponent(n))
-        for alpha, c in p.terms.items():
-            if sum(alpha) == 0:
-                continue
-            if sum(alpha) != 1:
-                raise BuilderError("affine factor has degree > 1")
-            i = next(j for j, k in enumerate(alpha) if k)
-            total += min(c * box.lower[i], c * box.upper[i])
-        return total
     raise BuilderError(f"unknown factor kind {kind!r}")
 
 
@@ -352,31 +343,6 @@ def build_mccormick_model(P: Pattern, box: Box) -> MomentModel:
     return model
 
 
-def build_bound_factor_model(g: Sequence[Polynomial], B, box: Box) -> MomentModel:
-    """Handelman rows L_v(g^beta) >= 0 for every multi-index beta in B."""
-    if not g:
-        raise BuilderError("bound-factor model needs at least one factor")
-    n = g[0].n
-    model = MomentModel(n)
-    for gi in g:
-        if gi.degree() > 1:
-            raise BuilderError("bound factors must be affine")
-    for beta in sorted(as_exponent(b) for b in B):
-        if len(beta) != len(g):
-            raise BuilderError("multi-index length must match the factor count")
-        poly = Polynomial.constant(n, 1.0)
-        factors = []
-        for gi, power in zip(g, beta):
-            for _ in range(power):
-                poly = poly * gi
-                factors.append(("affine", gi))
-        form = linearize(poly)
-        if not form.coeffs and not factors:
-            continue  # the empty product is the tautology 1 >= 0
-        model.add_row(form, factors=tuple(factors))
-    return model
-
-
 def _as_columns(Gamma) -> tuple:
     G = np.asarray(Gamma, dtype=int)
     if G.ndim == 1:
@@ -459,38 +425,6 @@ def _emit_lmi_or_row(model: MomentModel, entries, basis, multiplier_factors, gro
     else:
         model.add_lmi(entries, basis=basis, multiplier_factors=multiplier_factors,
                       group=group)
-
-
-def build_dense_moment_model(g: Sequence[Polynomial], B_list: Sequence) -> MomentModel:
-    """Cropped localizing matrices L_v(g_i M_{B_i}) >= 0 for each factor."""
-    if len(g) != len(B_list):
-        raise BuilderError("need one basis per factor")
-    if not g:
-        raise BuilderError("dense moment model needs at least one factor")
-    n = g[0].n
-    model = MomentModel(n)
-    for gi, Bi in zip(g, B_list):
-        basis = sorted(as_exponent(b) for b in Bi)
-        if not basis:
-            continue
-        entries = [
-            [
-                linearize(gi * Polynomial.monomial(exp_add(ba, bb)))
-                for bb in basis
-            ]
-            for ba in basis
-        ]
-        one = Polynomial.constant(n, 1.0)
-        if gi.allclose(one):
-            factors = ()
-        elif gi.degree() <= 1:
-            factors = (("affine", gi),)
-        elif len(gi.terms) == 1:
-            factors = (("monomial", next(iter(gi.terms))),)
-        else:
-            factors = (("poly", gi),)
-        _emit_lmi_or_row(model, entries, tuple(basis), factors)
-    return model
 
 
 def build_sparse_sos_moment_model(B_list: Sequence, shifts: Sequence | None = None) -> MomentModel:

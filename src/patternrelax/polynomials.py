@@ -321,12 +321,6 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    def allclose(self, other: "Polynomial", tol: float = 1e-9) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
-        )
-
     def to_json_dict(self) -> dict:
         rows = [list(a) + [c] for a, c in sorted(self.terms.items())]
         return {"n": self.n, "terms": rows}
@@ -354,10 +348,6 @@ class Polynomial:
             return "Polynomial(0)"
         bits = [f"{c:+g}*x^{a}" for a, c in sorted(self.terms.items())]
         return "Polynomial(" + " ".join(bits) + ")"
-
-
-def evaluate(f: Polynomial, x) -> float:
-    return f.evaluate(x)
 
 
 class LinearForm:

@@ -18,6 +18,7 @@ from patternrelax.bench import (
     gen_instance,
     trivial_bounds,
 )
+from patternrelax.certificates import Certificate, CertificatePiece
 from patternrelax.models import ModelPolicy, build_lasserre_model, build_mccormick_model, build_shifted_model
 from patternrelax.patterns import Pattern, make_circuit, make_sdsos
 from patternrelax.polynomials import Box, Polynomial, degrees_up_to
@@ -293,9 +294,16 @@ def test_criterion_7_duality_round_trip():
 def test_criterion_8_circuit_checks():
     t0 = time.time()
     pat = make_circuit((2,), [(0,), (4,)])
-    f = Polynomial(1, {(4,): 1.0, (2,): -2.0, (0,): 1.0})
-    rep = pr.verify_circuit(f, pat, "R_full")
-    ok = rep.passed and abs(rep.lam) <= 1e-9
+    circuit = {k: pat.meta[k] for k in ("beta", "gammas", "lambdas")}
+    # slack 0: x^4 - 2x^2 + 1 = (x^2 - 1)^2 passes as one circuit piece at
+    # lambda = 0, and lowering its inner coefficient by 1e-6 fails
+    ok = True
+    for inner, passes in ((-2.0, True), (-(2.0 + 1e-6), False)):
+        f = Polynomial(1, {(4,): 1.0, (2,): inner, (0,): 1.0})
+        piece = CertificatePiece("circuit", {**circuit, "domain": "R_full",
+                                             "poly": dict(f.terms)})
+        rep = pr.verify_certificate(Certificate(0.0, "circuit", [piece]), f, Box.full_space(1))
+        ok &= rep.passed == passes
     # SDSOS membership: accept monomial lifts, reject inflated midpoints
     rng = np.random.default_rng(88)
     for parity in ("even", "odd"):

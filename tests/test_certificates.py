@@ -9,9 +9,6 @@ from patternrelax.certificates import (
     CertificatePiece,
     extract_certificate,
     verify_certificate,
-    verify_circuit,
-    verify_handelman,
-    verify_sos,
 )
 from patternrelax.pipeline import solve_relaxation
 from patternrelax.patterns import (
@@ -24,14 +21,38 @@ from patternrelax.patterns import (
 from patternrelax.polynomials import Box, Polynomial
 
 
+def _sos_certificate(lam, blocks):
+    """A certificate of f - lam as a sum of Gram forms (basis, Q)."""
+    return Certificate(lam, "sos", [CertificatePiece("sos", {"basis": tuple(basis), "gram": Q})
+                                    for basis, Q in blocks])
+
+
+def _handelman_certificate(lam, products):
+    """A certificate of f - lam as a sum of weight * prod(factors)."""
+    return Certificate(lam, "handelman",
+                       [CertificatePiece("linear", {"factors": factors, "weight": c})
+                        for factors, c in products])
+
+
+def _circuit_certificate(f, pat):
+    """f itself as one circuit piece of the pattern on R^n, a certificate of f - 0."""
+    data = {k: pat.meta[k] for k in ("beta", "gammas", "lambdas")}
+    return Certificate(0.0, "circuit", [CertificatePiece(
+        "circuit", {**data, "domain": "R_full", "poly": dict(f.terms)})])
+
+
 def test_verify_sos_examples():
     f = Polynomial(1, {(2,): 1.0, (0,): 1.0})
     basis = [(0,), (1,)]
-    ok = verify_sos(f, 1.0, [(basis, np.array([[0.0, 0.0], [0.0, 1.0]]))])
+    box = Box.full_space(1)
+    ok = verify_certificate(_sos_certificate(1.0, [(basis, np.array([[0.0, 0.0], [0.0, 1.0]]))]),
+                            f, box)
     assert ok.passed
-    bad_eig = verify_sos(f, 1.0, [(basis, np.array([[-1.0, 0.0], [0.0, 1.0]]))])
+    bad_eig = verify_certificate(
+        _sos_certificate(1.0, [(basis, np.array([[-1.0, 0.0], [0.0, 1.0]]))]), f, box)
     assert not bad_eig.passed
-    bad_coeff = verify_sos(f, 0.0, [(basis, np.array([[0.0, 0.0], [0.0, 1.0]]))])
+    bad_coeff = verify_certificate(
+        _sos_certificate(0.0, [(basis, np.array([[0.0, 0.0], [0.0, 1.0]]))]), f, box)
     assert not bad_coeff.passed
     assert any("residual" in p for p in bad_coeff.problems)
 
@@ -40,55 +61,76 @@ def test_verify_sos_depends_only_on_gram():
     # x^2 + 2x + 1 = (x+1)^2: Gram [[1,1],[1,1]] on basis {1, x}
     f = Polynomial(1, {(2,): 1.0, (1,): 2.0, (0,): 1.0})
     basis = [(0,), (1,)]
+    box = Box.full_space(1)
     Q = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert verify_sos(f, 0.0, [(basis, Q)]).passed
+    assert verify_certificate(_sos_certificate(0.0, [(basis, Q)]), f, box).passed
     # conjugating by a non-trivial orthogonal matrix changes the polynomial
     theta = 0.7
     R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    assert not verify_sos(f, 0.0, [(basis, R.T @ Q @ R)]).passed
+    assert not verify_certificate(_sos_certificate(0.0, [(basis, R.T @ Q @ R)]), f, box).passed
     # a different square decomposition of the same Gram matrix still passes
     eigs, vecs = np.linalg.eigh(Q)
     rebuilt = vecs @ np.diag(eigs) @ vecs.T
-    assert verify_sos(f, 0.0, [(basis, rebuilt)]).passed
+    assert verify_certificate(_sos_certificate(0.0, [(basis, rebuilt)]), f, box).passed
 
 
 def test_verify_handelman_examples():
+    # the factors x and 1 - x of the unit interval
     x = Polynomial.variable(1, 0)
-    g = [x, 1 - x]
-    assert verify_handelman(x, 0.0, g, {(1, 0): 1.0}).passed
-    assert not verify_handelman(x, 0.5, g, {(1, 0): 1.0}).passed
-    with pytest.raises(CertificateError):
-        verify_handelman(x, 0.0, g, {(1, 0): -1.0})
+    box = Box.unit(1)
+    lo = (("mon_minus_lo", (1,)),)
+    assert verify_certificate(_handelman_certificate(0.0, [(lo, 1.0)]), x, box).passed
+    assert not verify_certificate(_handelman_certificate(0.5, [(lo, 1.0)]), x, box).passed
+    rep = verify_certificate(_handelman_certificate(0.0, [(lo, -1.0)]), x, box)
+    assert not rep.passed
+    assert rep.problems[0].startswith("piece 0 (linear): negative multiplier")
 
 
 def test_verify_handelman_bilinear_product():
-    x1 = Polynomial(2, {(1, 0): 1.0})
-    x2 = Polynomial(2, {(0, 1): 1.0})
-    one = Polynomial.constant(2, 1.0)
-    g = [x1, one - x1, x2, one - x2]
+    # x1 * x2 as the product of the unit square's facets x1 >= 0 and x2 >= 0
     f = Polynomial(2, {(1, 1): 1.0})
-    assert verify_handelman(f, 0.0, g, {(1, 0, 1, 0): 1.0}).passed
+    factors = (("mon_minus_lo", (1, 0)), ("mon_minus_lo", (0, 1)))
+    assert verify_certificate(_handelman_certificate(0.0, [(factors, 1.0)]), f, Box.unit(2)).passed
 
 
 def test_verify_circuit_examples():
     pat = make_circuit((2,), [(0,), (4,)])
+    box = Box.full_space(1)
     f = Polynomial(1, {(4,): 1.0, (2,): -2.0, (0,): 1.0})
-    rep = verify_circuit(f, pat, "R_full")
-    assert rep.passed and abs(rep.lam) <= 1e-9  # slack exactly zero
+    assert verify_certificate(_circuit_certificate(f, pat), f, box).passed
+    # slack exactly zero: the least decrease of the inner coefficient fails
+    tight = Polynomial(1, {(4,): 1.0, (2,): -(2.0 + 1e-6), (0,): 1.0})
+    rep = verify_certificate(_circuit_certificate(tight, pat), tight, box)
+    assert not rep.passed and "circuit condition violated" in rep.problems[0]
     worse = Polynomial(1, {(4,): 1.0, (2,): -3.0, (0,): 1.0})
-    assert not verify_circuit(worse, pat, "R_full").passed
+    assert not verify_certificate(_circuit_certificate(worse, pat), worse, box).passed
     positive = Polynomial(1, {(4,): 0.01, (2,): 5.0, (0,): 0.01})
-    assert verify_circuit(positive, pat, "R_full").passed
+    assert verify_certificate(_circuit_certificate(positive, pat), positive, box).passed
 
 
 def test_verify_circuit_odd_case():
     pat = make_sdsos((1, 0), (0, 1))  # inner exponent (1,1), odd
+    box = Box.full_space(2)
     f = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 1): -2.0})
-    assert verify_circuit(f, pat, "R_full").passed  # (x-y)^2
+    assert verify_certificate(_circuit_certificate(f, pat), f, box).passed  # (x-y)^2
     f = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 1): 2.0})
-    assert verify_circuit(f, pat, "R_full").passed  # odd: |2| <= 2
+    assert verify_certificate(_circuit_certificate(f, pat), f, box).passed  # odd: |2| <= 2
     f = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 1): -2.1})
-    assert not verify_circuit(f, pat, "R_full").passed
+    assert not verify_certificate(_circuit_certificate(f, pat), f, box).passed
+
+
+@pytest.mark.parametrize("factor, box, problem", [
+    # 1 * x is f = x exactly, but the factor x is negative on [-1, 1]
+    (("monomial", (1,)), Box([-1.0], [1.0]), "factor ('monomial', (1,)) is not nonnegative"),
+    # a factor carrying a whole polynomial is no kind the verifier can check
+    (("affine", Polynomial.variable(1, 0)), Box.unit(1), "unknown factor kind 'affine'"),
+    (("poly", Polynomial.variable(1, 0)), Box.unit(1), "unknown factor kind 'poly'"),
+], ids=["monomial_negative_on_box", "affine", "poly"])
+def test_unprovable_factor_fails_naming_the_piece(factor, box, problem):
+    x = Polynomial.variable(1, 0)
+    rep = verify_certificate(_handelman_certificate(0.0, [((factor,), 1.0)]), x, box)
+    assert not rep.passed
+    assert rep.problems[0].startswith(f"piece 0 (linear): {problem}")
 
 
 def test_vertex_table_must_list_every_box_vertex():
@@ -211,7 +253,7 @@ def test_verify_sums_pieces_without_rounding_partial_sums():
     # COEFF_DROP_TOL, which a fold of Polynomial sums rounds to zero before
     # the third piece adds its own; one sum of all terms keeps it.  The
     # verdict is the fold's and the residual within 1e-14 of it
-    from patternrelax.certificates import _PIECE_CHECKS, _residual_report
+    from patternrelax.certificates import _PIECE_CHECKS
     from patternrelax.polynomials import COEFF_DROP_TOL
 
     basis = ((0,), (1,))
@@ -220,7 +262,7 @@ def test_verify_sums_pieces_without_rounding_partial_sums():
              np.array([[1.0, 0.25], [0.25, 1.0]])]
     pieces = [CertificatePiece("sos", {"basis": basis, "gram": Q}) for Q in grams]
     box = Box.full_space(1)
-    parts = [_PIECE_CHECKS["sos"](pc.data, 1, box, 1e-6) for pc in pieces]
+    parts = [_PIECE_CHECKS["sos"](pc.data, 1, box) for pc in pieces]
     partial = parts[0] + parts[1]
     assert (1,) not in partial.terms
     assert 0.0 < abs(parts[0].terms[(1,)] + parts[1].terms[(1,)]) < COEFF_DROP_TOL
@@ -230,7 +272,9 @@ def test_verify_sums_pieces_without_rounding_partial_sums():
         fold = Polynomial.zero(1)
         for part in parts:
             fold = fold + part
-        old = _residual_report(fold, f, lam, 1e-6, [])
-        new = verify_certificate(cert, f, box, 1e-6)
-        assert new.passed == old.passed
-        assert abs(new.max_residual - old.max_residual) <= 1e-14
+        target = f - lam
+        old_residual = max(abs(fold.terms.get(k, 0.0) - target.terms.get(k, 0.0))
+                           for k in set(fold.terms) | set(target.terms))
+        new = verify_certificate(cert, f, box)
+        assert new.passed == (old_residual <= 1e-6)
+        assert abs(new.max_residual - old_residual) <= 1e-14

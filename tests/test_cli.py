@@ -110,8 +110,18 @@ def _drop_lambda(data):
     del data["lambda"]
 
 
-@pytest.mark.parametrize("malform", [_ragged_gram, _factor_without_payload, _drop_lambda],
-                         ids=["ragged_gram", "factor_without_payload", "missing_lambda"])
+def _affine_factor(data):
+    # a factor kind with a whole polynomial as its payload, x_1 >= 0 written
+    # as an "affine" factor; the verifier knows no such kind
+    blk = next(b for b in data["blocks"] if b["kind"] == "linear")
+    n = len(blk["factors"][0][1])
+    blk["factors"] = [["affine", {"n": n, "terms": [[1] + [0] * (n - 1) + [1.0]]}]]
+
+
+@pytest.mark.parametrize("malform",
+                         [_ragged_gram, _factor_without_payload, _drop_lambda, _affine_factor],
+                         ids=["ragged_gram", "factor_without_payload", "missing_lambda",
+                              "affine_factor"])
 def test_undecodable_certificate_fails_without_raising(tmp_path, capsys, malform):
     # data the field decoders cannot read is a CertificateError, which the
     # CLI reports as a FAIL line rather than a traceback

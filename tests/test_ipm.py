@@ -393,7 +393,7 @@ def test_solver_config_validation_and_status_fields():
     r = solve(CASES[0][1]())
     assert isinstance(r, SolveResult)
     assert r.iterations > 0
-    assert math.isfinite(r.value)
+    assert math.isfinite(r.primal)
 
 
 def test_max_iter_status():

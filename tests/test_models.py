@@ -10,9 +10,7 @@ from patternrelax.models import (
     ModelPolicy,
     PatternTooWide,
     SupportOverlap,
-    build_bound_factor_model,
     build_circuit_model,
-    build_dense_moment_model,
     build_lasserre_model,
     build_mccormick_model,
     build_multilinear_model,
@@ -136,27 +134,6 @@ def test_multilinear_width_cap():
         build_multilinear_model(P, Box.unit(13))
 
 
-def test_bound_factor_rows():
-    x = Polynomial.variable(1, 0)
-    g = [x, 1 - x]
-    m = build_bound_factor_model(g, {(1, 1)}, Box.unit(1))
-    assert rows_as_sets(m) == [{(1,): 1.0, (2,): -1.0}]
-    # B = N^2_2 in two factor indices: 5 nontrivial rows (empty product skipped)
-    m = build_bound_factor_model(
-        g, {(i, j) for i in range(3) for j in range(3 - i)}, Box.unit(1))
-    assert len(m.rows) == 5
-    assert {(1,): 1.0, (2,): -1.0} in rows_as_sets(m)
-
-
-def test_bound_factor_product_of_two_box_facets():
-    x1 = Polynomial(2, {(1, 0): 1.0})
-    x2 = Polynomial(2, {(0, 1): 1.0})
-    one = Polynomial.constant(2, 1.0)
-    g = [x1, one - x1, x2, one - x2]
-    m = build_bound_factor_model(g, {(1, 0, 1, 0)}, Box.unit(2))
-    assert rows_as_sets(m) == [{(1, 1): 1.0}]
-
-
 def test_lasserre_worked_example_diag22():
     m = build_lasserre_model(np.diag([2, 2]), 1, Box([-1, -2], [1, 2]))
     (block,) = m.lmis
@@ -199,20 +176,6 @@ def test_lasserre_one_sided_localizers():
     # full space: no localizer at all
     m = build_lasserre_model(np.array([[1]]), 2, Box.full_space(1))
     assert len(m.lmis) == 1
-
-
-def test_dense_moment_model_examples():
-    one = Polynomial.constant(1, 1.0)
-    m = build_dense_moment_model([one], [[(0,), (1,)]])
-    (block,) = m.lmis
-    assert block.size == 2
-    x = Polynomial.variable(1, 0)
-    m = build_dense_moment_model([one, x, 1 - x], [[(0,), (1,)], [(0,)], [(0,)]])
-    assert len(m.lmis) == 1 and len(m.rows) == 2
-    assert {(1,): 1.0} in rows_as_sets(m)
-    assert {"const": 1.0, (1,): -1.0} in rows_as_sets(m)
-    m = build_dense_moment_model([one, x], [[(0,), (1,)], []])
-    assert len(m.lmis) == 1 and not m.rows
 
 
 def test_sparse_sos_moment_blocks():
