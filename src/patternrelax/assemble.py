@@ -20,7 +20,6 @@ from .polynomials import (
     Box,
     LinearForm,
     Polynomial,
-    linearize,
     monomial_range,
     zero_exponent,
 )
@@ -85,8 +84,7 @@ def assemble_relaxation(
 
         prog.aux_lift = aux_lift
 
-    obj = linearize(fobj, context="conic")
-    for alpha, c in obj.coeffs.items():
+    for alpha, c in fobj.terms.items():
         prog.c[col_of[alpha]] = c
 
     prog.add_eq({col_of[zero]: 1.0}, 1.0)
@@ -100,17 +98,14 @@ def assemble_relaxation(
             coeff[aux_col + i] = c
         return coeff
 
-    # every model's group pieces come first, in model order, then group order
-    group_pieces = [
-        {gid: prog.add_piece(info.kind, dict(info.payload))
-         for gid, info in model.groups.items()}
-        for model in models
-    ]
+    # the models' own pieces come first, in model order
+    model_pieces = [prog.add_piece(m.piece.kind, dict(m.piece.payload)) if m.piece else None
+                    for m in models]
 
     seen_rows: set = set()
 
     def add_row(coeff, sense_row, factors, piece=None):
-        """Add a row unless it duplicates one; a row without a group gets its
+        """Add a row unless it duplicates one; a row without a piece gets its
         own linear piece."""
         key = (sense_row, tuple(sorted((j, round(c, 12)) for j, c in coeff.items())))
         if key in seen_rows:
@@ -123,13 +118,12 @@ def assemble_relaxation(
         else:
             prog.add_ineq(coeff, 0.0, piece=piece)
 
-    for model, pieces, aux_col in zip(models, group_pieces, aux_cols):
+    for model, piece, aux_col in zip(models, model_pieces, aux_cols):
         for row in model.rows:
-            piece = pieces[row.group] if row.group is not None else None
             add_row(to_coeff(row.form, aux_col), row.sense, row.factors, piece)
 
     seen_blocks: set = set()
-    for model, pieces, aux_col in zip(models, group_pieces, aux_cols):
+    for model, aux_col in zip(models, aux_cols):
         for block in model.lmis:
             m = block.size
             # the upper triangle of a symmetric block holds all of its data;
@@ -148,20 +142,12 @@ def assemble_relaxation(
             if key in seen_blocks:
                 continue
             seen_blocks.add(key)
-            if block.group is not None:
-                piece = pieces[block.group]
-            else:
-                piece = prog.add_piece(
-                    "sos",
-                    {"basis": block.basis, "multiplier_factors": block.multiplier_factors},
-                )
+            piece = prog.add_piece(
+                "sos", {"basis": block.basis, "multiplier_factors": block.multiplier_factors})
             prog.add_block(m, entries, piece=piece)
 
-    for model, pieces in zip(models, group_pieces):
+    for model, piece in zip(models, model_pieces):
         for rec in model.gmcs:
-            piece = pieces[rec.group] if rec.group is not None else prog.add_piece(
-                "circuit", {"beta": rec.beta, "gammas": rec.gammas,
-                            "lambdas": rec.lambdas, "sign_mode": rec.sign_mode})
             prog.gmcs.append(
                 GMCData(col_of[rec.beta], tuple(col_of[g] for g in rec.gammas),
                         rec.lambdas, rec.sign_mode, piece)

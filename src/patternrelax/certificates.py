@@ -47,10 +47,9 @@ class Certificate:
     kind: str  # "sos", "handelman", "circuit", "mixed"
     pieces: list
     sense: str = "min"
-    provenance: str = ""
 
     def to_json_dict(self) -> dict:
-        blocks = [{"kind": "meta", "sense": self.sense, "provenance": self.provenance}]
+        blocks = [{"kind": "meta", "sense": self.sense}]
         for p in self.pieces:
             blocks.append({"kind": p.kind,
                            **{k: _FIELD_CODECS.get(k, _IDENTITY)[0](v) for k, v in p.data.items()}})
@@ -67,7 +66,6 @@ class Certificate:
             if key not in data:
                 raise CertificateError(f"certificate JSON missing field '{key}'")
         sense = "min"
-        provenance = ""
         pieces = []
         # the field decoders raise whatever numpy or Python raises on data of
         # the wrong shape or type; each becomes a CertificateError
@@ -78,7 +76,6 @@ class Certificate:
                 kind = blk.get("kind")
                 if kind == "meta":
                     sense = blk.get("sense", "min")
-                    provenance = blk.get("provenance", "")
                     continue
                 pieces.append(CertificatePiece(kind, {k: _FIELD_CODECS.get(k, _IDENTITY)[1](v)
                                                       for k, v in blk.items() if k != "kind"}))
@@ -87,7 +84,7 @@ class Certificate:
         except (TypeError, ValueError, IndexError, KeyError, AttributeError) as exc:
             raise CertificateError(f"{where} cannot be decoded: "
                                    f"{type(exc).__name__}: {exc}") from exc
-        return cls(lam, data["kind"], pieces, sense, provenance)
+        return cls(lam, data["kind"], pieces, sense)
 
     @classmethod
     def loads(cls, text: str) -> "Certificate":
@@ -214,7 +211,6 @@ def extract_certificate(prog: ConicProgram, result: SolveResult) -> Certificate:
         kind=kind,
         pieces=pieces,
         sense=prog.meta.get("sense", "min"),
-        provenance=prog.meta.get("program_id", ""),
     )
 
 

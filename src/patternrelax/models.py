@@ -6,9 +6,12 @@ chains and submonoids, shifted (homogenized) models, sparse SOS moment
 blocks, and geometric-mean-cone memberships for circuits.  Every builder
 emits a MomentModel: linear rows, LMI blocks with affine entries, and
 geometric-mean-cone memberships, all over monomial variables v_alpha plus
-model-local auxiliary scalars.  A model also records enough provenance
-(factor lists, vertex tables, circuit data) for the certificate module to
-re-derive and verify each dual piece independently.
+model-local auxiliary scalars.  A vertex or circuit model is one
+certificate piece, whose payload (vertex table or circuit data) lets the
+certificate module re-derive and verify it; the rows and LMI blocks of the
+other models are one piece each, with their factor lists.  Lifted points
+are checked on the assembled program (ConicProgram.lift_point and
+max_violation), not per model.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from .polynomials import (
     degrees_up_to,
     exp_add,
     exp_support,
-    linearize,
     monomial_range,
     unit_exponent,
     zero_exponent,
 )
-from .patterns import Pattern, PatternError
+from .patterns import Pattern
+from .program import Piece
 
 VERTEX_HARD_CAP = 12
 
@@ -104,7 +107,6 @@ class Row:
     form: LinearForm
     sense: str = ">="  # ">=" (form >= 0) or "==" (form == 0)
     factors: tuple | None = None  # origin of a provably nonnegative row
-    group: int | None = None
 
 
 @dataclass
@@ -112,7 +114,6 @@ class LMIBlock:
     entries: list  # list of list of LinearForm, symmetric
     basis: tuple | None = None  # x-monomials indexing rows/cols (Gram basis)
     multiplier_factors: tuple = ()  # certificate multiplier g = prod(factors)
-    group: int | None = None
 
     @property
     def size(self) -> int:
@@ -125,80 +126,43 @@ class GMCRecord:
     gammas: tuple
     lambdas: tuple
     sign_mode: str  # "even": 0 <= v_beta <= prod; "odd": |v_beta| <= prod
-    group: int | None = None
-
-
-@dataclass
-class GroupInfo:
-    kind: str  # "vertex" or "circuit"
-    payload: dict
 
 
 @dataclass
 class MomentModel:
+    """One pattern's constraints; their duals form the pattern's certificate.
+
+    A model with a piece gives all its rows and GMC records to that one
+    piece; a model without one gives each row its own "linear" piece.  Each
+    LMI block is its own "sos" piece.
+    """
+
     n: int
     variables: set = field(default_factory=set)
     aux_count: int = 0
     rows: list = field(default_factory=list)
     lmis: list = field(default_factory=list)
     gmcs: list = field(default_factory=list)
-    groups: dict = field(default_factory=dict)  # group id -> GroupInfo
+    piece: Piece | None = None
     aux_lift: Callable | None = None  # x -> list of aux values
 
     def note_form(self, form: LinearForm):
         self.variables.update(form.coeffs)
 
-    def add_row(self, form, sense=">=", factors=None, group=None):
+    def add_row(self, form, sense=">=", factors=None):
         self.note_form(form)
-        self.rows.append(Row(form, sense, tuple(factors) if factors else None, group))
+        self.rows.append(Row(form, sense, tuple(factors) if factors else None))
 
-    def add_lmi(self, entries, basis=None, multiplier_factors=(), group=None):
+    def add_lmi(self, entries, basis=None, multiplier_factors=()):
         for row_entries in entries:
             for e in row_entries:
                 self.note_form(e)
-        self.lmis.append(LMIBlock(entries, basis, tuple(multiplier_factors), group))
+        self.lmis.append(LMIBlock(entries, basis, tuple(multiplier_factors)))
 
-    def add_gmc(self, beta, gammas, lambdas, sign_mode, group=None):
+    def add_gmc(self, beta, gammas, lambdas, sign_mode):
         self.variables.add(beta)
         self.variables.update(gammas)
-        self.gmcs.append(GMCRecord(beta, tuple(gammas), tuple(lambdas), sign_mode, group))
-
-    # -- evaluation ---------------------------------------------------------
-
-    def lift_assignment(self, x) -> dict:
-        v = {alpha: Polynomial.monomial(alpha).evaluate(x) for alpha in self.variables}
-        return v
-
-    def aux_values(self, x) -> list:
-        if self.aux_count == 0:
-            return []
-        if self.aux_lift is None:
-            raise BuilderError("model has auxiliaries but no lift rule")
-        return self.aux_lift(x)
-
-    def max_violation(self, x) -> float:
-        """Worst constraint violation of the monomial lift of x (0 = feasible)."""
-        v = self.lift_assignment(x)
-        aux = self.aux_values(x)
-        worst = 0.0
-        for row in self.rows:
-            val = row.form.value(v, aux)
-            worst = max(worst, -val if row.sense == ">=" else abs(val))
-        for block in self.lmis:
-            m = np.array(
-                [[e.value(v, aux) for e in row_entries] for row_entries in block.entries]
-            )
-            worst = max(worst, -float(np.linalg.eigvalsh(m)[0]))
-        for rec in self.gmcs:
-            prod = 1.0
-            for g, lam in zip(rec.gammas, rec.lambdas):
-                prod *= max(v[g], 0.0) ** lam
-            val = v[rec.beta]
-            if rec.sign_mode == "even":
-                worst = max(worst, -val, val - prod)
-            else:
-                worst = max(worst, abs(val) - prod)
-        return worst
+        self.gmcs.append(GMCRecord(beta, tuple(gammas), tuple(lambdas), sign_mode))
 
     def dump(self) -> str:
         """Human-readable listing of all constraints with exponent labels."""
@@ -257,7 +221,6 @@ def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
     model = MomentModel(P.n)
     vertices = list(itertools.product(*[(r.lo, r.hi) for r in ranges]))
     model.aux_count = len(vertices)
-    gid = 0
     supp_pos = {i: j for j, i in enumerate(supp)}
 
     def vertex_values(beta):
@@ -277,17 +240,15 @@ def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
     # mixture rows: v_beta = sum_p lambda_p * m_beta(p); the beta = 0 row is
     # the normalization sum_p lambda_p = 1
     model.add_row(
-        LinearForm(-1.0, {}, {j: 1.0 for j in range(len(vertices))}),
-        sense="==", group=gid,
-    )
+        LinearForm(-1.0, {}, {j: 1.0 for j in range(len(vertices))}), sense="==")
     for beta in pat_exps:
         if beta == zero:
             continue
         aux = {j: -m for j, m in enumerate(table[beta]) if m != 0.0}
-        model.add_row(LinearForm(0.0, {beta: 1.0}, aux), sense="==", group=gid)
+        model.add_row(LinearForm(0.0, {beta: 1.0}, aux), sense="==")
     for j in range(len(vertices)):
-        model.add_row(LinearForm(0.0, {}, {j: 1.0}), group=gid)
-    model.groups[gid] = GroupInfo(
+        model.add_row(LinearForm(0.0, {}, {j: 1.0}))
+    model.piece = Piece(
         "vertex",
         {
             "base_alpha": base,
@@ -358,19 +319,37 @@ def _gamma_apply(columns, delta: Exponent) -> Exponent:
     return img
 
 
-def _moment_entry(alpha: Exponent) -> LinearForm:
-    if sum(alpha) == 0:
-        return LinearForm(1.0)
-    return LinearForm(0.0, {alpha: 1.0})
+def _moment_block(model: MomentModel, basis: tuple, h: Polynomial, factors: tuple):
+    """Add the block [h x^(a+b)]_{a,b in basis}, linearized (v_0 = 1).
+
+    h is the block's multiplier, prod(factors); a 1x1 block becomes a row.
+    """
+    zero = zero_exponent(model.n)
+    terms = list(h.terms.items())
+    m = len(basis)
+    entries = [[None] * m for _ in range(m)]
+    for i, a in enumerate(basis):
+        for j in range(i, m):
+            s = exp_add(a, basis[j])
+            coeffs = {exp_add(g, s): c for g, c in terms}
+            entries[i][j] = entries[j][i] = LinearForm(coeffs.pop(zero, 0.0), coeffs)
+    if m == 1:
+        b = basis[0]
+        if sum(b):
+            factors = factors + (("monomial", exp_add(b, b)),)
+        model.add_row(entries[0][0], factors=factors or None)
+    else:
+        model.add_lmi(entries, basis=basis, multiplier_factors=factors)
 
 
 def build_lasserre_model(Gamma, d: int, box: Box) -> MomentModel:
     """Moment LMI plus quadratic localizers on the image of a degree simplex.
 
     The pattern is Gamma * N^k_{2d}; the moment matrix is indexed by the
-    degree-d base simplex and each column gets the localizer
-    (x^{gamma(i)} - l)(u - x^{gamma(i)}), with one-sided boxes dropping the
-    missing factor.  Entries are obtained by symbolic expansion.
+    Gamma-image of the degree-d base simplex and each column gets the
+    localizer (x^{gamma(i)} - l)(u - x^{gamma(i)}), with one-sided boxes
+    dropping the missing factor.  Gamma is linear, so the entry exponents are
+    sums of basis images.
     """
     columns = _as_columns(Gamma)
     G = np.array(columns, dtype=int).T
@@ -381,16 +360,10 @@ def build_lasserre_model(Gamma, d: int, box: Box) -> MomentModel:
     if box.n != n:
         raise BuilderError("box dimension mismatch")
     model = MomentModel(n)
-    base = degrees_up_to(k, d)
-    basis = tuple(_gamma_apply(columns, delta) for delta in base)
-    entries = [
-        [_moment_entry(_gamma_apply(columns, exp_add(da, db))) for db in base]
-        for da in base
-    ]
-    _emit_lmi_or_row(model, entries, basis, ())
+    basis = tuple(_gamma_apply(columns, delta) for delta in degrees_up_to(k, d))
+    _moment_block(model, basis, Polynomial.constant(n, 1.0), ())
     if d >= 1:
-        loc_base = degrees_up_to(k, d - 1)
-        loc_basis = tuple(_gamma_apply(columns, delta) for delta in loc_base)
+        loc_basis = tuple(_gamma_apply(columns, delta) for delta in degrees_up_to(k, d - 1))
         for j in range(k):
             gamma_j = columns[j]
             rng = monomial_range(gamma_j, box)
@@ -401,30 +374,9 @@ def build_lasserre_model(Gamma, d: int, box: Box) -> MomentModel:
                 factors.append(("up_minus_mon", gamma_j))
             if not factors:
                 continue
-            h = product_of_factors(factors, box, n)
-            loc_entries = [
-                [
-                    linearize(h * Polynomial.monomial(
-                        _gamma_apply(columns, exp_add(da, db))))
-                    for db in loc_base
-                ]
-                for da in loc_base
-            ]
-            _emit_lmi_or_row(model, loc_entries, loc_basis, tuple(factors))
+            _moment_block(model, loc_basis, product_of_factors(factors, box, n),
+                          tuple(factors))
     return model
-
-
-def _emit_lmi_or_row(model: MomentModel, entries, basis, multiplier_factors, group=None):
-    """Size-1 LMIs become plain rows; larger blocks stay matrices."""
-    if len(entries) == 1:
-        factors = tuple(multiplier_factors)
-        b = basis[0]
-        if sum(b):
-            factors = factors + (("monomial", exp_add(b, b)),)
-        model.add_row(entries[0][0], factors=factors or None, group=group)
-    else:
-        model.add_lmi(entries, basis=basis, multiplier_factors=multiplier_factors,
-                      group=group)
 
 
 def build_sparse_sos_moment_model(B_list: Sequence, shifts: Sequence | None = None) -> MomentModel:
@@ -437,14 +389,10 @@ def build_sparse_sos_moment_model(B_list: Sequence, shifts: Sequence | None = No
     if shifts is None:
         shifts = [zero_exponent(n)] * len(B_list)
     for Bi, eta in zip(B_list, shifts):
-        basis = sorted(as_exponent(b) for b in Bi)
+        basis = tuple(sorted(as_exponent(b) for b in Bi))
         eta = as_exponent(eta)
-        entries = [
-            [_moment_entry(exp_add(eta, exp_add(ba, bb))) for bb in basis]
-            for ba in basis
-        ]
         factors = (("monomial", eta),) if sum(eta) else ()
-        _emit_lmi_or_row(model, entries, tuple(basis), factors)
+        _moment_block(model, basis, Polynomial.monomial(eta), factors)
     return model
 
 
@@ -453,10 +401,14 @@ def build_shifted_model(eta: Exponent, base: MomentModel, box: Box) -> MomentMod
 
     Requires x^eta to be variable-independent from every base monomial and
     nonnegative on the box (the conic-hull argument needs t = x^eta >= 0).
+    Only rows and moment blocks are shifted: a base with a piece, GMC
+    records or auxiliaries is rejected.
     """
     eta = as_exponent(eta)
     if sum(eta) == 0:
         return base
+    if base.piece is not None or base.gmcs or base.aux_count:
+        raise BuilderError("only a base of rows and moment blocks can be shifted")
     eta_supp = exp_support(eta)
     for alpha in base.variables:
         if exp_support(alpha) & eta_supp:
@@ -467,37 +419,23 @@ def build_shifted_model(eta: Exponent, base: MomentModel, box: Box) -> MomentMod
     if rng.lo < 0:
         raise BuilderError(f"shift monomial {eta} can be negative on the box")
     model = MomentModel(base.n)
-    model.aux_count = base.aux_count
 
     def shifted(form: LinearForm) -> LinearForm:
         coeffs = {exp_add(a, eta): c for a, c in form.coeffs.items()}
         if form.constant:
             coeffs[eta] = coeffs.get(eta, 0.0) + form.constant
-        return LinearForm(0.0, coeffs, form.aux)
+        return LinearForm(0.0, coeffs)
 
     for row in base.rows:
         factors = row.factors
         if factors is not None:
             factors = factors + (("monomial", eta),)
-        model.add_row(shifted(row.form), row.sense, factors, row.group)
+        model.add_row(shifted(row.form), row.sense, factors)
     for block in base.lmis:
         entries = [[shifted(e) for e in row_entries] for row_entries in block.entries]
         model.add_lmi(entries, basis=block.basis,
-                      multiplier_factors=block.multiplier_factors + (("monomial", eta),),
-                      group=block.group)
-    for rec in base.gmcs:
-        model.add_gmc(exp_add(rec.beta, eta),
-                      tuple(exp_add(g, eta) for g in rec.gammas),
-                      rec.lambdas, rec.sign_mode, rec.group)
-    for gid, info in base.groups.items():
-        payload = dict(info.payload)
-        payload["shift"] = eta
-        model.groups[gid] = GroupInfo(info.kind, payload)
+                      multiplier_factors=block.multiplier_factors + (("monomial", eta),))
     _bounds_model(model, eta, box)
-    if base.aux_count:
-        base_lift = base.aux_lift
-        eta_mono = Polynomial.monomial(eta)
-        model.aux_lift = lambda x: [eta_mono.evaluate(x) * t for t in base_lift(x)]
     return model
 
 
@@ -518,14 +456,12 @@ def build_circuit_model(P: Pattern, domain: str = "R_plus") -> MomentModel:
     else:
         even = True
     model = MomentModel(P.n)
-    gid = 0
     for g in gammas:
-        model.add_row(LinearForm(0.0, {g: 1.0}), factors=(("monomial", g),), group=gid)
+        model.add_row(LinearForm(0.0, {g: 1.0}), factors=(("monomial", g),))
     if even:
-        model.add_row(LinearForm(0.0, {beta: 1.0}), factors=(("monomial", beta),),
-                      group=gid)
-    model.add_gmc(beta, gammas, lambdas, "even" if even else "odd", group=gid)
-    model.groups[gid] = GroupInfo(
+        model.add_row(LinearForm(0.0, {beta: 1.0}), factors=(("monomial", beta),))
+    model.add_gmc(beta, gammas, lambdas, "even" if even else "odd")
+    model.piece = Piece(
         "circuit",
         {"beta": beta, "gammas": gammas, "lambdas": lambdas,
          "sign_mode": "even" if even else "odd", "domain": domain},
@@ -570,7 +506,7 @@ def _pairwise_mccormick(P: Pattern, box: Box) -> MomentModel:
                        exp_add(unit_exponent(P.n, i, base[i]), unit_exponent(P.n, j, base[j]))}),
             kind="multilinear",
         )
-        # a McCormick model has no auxiliaries and no groups
+        # a McCormick model has no auxiliaries and no piece
         mc = build_mccormick_model(sub, box)
         model.variables |= mc.variables
         model.rows += mc.rows
@@ -642,9 +578,11 @@ def model_for_pattern(P: Pattern, box: Box, policy: ModelPolicy) -> MomentModel:
             raise BuilderError("circuit patterns apply on R_+^n or R^n domains")
         return build_circuit_model(P, domain)
     if kind == "sos_block":
-        basis = P.meta["basis"]
         eta = P.shift if P.shift is not None else zero_exponent(P.n)
-        return build_sparse_sos_moment_model([basis], [eta])
+        # the block's certificate multiplier is x^eta, so it must be >= 0
+        if monomial_range(eta, box).lo < 0:
+            raise BuilderError(f"shift monomial {eta} can be negative on the box")
+        return build_sparse_sos_moment_model([P.meta["basis"]], [eta])
     return _generic_model(P, box, policy)
 
 

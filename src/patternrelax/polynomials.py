@@ -353,9 +353,8 @@ class Polynomial:
 class LinearForm:
     """Affine form constant + sum_alpha coeffs[alpha] * v_alpha + sum_i aux[i] * t_i.
 
-    In body context v_0 is the constant 1, so the zero exponent never appears
-    among the coefficients; in conic context the constant is zero and v_0
-    carries an ordinary coefficient.
+    v_0 is the constant 1, so the zero exponent never appears among the
+    coefficients.
     """
 
     __slots__ = ("constant", "coeffs", "aux")
@@ -373,12 +372,12 @@ class LinearForm:
                 if abs(c) > COEFF_DROP_TOL:
                     self.aux[int(i)] = float(c)
 
-    def value(self, assignment: Mapping[Exponent, float], aux_values=None) -> float:
+    def value(self, assignment: Mapping[Exponent, float], aux=None) -> float:
         total = self.constant
         for a, c in self.coeffs.items():
             total += c * assignment[a]
         for i, c in self.aux.items():
-            total += c * aux_values[i]
+            total += c * aux[i]
         return total
 
     def __repr__(self):
@@ -390,17 +389,11 @@ class LinearForm:
         return " ".join(bits)
 
 
-def linearize(f: Polynomial, context: str = "body") -> LinearForm:
+def linearize(f: Polynomial) -> LinearForm:
     """Riesz linearization: replace each x^alpha by the monomial variable v_alpha.
 
-    Body context folds the constant term of f into the form's constant (v_0=1);
-    conic context keeps it as a coefficient on v_0.
+    The constant term of f becomes the form's constant (v_0 = 1).
     """
-    if context not in ("body", "conic"):
-        raise ValueError(f"unknown linearization context {context!r}")
-    zero = zero_exponent(f.n)
     coeffs = dict(f.terms)
-    constant = 0.0
-    if context == "body":
-        constant = coeffs.pop(zero, 0.0)
+    constant = coeffs.pop(zero_exponent(f.n), 0.0)
     return LinearForm(constant, coeffs)

@@ -6,8 +6,8 @@ import pytest
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import brute_force_min, family_for_method, gen_instance
 from patternrelax.models import ModelPolicy
-from patternrelax.patterns import (PatternFamily, chain_family, multilinear_family,
-                                   submonoid_pattern)
+from patternrelax.patterns import (PatternFamily, chain_family, make_sdsos, multilinear_family,
+                                   submonoid_pattern, univariate_sparse_family)
 from patternrelax.pipeline import solve_relaxation
 from patternrelax.polynomials import Box, Polynomial, monomial_range
 from patternrelax.program import export_sdpa, gmc_to_psd2, parse_sdpa
@@ -131,8 +131,9 @@ def test_v0_pinned_and_homogeneous_rows():
 
 # SHA-256 of the SDPA text of assembled programs, recorded when models were
 # still merged pairwise (the S(3,6) entry: when rows dropped as duplicates
-# still created pieces); assembly must emit the same rows, blocks and aux
-# columns in the same order.
+# still created pieces; the dense(3,4)/T entry and PINNED_FAMILY_SDPA: when
+# each moment-matrix entry applied Gamma again); assembly must emit the same
+# rows, blocks and aux columns in the same order.
 PINNED_SDPA = [
     # vertex models with auxiliaries
     ("dense(3,4)", 1, "M", None,
@@ -149,6 +150,20 @@ PINNED_SDPA = [
     # one 35x35 moment block, above the solver's DENSE_BLOCK_MAX
     ("dense(3,8)", 1, "tssos-sos", None,
      "d2dec1e9ffbe85a9959b7af46d555b824f20d4c66cf0f0c61c8521c0d83598f9"),
+    # images of two-column Gammas, with localizers
+    ("dense(3,4)", 1, "T", None,
+     "297a6406a30a8a83bde06c0693bf253713a7a0da56c21d20de7021e83f9a8c51"),
+]
+
+# the same for hand-made families: (objective, family, box, digest)
+PINNED_FAMILY_SDPA = [
+    # shifted SOS moment blocks x^i * M(y)
+    (Polynomial(1, {(6,): 1.0, (2,): -2.0, (0,): 0.5}), univariate_sparse_family({0, 2, 6}),
+     Box([0], [3]), "08ce9d50d6e3f767dfc2de72a1a248efe9dd8fcd16f6fbdad1bbbf742ed049a8"),
+    # a GMC record that belongs to its model's circuit piece
+    (Polynomial(2, {(2, 0): 1.0, (1, 1): -1.5, (0, 2): 1.0}),
+     PatternFamily([make_sdsos((1, 0), (0, 1))]), Box.full_space(2),
+     "f4eb5f0070a574cad31fe3ccb93b81759b85f3913b608e4ce08f5f335671914f"),
 ]
 
 # the same for lowered geometric-mean cones: towers of 2x2 blocks
@@ -168,6 +183,11 @@ def test_assembled_sdpa_is_pinned(tag, seed, method, policy, digest):
     inst = gen_instance(tag, seed)
     prog = assemble_relaxation(inst.f, family_for_method(method, inst.f), inst.box, policy)
     assert_pinned_and_reparsed(export_sdpa(prog.lowered()), digest)
+
+
+@pytest.mark.parametrize("f,fam,box,digest", PINNED_FAMILY_SDPA, ids=["univariate", "sdsos"])
+def test_family_sdpa_is_pinned(f, fam, box, digest):
+    assert_pinned_and_reparsed(export_sdpa(assemble_relaxation(f, fam, box).lowered()), digest)
 
 
 @pytest.mark.parametrize("lambdas,digest", PINNED_GMC_SDPA)

@@ -214,6 +214,10 @@ def test_round_trip_circuit_certificate_and_json():
     again = Certificate.from_json_dict(data)
     assert verify_certificate(again, f, box).passed
     assert abs(again.lam - cert.lam) == 0.0
+    # older certificates carry a provenance string in their meta block
+    assert data["blocks"][0] == {"kind": "meta", "sense": "min"}
+    data["blocks"][0]["provenance"] = ""
+    assert verify_certificate(Certificate.from_json_dict(data), f, box).passed
 
 
 def test_certificate_json_missing_field():

@@ -5,6 +5,7 @@ import pytest
 
 from patternrelax import models
 from patternrelax.assemble import assemble_relaxation
+from patternrelax.bench import brute_force_min, family_for_method
 from patternrelax.models import (
     BuilderError,
     ModelPolicy,
@@ -23,6 +24,7 @@ from patternrelax.patterns import (
     PatternFamily,
     chain_family,
     expression_tree_family,
+    gamma_image,
     h_family,
     make_sdsos,
     multilinear_family,
@@ -30,6 +32,7 @@ from patternrelax.patterns import (
     truncated_submonoid_family,
     univariate_sparse_family,
 )
+from patternrelax.pipeline import solve_relaxation
 from patternrelax.polynomials import Box, Polynomial
 
 
@@ -100,9 +103,8 @@ def test_multilinear_vertex_worked_example():
     assert len(eq_rows) == 4  # normalization + three coordinates
     pos_rows = [r for r in m.rows if r.sense == ">="]
     assert len(pos_rows) == 4  # lambda_p >= 0
-    gid = next(iter(m.groups))
-    assert m.groups[gid].kind == "vertex"
-    verts = set(m.groups[gid].payload["vertices"])
+    assert m.piece.kind == "vertex"
+    verts = set(m.piece.payload["vertices"])
     assert verts == {(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)}
 
 
@@ -118,12 +120,9 @@ def test_multilinear_transformed_cube():
     # {0,3}^2 on [0,1]^2 behaves like {0,1}^2 with y_i = x_i^3
     P = Pattern(frozenset({(0, 0), (3, 0), (0, 3), (3, 3)}), kind="multilinear")
     m = build_multilinear_model(P, Box.unit(2))
-    gid = next(iter(m.groups))
-    assert set(m.groups[gid].payload["vertices"]) == {
+    assert set(m.piece.payload["vertices"]) == {
         (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
-    rng = np.random.default_rng(0)
-    for x in Box.unit(2).sample(rng, 50):
-        assert m.max_violation(x) <= 1e-9
+    _check_lift([P], Box.unit(2), samples=50)
 
 
 def test_multilinear_width_cap():
@@ -237,6 +236,29 @@ def test_shift_zero_is_identity():
     assert build_shifted_model((0, 0), base, box) is base
 
 
+def test_shifted_model_rejects_pieces_gmcs_and_auxiliaries():
+    # only rows and moment blocks are shifted; a vertex mixture (piece and
+    # auxiliaries) or a circuit (piece and GMC record) is not a valid base
+    box = Box([0, 0, 1], [1, 1, 2])
+    square = Pattern(frozenset({(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)}),
+                     kind="multilinear")
+    circuit = make_sdsos((1, 0, 0), (0, 1, 0))
+    for base in (build_multilinear_model(square, box), build_circuit_model(circuit)):
+        with pytest.raises(BuilderError, match="can be shifted"):
+            build_shifted_model((0, 0, 1), base, box)
+
+
+def test_sos_block_shift_must_be_nonnegative_on_the_box():
+    # x^1 * M(y) >= 0 is not valid where x < 0: with the shifted blocks of
+    # {0, 3, 5} on [-1, 1], min x^5 + x^3 + 0.1 = -1.9 would get the bound 0.1
+    f = Polynomial(1, {(5,): 1.0, (3,): 1.0, (0,): 0.1})
+    fam = family_for_method("univariate-sparse", f)
+    with pytest.raises(BuilderError, match="negative on the box"):
+        assemble_relaxation(f, fam, Box([-1], [1]))
+    for box in (Box([0], [5.0]), Box.nonneg_orthant(1)):
+        assert len(assemble_relaxation(f, fam, box).blocks) == len(fam)
+
+
 def test_circuit_model_even_odd():
     pat = make_sdsos((1, 0), (0, 0))  # beta = (1,0), gammas (2,0),(0,0)
     m = build_circuit_model(pat, "R_full")
@@ -268,10 +290,16 @@ def test_circuit_model_requires_even_gammas_on_full_space():
 # lifted-point feasibility: monomial lifts satisfy every generated model
 
 
-def _check_lift(model, box, samples=200, seed=0, tol=1e-9):
+def _lifted_program(patterns, box, policy=None):
+    """The patterns' models assembled with a zero objective."""
+    return assemble_relaxation(Polynomial.zero(box.n), PatternFamily(patterns), box, policy)
+
+
+def _check_lift(patterns, box, policy=None, samples=200, seed=0, tol=1e-9):
+    prog = _lifted_program(patterns, box, policy)
     rng = np.random.default_rng(seed)
     X = box.sample(rng, samples)
-    worst = max(model.max_violation(x) for x in X)
+    worst = max(prog.max_violation(prog.lift_point(x)) for x in X)
     assert worst <= tol, f"lift violation {worst}"
 
 
@@ -288,35 +316,62 @@ FAMILY_CASES = [
 
 @pytest.mark.parametrize("builder,A,box", FAMILY_CASES)
 def test_lifted_points_feasible_per_family(builder, A, box):
-    policy = ModelPolicy()
-    fam = builder(A)
-    for pat in fam:
-        model = model_for_pattern(pat, box, policy)
-        _check_lift(model, box)
+    _check_lift(builder(A).patterns, box)
 
 
 def test_lifted_points_feasible_tree_and_univariate():
     f = Polynomial(3, {(1, 1, 4): 1.0, (2, 0, 1): -2.0})
-    for pat in expression_tree_family(f):
-        _check_lift(model_for_pattern(pat, Box.unit(3), ModelPolicy()), Box.unit(3))
-    fam = univariate_sparse_family({0, 2, 6})
-    box = Box([0], [5.0])
-    for pat in fam:
-        _check_lift(model_for_pattern(pat, box, ModelPolicy()), box)
+    _check_lift(expression_tree_family(f).patterns, Box.unit(3))
+    _check_lift(univariate_sparse_family({0, 2, 6}).patterns, Box([0], [5.0]))
 
 
 def test_lifted_points_feasible_circuits():
     rng = np.random.default_rng(4)
-    pat_even = make_sdsos((2, 0), (0, 2))
-    m = build_circuit_model(pat_even, "R_full")
+    box = Box.full_space(2)
+    prog = _lifted_program([make_sdsos((2, 0), (0, 2))], box)
     for _ in range(200):
         x = rng.uniform(-10, 10, 2)
-        assert m.max_violation(x) <= 1e-9 * max(1.0, np.max(np.abs(x)) ** 8)
-    pat_odd = make_sdsos((1, 0), (0, 1))
-    m = build_circuit_model(pat_odd, "R_full")
+        assert prog.max_violation(prog.lift_point(x)) <= 1e-9 * max(1.0, np.max(np.abs(x)) ** 8)
+    prog = _lifted_program([make_sdsos((1, 0), (0, 1))], box)
     for _ in range(200):
         x = rng.uniform(-3, 3, 2)
-        assert m.max_violation(x) <= 1e-9
+        assert prog.max_violation(prog.lift_point(x)) <= 1e-9
+
+
+# the fallbacks of a pattern with no recognised structure, and a submonoid
+# pattern whose base is not a simplex: (patterns, box, objective terms, a
+# check that the route's builder ran)
+GENERIC_ROUTES = {
+    "multilinear-cube": (
+        [Pattern(frozenset({(0, 0), (2, 0), (0, 1), (2, 1)}), kind="generic")],
+        Box([-1, -1], [1, 2]), {(2, 1): 1.0, (2, 0): -0.5, (0, 1): 0.2},
+        lambda m: m.piece.kind == "vertex"),
+    "unit-column-lasserre": (
+        [Pattern(frozenset({(0, 0), (1, 1), (2, 1), (0, 2)}), kind="generic")],
+        Box([-1, -1], [1, 2]), {(2, 1): 1.0, (1, 1): -0.5, (0, 2): 0.2},
+        lambda m: m.lmis[0].basis == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))),
+    "bounds-only": (
+        [Pattern(frozenset({(0, 0, 0, 0), (4, 4, 3, 2), (1, 0, 0, 2)}), kind="generic")],
+        Box([-1, 0, -1, 0], [1, 1, 1, 2]), {(4, 4, 3, 2): 1.0, (1, 0, 0, 2): -0.5},
+        lambda m: not m.lmis and all(len(r.factors) == 1 for r in m.rows)),
+    "submonoid-without-d": (
+        [gamma_image([[1, 0], [1, 1]], [(0, 0), (1, 0), (0, 1), (1, 1)])],
+        Box([-1, -1], [1, 2]), {(1, 1): 1.0, (0, 1): -0.5, (1, 2): 0.3},
+        lambda m: len(m.lmis) == 3),
+}
+
+
+@pytest.mark.parametrize("route", sorted(GENERIC_ROUTES))
+def test_generic_routes_are_feasible_and_sound(route):
+    patterns, box, terms, took_route = GENERIC_ROUTES[route]
+    assert all(took_route(model_for_pattern(p, box, ModelPolicy())) for p in patterns)
+    _check_lift(patterns, box)
+    f = Polynomial(box.n, terms)
+    rel = solve_relaxation(f, PatternFamily(patterns), box)
+    assert rel.result.status == "optimal"
+    assert rel.bound - brute_force_min(f, box).value <= 1e-6
+    cert, report = rel.certify()
+    assert report.passed, report.problems
 
 
 @pytest.mark.parametrize("policy,k,expected", [
@@ -343,7 +398,7 @@ def test_pairwise_mccormick_fallback_for_wide_patterns():
     fam = multilinear_family({alpha})
     model = model_for_pattern(fam.patterns[0], Box.unit(8), ModelPolicy(vertex_cap=6))
     assert model.aux_count == 0  # no 2^8 vertex mixture
-    _check_lift(model, Box.unit(8), samples=100)
+    _check_lift(fam.patterns, Box.unit(8), ModelPolicy(vertex_cap=6), samples=100)
 
 
 def test_merge_of_many_vertex_models_lifts_without_recursion():

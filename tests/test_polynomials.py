@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patternrelax.assemble import assemble_relaxation
+from patternrelax.patterns import chain_family
 from patternrelax.polynomials import (
     Box,
     Interval,
@@ -33,15 +35,16 @@ def test_linearize_tree_polynomial():
     f = Polynomial(3, {(2, 0, 1): 2, (1, 1, 4): -3, (1, 1, 1): 7})
     form = linearize(f)
     assert form.coeffs == {(2, 0, 1): 2.0, (1, 1, 4): -3.0, (1, 1, 1): 7.0}
-    conic = linearize(f, context="conic")
-    assert conic.constant == 0.0
+    assert form.constant == 0.0
 
 
 def test_linearize_conic_keeps_v0():
+    # the conic program keeps the objective's constant as v_0's cost
     f = Polynomial(1, {(0,): 5.0, (1,): 2.0})
-    conic = linearize(f, context="conic")
-    assert conic.coeffs == {(0,): 5.0, (1,): 2.0}
-    body = linearize(f, context="body")
+    prog = assemble_relaxation(f, chain_family({(1,)}), Box.unit(1))
+    assert prog.c[prog.meta["v0_col"]] == 5.0
+    assert prog.c[prog.col_exponents.index((1,))] == 2.0
+    body = linearize(f)
     assert body.constant == 5.0 and body.coeffs == {(1,): 2.0}
 
 
