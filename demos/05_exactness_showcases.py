@@ -12,11 +12,12 @@ import numpy as np
 from patternrelax import (
     Box,
     Polynomial,
+    dense_sos_family,
     solve_relaxation,
     tssos_partition,
     univariate_sparse_family,
 )
-from patternrelax.bench import dense_sos_family, family_for_method
+from patternrelax.bench import family_for_method
 from patternrelax.polynomials import degrees_up_to
 
 # --- sparse univariate over R_+ --------------------------------------------

@@ -33,13 +33,14 @@ from .models import (
     build_mccormick_model,
     build_multilinear_model,
     build_shifted_model,
-    build_sparse_sos_moment_model,
     model_for_pattern,
 )
 from .patterns import (
     Pattern,
     PatternFamily,
+    build_family,
     chain_family,
+    dense_sos_family,
     expression_tree_family,
     gamma_image,
     h_family,
@@ -49,7 +50,9 @@ from .patterns import (
     multilinear_family,
     prune_inclusion_maximal,
     shifted_chain_family,
+    sos_block_pattern,
     truncated_submonoid_family,
+    tssos_family,
     tssos_partition,
     univariate_sparse_family,
 )
@@ -63,6 +66,6 @@ from .polynomials import (
     minkowski_sum,
     monomial_range,
 )
-from .program import ConicProgram, export_sdpa, gmc_to_psd2, parse_sdpa
+from .program import ConicProgram, export_sdpa, parse_sdpa
 
 __version__ = "0.1.0"

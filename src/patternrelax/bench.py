@@ -17,17 +17,9 @@ import numpy as np
 
 from .ipm import SolverConfig
 from .models import ModelPolicy
-from .patterns import (
-    FAMILY_BUILDERS,
-    PatternFamily,
-    build_family,
-    tssos_partition,
-    univariate_sparse_family,
-    Pattern,
-)
+from .patterns import PatternFamily, build_family
 from .pipeline import solve_relaxation
-from .polynomials import (Box, Polynomial, degrees_up_to, minkowski_sum, monomial_range,
-                          zero_exponent)
+from .polynomials import Box, Polynomial, degrees_up_to, monomial_range, zero_exponent
 
 MASK64 = (1 << 64) - 1
 
@@ -138,16 +130,14 @@ def _parse_two(body: str) -> tuple:
     return int(parts[0]), int(parts[1])
 
 
-def gen_instance(tag: str, seed: int, box: Box | None = None) -> Instance:
-    """Deterministic instance for (tag, seed); default box is the unit cube."""
+def gen_instance(tag: str, seed: int) -> Instance:
+    """Deterministic instance for (tag, seed) on the unit cube."""
     rng = SplitMix64(seed)
     exps = exponent_set_for_tag(tag, rng)
     n = len(exps[0])
     terms = {alpha: rng.uniform(-1.0, 1.0) for alpha in exps}
     f = Polynomial(n, terms)
-    if box is None:
-        box = Box.unit(n)
-    return Instance(id=f"{tag}#{seed}", tag=tag, n=n, seed=seed, f=f, box=box)
+    return Instance(id=f"{tag}#{seed}", tag=tag, n=n, seed=seed, f=f, box=Box.unit(n))
 
 
 # ---------------------------------------------------------------------------
@@ -228,31 +218,9 @@ def brute_force_min(f: Polynomial, box: Box, budget: int = 2_000_000,
 
 
 def family_for_method(method: str, f: Polynomial) -> PatternFamily:
-    support = set(f.support())
-    support.discard(zero_exponent(f.n))
-    if not support:
-        support = {zero_exponent(f.n)}
-    if method in FAMILY_BUILDERS:
-        return build_family(method, support)
-    if method == "tssos-sos":
-        d = math.ceil(f.degree() / 2)
-        B = degrees_up_to(f.n, d)
-        A = set(f.support()) | {zero_exponent(f.n)}
-        blocks = tssos_partition(A, B)
-        pats = [Pattern(minkowski_sum(b, b), kind="sos_block",
-                        meta={"basis": tuple(sorted(b))}) for b in blocks]
-        return PatternFamily(pats, f.n, kind="tssos-sos")
-    if method == "univariate-sparse":
-        A = set(f.support()) | {zero_exponent(f.n)}
-        return univariate_sparse_family(A)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def dense_sos_family(n: int, d: int) -> PatternFamily:
-    """The single dense moment block on the degree-d basis."""
-    B = tuple(degrees_up_to(n, d))
-    pats = [Pattern(minkowski_sum(B, B), kind="sos_block", meta={"basis": B})]
-    return PatternFamily(pats, n, kind="dense-sos")
+    """The method's family on f's support without the constant term ({0} for a constant f)."""
+    zero = zero_exponent(f.n)
+    return build_family(method, f.support() - {zero} or {zero})
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +355,7 @@ CSV_COLUMNS = ["instance_id", "family", "method", "sense", "value", "triv",
                "status", "iters", "time_s"]
 
 
-def records_to_csv(records, include_time: bool = True) -> str:
+def records_to_csv(records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -395,7 +363,7 @@ def records_to_csv(records, include_time: bool = True) -> str:
         writer.writerow([
             r.instance_id, r.family, r.method, r.sense,
             _num(r.value), _num(r.triv), r.status, r.iters,
-            ("%.6f" % r.time_s) if include_time else "",
+            "%.6f" % r.time_s,
         ])
     return buf.getvalue()
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from .ipm import SolveResult
 from .models import factor_min_on_box, product_of_factors
-from .polynomials import (Box, Polynomial, exp_add, exp_support, monomial_range,
-                          unit_exponent, zero_exponent)
+from .polynomials import Box, Polynomial, exp_add, exp_support, monomial_range, unit_exponent
 from .program import ConicProgram
 
 COEFF_TOL = 1e-6
@@ -111,7 +110,6 @@ _FIELD_CODECS = {
     "vertices": _EXPONENT_LIST,
     "beta": _OPTIONAL_EXPONENT,
     "base_alpha": _OPTIONAL_EXPONENT,
-    "shift": _OPTIONAL_EXPONENT,
     "support": (list, lambda v: tuple(int(e) for e in v)),
     "gram": (lambda v: np.asarray(v).tolist(), lambda v: np.array(v, float)),
     "poly": (lambda v: [list(a) + [c] for a, c in sorted(v.items())],
@@ -293,13 +291,12 @@ def _sos_piece(data: dict, n: int, box: Box) -> Polynomial:
 
 
 def _vertex_piece(data: dict, n: int, box: Box) -> Polynomial:
-    """x^shift * p, with x^shift >= 0 on the box and p multilinear in the
-    y_i = x_i^base_i (i in support) and >= 0 at every vertex of their box."""
+    """A polynomial multilinear in the y_i = x_i^base_i (i in support) and
+    >= 0 at every vertex of their box."""
     terms, base, support, vertices = _fields(data, "poly", "base_alpha", "support", "vertices")
     poly = Polynomial(n, terms)
-    eta = tuple(data["shift"]) if data.get("shift") else zero_exponent(n)
-    if len(base) != n or len(eta) != n or not all(0 <= i < n for i in support):
-        raise CertificateError(f"base, shift or support does not fit {n} variables")
+    if len(base) != n or not all(0 <= i < n for i in support):
+        raise CertificateError(f"base or support does not fit {n} variables")
     # a table that omits a vertex would prove nothing: it must be the box's
     ranges = [monomial_range(unit_exponent(n, i, base[i]), box) for i in support]
     if not all(r.finite for r in ranges):
@@ -308,24 +305,15 @@ def _vertex_piece(data: dict, n: int, box: Box) -> Polynomial:
         raise CertificateError(
             f"vertex tuples do not match the box's vertices on the support {tuple(support)}")
     scale = 1.0 + max((abs(c) for c in poly.terms.values()), default=0.0)
-    # strip the shift monomial and check the rest lives in the multilinear cube
-    reduced: dict = {}
-    for alpha, c in poly.terms.items():
-        diff = tuple(a - e for a, e in zip(alpha, eta))
-        if any(d < 0 for d in diff) or any(
-            d not in (0, base[i]) or (i not in support and d)
-            for i, d in enumerate(diff)
-        ):
+    for alpha in poly.terms:
+        if any(a not in (0, base[i]) or (i not in support and a) for i, a in enumerate(alpha)):
             raise CertificateError(f"exponent {alpha} lies outside the piece's cube")
-        reduced[diff] = c
-    if sum(eta) and monomial_range(eta, box).lo < -1e-12:
-        raise CertificateError("shift monomial can be negative")
     pos = {i: j for j, i in enumerate(support)}
     for p in vertices:
         val = 0.0
-        for diff, c in reduced.items():
+        for alpha, c in poly.terms.items():
             term = c
-            for i in exp_support(diff):
+            for i in exp_support(alpha):
                 term *= p[pos[i]]
             val += term
         if val < -EIG_TOL * scale:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .polynomials import (
     unit_exponent,
     zero_exponent,
 )
-from .patterns import Pattern
+from .patterns import Pattern, gamma_apply
 from .program import Piece
 
 VERTEX_HARD_CAP = 12
@@ -255,7 +255,6 @@ def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
             "support": tuple(supp),
             "vertices": tuple(vertices),
             "pattern": tuple(pat_exps),
-            "shift": None,
         },
     )
 
@@ -311,14 +310,6 @@ def _as_columns(Gamma) -> tuple:
     return tuple(tuple(int(v) for v in G[:, j]) for j in range(G.shape[1]))
 
 
-def _gamma_apply(columns, delta: Exponent) -> Exponent:
-    img = zero_exponent(len(columns[0]))
-    for j, mult in enumerate(delta):
-        if mult:
-            img = exp_add(img, tuple(mult * e for e in columns[j]))
-    return img
-
-
 def _moment_block(model: MomentModel, basis: tuple, h: Polynomial, factors: tuple):
     """Add the block [h x^(a+b)]_{a,b in basis}, linearized (v_0 = 1).
 
@@ -360,10 +351,10 @@ def build_lasserre_model(Gamma, d: int, box: Box) -> MomentModel:
     if box.n != n:
         raise BuilderError("box dimension mismatch")
     model = MomentModel(n)
-    basis = tuple(_gamma_apply(columns, delta) for delta in degrees_up_to(k, d))
+    basis = tuple(gamma_apply(columns, delta) for delta in degrees_up_to(k, d))
     _moment_block(model, basis, Polynomial.constant(n, 1.0), ())
     if d >= 1:
-        loc_basis = tuple(_gamma_apply(columns, delta) for delta in degrees_up_to(k, d - 1))
+        loc_basis = tuple(gamma_apply(columns, delta) for delta in degrees_up_to(k, d - 1))
         for j in range(k):
             gamma_j = columns[j]
             rng = monomial_range(gamma_j, box)
@@ -376,23 +367,6 @@ def build_lasserre_model(Gamma, d: int, box: Box) -> MomentModel:
                 continue
             _moment_block(model, loc_basis, product_of_factors(factors, box, n),
                           tuple(factors))
-    return model
-
-
-def build_sparse_sos_moment_model(B_list: Sequence, shifts: Sequence | None = None) -> MomentModel:
-    """One moment LMI per basis block, optionally shifted by a monomial."""
-    if not B_list:
-        raise BuilderError("need at least one basis block")
-    first = next(iter(B_list[0]))
-    n = len(as_exponent(first))
-    model = MomentModel(n)
-    if shifts is None:
-        shifts = [zero_exponent(n)] * len(B_list)
-    for Bi, eta in zip(B_list, shifts):
-        basis = tuple(sorted(as_exponent(b) for b in Bi))
-        eta = as_exponent(eta)
-        factors = (("monomial", eta),) if sum(eta) else ()
-        _moment_block(model, basis, Polynomial.monomial(eta), factors)
     return model
 
 
@@ -582,7 +556,10 @@ def model_for_pattern(P: Pattern, box: Box, policy: ModelPolicy) -> MomentModel:
         # the block's certificate multiplier is x^eta, so it must be >= 0
         if monomial_range(eta, box).lo < 0:
             raise BuilderError(f"shift monomial {eta} can be negative on the box")
-        return build_sparse_sos_moment_model([P.meta["basis"]], [eta])
+        model = MomentModel(P.n)
+        factors = (("monomial", eta),) if sum(eta) else ()
+        _moment_block(model, tuple(sorted(P.meta["basis"])), Polynomial.monomial(eta), factors)
+        return model
     return _generic_model(P, box, policy)
 
 

@@ -4,8 +4,9 @@ Construction follows the catalogue of sparsity methods: multilinear cubes,
 chains along a common direction, shifted axis-parallel chains, the mixed
 method H, truncated submonoids, images of base patterns under integer
 matrices, expression-tree patterns, simplicial circuits, stabilized
-term-sparsity partitions, and shifted univariate blocks.  Families are pruned
-to inclusion-maximal members before use.
+term-sparsity partitions, shifted univariate blocks and the dense moment
+block.  Families are pruned to inclusion-maximal members before use;
+FAMILY_BUILDERS maps each method tag to its family builder.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from .polynomials import (
     degrees_up_to,
     exp_add,
     exp_support,
+    minkowski_sum,
     unit_exponent,
     zero_exponent,
 )
 
 CIRCUIT_TOL = 1e-10
-DEFAULT_PATTERN_CAP = 5000
+PATTERN_CAP = 5000
 
 
 class PatternError(ValueError):
@@ -122,12 +124,6 @@ class PatternFamily:
     def __len__(self):
         return len(self.patterns)
 
-    def __add__(self, other: "PatternFamily") -> "PatternFamily":
-        if other.n != self.n:
-            raise PatternError("family dimension mismatch")
-        return PatternFamily(self.patterns + other.patterns, self.n,
-                             kind=f"{self.kind}+{other.kind}")
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -182,7 +178,7 @@ def _meta_from_json(meta: dict) -> dict:
                 out[k] = tuple(tuple(int(e) for e in col) for col in v)
             else:
                 out[k] = tuple(int(e) for e in v)
-        elif k in ("beta", "base_alpha", "shift"):
+        elif k in ("beta", "base_alpha"):
             out[k] = tuple(int(e) for e in v)
         elif k == "basis":
             out[k] = tuple(tuple(int(e) for e in b) for b in v)
@@ -195,16 +191,11 @@ def _meta_from_json(meta: dict) -> dict:
     return out
 
 
-def prune_inclusion_maximal(patterns) -> list:
+def prune_inclusion_maximal(pats: list) -> list:
     """Drop every pattern whose exponent set is contained in another's.
 
     Duplicates keep their first occurrence; survivor order is stable.
     """
-    if isinstance(patterns, PatternFamily):
-        pats = patterns.patterns
-        keep = prune_inclusion_maximal(pats)
-        return PatternFamily(keep, patterns.n, kind=patterns.kind)
-    pats = list(patterns)
     keep = []
     for i, p in enumerate(pats):
         dominated = False
@@ -222,9 +213,9 @@ def prune_inclusion_maximal(patterns) -> list:
     return keep
 
 
-def _check_cap(size: int, cap: int, what: str):
-    if size > cap:
-        raise PatternTooLarge(f"{what} would contain {size} exponents (cap {cap})")
+def _check_cap(size: int, what: str):
+    if size > PATTERN_CAP:
+        raise PatternTooLarge(f"{what} would contain {size} exponents (cap {PATTERN_CAP})")
 
 
 def _normalize_exponent_set(A: Iterable) -> list:
@@ -251,24 +242,17 @@ def multilinear_cube(alpha: Exponent) -> frozenset:
     return frozenset(cube)
 
 
-def multilinear_family(A: Iterable, cap: int = DEFAULT_PATTERN_CAP) -> PatternFamily:
+def multilinear_family(A: Iterable) -> PatternFamily:
     """Method M: one multilinear cube per exponent of A, pruned."""
     exps = _normalize_exponent_set(A)
     n = len(exps[0])
     pats = []
     for alpha in exps:
         k = len(exp_support(alpha))
-        _check_cap(1 << k, cap, f"multilinear cube of {alpha}")
+        _check_cap(1 << k, f"multilinear cube of {alpha}")
         pats.append(Pattern(multilinear_cube(alpha), kind="multilinear",
                             meta={"base_alpha": alpha}))
     return PatternFamily(prune_inclusion_maximal(pats), n, kind="M")
-
-
-def _vector_gcd(alpha: Exponent) -> int:
-    g = 0
-    for k in alpha:
-        g = math.gcd(g, k)
-    return g
 
 
 def chain_pattern(gamma: Exponent, steps: int) -> Pattern:
@@ -283,7 +267,7 @@ def chain_family(A: Iterable) -> PatternFamily:
     n = len(exps[0])
     pats = []
     for alpha in exps:
-        g = _vector_gcd(alpha)
+        g = math.gcd(*alpha)
         if g == 0:
             continue
         gamma = tuple(k // g for k in alpha)
@@ -312,7 +296,7 @@ def shifted_chain_family(A: Iterable) -> PatternFamily:
     return PatternFamily(prune_inclusion_maximal(pats), n, kind="S")
 
 
-def h_family(A: Iterable, cap: int = DEFAULT_PATTERN_CAP) -> PatternFamily:
+def h_family(A: Iterable) -> PatternFamily:
     """Method H: axis chains, the diagonal chain, growing cubes, plus method M."""
     exps = _normalize_exponent_set(A)
     n = len(exps[0])
@@ -326,45 +310,45 @@ def h_family(A: Iterable, cap: int = DEFAULT_PATTERN_CAP) -> PatternFamily:
     for i in range(n):
         pats.append(chain_pattern(unit_exponent(n, i), 2 * d))
     pats.append(chain_pattern((1,) * n, 2 * d))
-    _check_cap(1 << n, cap, "multilinear cube")
+    _check_cap(1 << n, "multilinear cube")
     for k in range(1, 2 * d + 1):
         pats.append(Pattern(multilinear_cube((k,) * n), kind="multilinear",
                             meta={"base_alpha": (k,) * n}))
-    pats.extend(multilinear_family(exps, cap=cap).patterns)
+    pats.extend(multilinear_family(exps).patterns)
     return PatternFamily(prune_inclusion_maximal(pats), n, kind="H")
 
 
-def mc_family(A: Iterable, cap: int = DEFAULT_PATTERN_CAP) -> PatternFamily:
+def mc_family(A: Iterable) -> PatternFamily:
     """Method MC: the union of methods M and C, pruned."""
-    fam = multilinear_family(A, cap=cap) + chain_family(A)
-    out = prune_inclusion_maximal(fam)
-    out.kind = "MC"
-    return out
+    fam_m = multilinear_family(A)
+    pats = fam_m.patterns + chain_family(A).patterns
+    return PatternFamily(prune_inclusion_maximal(pats), fam_m.n, kind="MC")
+
+
+def gamma_apply(columns: Sequence[Exponent], delta: Exponent) -> Exponent:
+    """The image sum_j delta_j * columns[j] of a base exponent under Gamma."""
+    img = zero_exponent(len(columns[0]))
+    for j, mult in enumerate(delta):
+        if mult:
+            img = exp_add(img, tuple(mult * e for e in columns[j]))
+    return img
 
 
 def submonoid_pattern(columns: Sequence[Exponent], d: int) -> Pattern:
     """The image of all base exponents of degree <= 2d under the column matrix."""
     columns = tuple(as_exponent(c) for c in columns)
-    k = len(columns)
-    pts = set()
-    for delta in degrees_up_to(k, 2 * d):
-        img = zero_exponent(len(columns[0]))
-        for j, mult in enumerate(delta):
-            if mult:
-                img = exp_add(img, tuple(mult * e for e in columns[j]))
-        pts.add(img)
-    return Pattern(frozenset(pts), kind="submonoid",
-                   meta={"gamma": columns, "d": d})
+    pts = frozenset(gamma_apply(columns, delta) for delta in degrees_up_to(len(columns), 2 * d))
+    return Pattern(pts, kind="submonoid", meta={"gamma": columns, "d": d})
 
 
-def truncated_submonoid_family(A: Iterable, cap: int = DEFAULT_PATTERN_CAP) -> PatternFamily:
+def truncated_submonoid_family(A: Iterable) -> PatternFamily:
     """Method T: an even global submonoid plus per-exponent support submonoids."""
     exps = _normalize_exponent_set(A)
     n = len(exps[0])
     deg = max(sum(a) for a in exps)
     d_even = math.ceil(deg / 4)
     even_cols = tuple(unit_exponent(n, i, 2) for i in range(n))
-    _check_cap(math.comb(n + 2 * d_even, n), cap, "even submonoid pattern")
+    _check_cap(math.comb(n + 2 * d_even, n), "even submonoid pattern")
     base = submonoid_pattern(even_cols, d_even)
     pats = [base]
     d_supp = math.ceil(deg / 2)
@@ -375,7 +359,7 @@ def truncated_submonoid_family(A: Iterable, cap: int = DEFAULT_PATTERN_CAP) -> P
         if not supp:
             continue
         size = math.comb(len(supp) + 2 * d_supp, len(supp))
-        _check_cap(size, cap, f"support submonoid of {alpha}")
+        _check_cap(size, f"support submonoid of {alpha}")
         cols = tuple(unit_exponent(n, i) for i in supp)
         pats.append(submonoid_pattern(cols, d_supp))
     return PatternFamily(prune_inclusion_maximal(pats), n, kind="T")
@@ -467,7 +451,7 @@ def make_sdsos(alpha, beta) -> Pattern:
     return make_circuit(mid, [two_a, two_b], kind="sdsos")
 
 
-def tssos_partition(A: Iterable, B: Iterable, max_iter: int | None = None) -> list:
+def tssos_partition(A: Iterable, B: Iterable) -> list:
     """Stabilized connected-component partition of the monomial basis B.
 
     Starting from S0 = A union 2B, nodes of B are joined whenever their sum
@@ -476,16 +460,15 @@ def tssos_partition(A: Iterable, B: Iterable, max_iter: int | None = None) -> li
     """
     A_exps = {as_exponent(a) for a in A}
     B_exps = _normalize_exponent_set(B)
-    double = {tuple(2 * e for e in b) for b in B_exps}
-    sums = {exp_add(a, b) for a in B_exps for b in B_exps}
-    if not A_exps <= sums:
-        raise PatternError("tssos_partition requires A to be a subset of B+B")
-    S = A_exps | double
+    B_set = set(B_exps)
+    # a is in B + B when a - b is in B for some b in B
+    for a in A_exps:
+        if not any(tuple(x - y for x, y in zip(a, b, strict=True)) in B_set for b in B_exps):
+            raise PatternError("tssos_partition requires A to be a subset of B+B")
+    S = A_exps | {tuple(2 * e for e in b) for b in B_exps}
     m = len(B_exps)
-    index = {b: i for i, b in enumerate(B_exps)}
     prev_blocks = None
-    limit = max_iter if max_iter is not None else m + 1
-    for _ in range(limit):
+    for _ in range(m + 1):
         parent = list(range(m))
 
         def find(i):
@@ -511,32 +494,53 @@ def tssos_partition(A: Iterable, B: Iterable, max_iter: int | None = None) -> li
     return [frozenset(g) for g in prev_blocks]
 
 
+def sos_block_pattern(basis: Iterable, shift: Exponent | None = None) -> Pattern:
+    """The moment block on a monomial basis: exponents B + B, shifted by x^shift.
+
+    The basis is stored sorted; it indexes the block's rows and columns.
+    """
+    B = tuple(sorted(as_exponent(b) for b in basis))
+    pts = minkowski_sum(B, B)
+    if shift is not None:
+        pts = frozenset(exp_add(a, shift) for a in pts)
+    return Pattern(pts, kind="sos_block", meta={"basis": B}, shift=shift)
+
+
+def tssos_family(A: Iterable) -> PatternFamily:
+    """Term sparsity: one SOS block per stabilized TSSOS block of the half-degree basis.
+
+    The partition starts from A with the constant 0 added.
+    """
+    exps = _normalize_exponent_set(A)
+    n = len(exps[0])
+    B = degrees_up_to(n, math.ceil(max(sum(a) for a in exps) / 2))
+    blocks = tssos_partition(set(exps) | {zero_exponent(n)}, B)
+    return PatternFamily([sos_block_pattern(b) for b in blocks], n, kind="tssos-sos")
+
+
+def dense_sos_family(n: int, d: int) -> PatternFamily:
+    """The single dense moment block on the degree-d basis."""
+    return PatternFamily([sos_block_pattern(degrees_up_to(n, d))], n, kind="dense-sos")
+
+
 def univariate_sparse_family(A: Iterable) -> PatternFamily:
-    """Shifted univariate blocks that are exact for sparse minimization on R_+."""
-    exps = set()
-    for a in A:
-        if isinstance(a, int):
-            exps.add((a,))
-        else:
-            exps.add(as_exponent(a))
+    """Shifted univariate blocks that are exact for sparse minimization on R_+.
+
+    A holds exponents (ints or 1-tuples); the constant 0 is always added.
+    """
+    exps = {(a,) if isinstance(a, int) else as_exponent(a) for a in A}
     exps = _normalize_exponent_set(exps)
     if len(exps[0]) != 1:
         raise PatternError("univariate sparse family needs one variable")
-    vals = sorted(a[0] for a in exps)
-    if vals[0] != 0:
-        raise PatternError("exponent set must contain 0")
+    vals = sorted({a[0] for a in exps} | {0})
     if len(vals) % 2 == 0:
         raise PatternError(f"exponent set must have odd size, got {len(vals)}")
     k = (len(vals) - 1) // 2
     d = vals[-1]
     if d <= 2 * k:
         raise PatternError(f"max degree {d} must exceed twice the half-count {k}")
-    basis = tuple((j,) for j in range(k + 1))
-    pats = []
-    for i in range(d - 2 * k + 1):
-        pts = frozenset((i + j,) for j in range(2 * k + 1))
-        pats.append(Pattern(pts, kind="sos_block",
-                            meta={"basis": basis}, shift=(i,)))
+    basis = [(j,) for j in range(k + 1)]
+    pats = [sos_block_pattern(basis, shift=(i,)) for i in range(d - 2 * k + 1)]
     return PatternFamily(pats, 1, kind="univariate-sparse")
 
 
@@ -547,11 +551,13 @@ FAMILY_BUILDERS = {
     "H": h_family,
     "MC": mc_family,
     "T": truncated_submonoid_family,
+    "tssos-sos": tssos_family,
+    "univariate-sparse": univariate_sparse_family,
 }
 
 
 def build_family(method: str, A: Iterable) -> PatternFamily:
-    """Dispatch on the method tag used throughout the benchmark harness."""
+    """The family of a method tag on the exponent set A; the one map from tag to builder."""
     if method not in FAMILY_BUILDERS:
         raise PatternError(f"unknown pattern method {method!r}")
     return FAMILY_BUILDERS[method](A)

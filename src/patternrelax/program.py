@@ -185,20 +185,6 @@ class ConicProgram:
         )
 
 
-def gmc_to_psd2(lambdas: Sequence[float], sign_mode: str = "even",
-                denominator_cap: int = 1 << 16) -> ConicProgram:
-    """Lower one geometric-mean cone to its binary tower of 2x2 PSD blocks.
-
-    Returns a small program over columns [y, t_0, ..., t_k] (+ auxiliaries)
-    whose feasible set is exactly 0 <= y <= prod t_i^{lambda_i} (sign mode
-    "even") or |y| <= prod t_i^{lambda_i} ("odd"), for t >= 0.
-    """
-    k = len(lambdas)
-    prog = ConicProgram(1 + k)
-    prog.gmcs.append(GMCData(0, tuple(range(1, k + 1)), tuple(lambdas), sign_mode))
-    return prog.lowered(denominator_cap)
-
-
 def rationalize_weights(lambdas: Sequence[float], cap: int) -> tuple:
     """Common-denominator rationalization of barycentric weights."""
     fracs = [Fraction(l).limit_denominator(cap) for l in lambdas]

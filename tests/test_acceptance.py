@@ -13,14 +13,13 @@ import pytest
 import patternrelax as pr
 from patternrelax.bench import (
     brute_force_min,
-    dense_sos_family,
     family_for_method,
     gen_instance,
     trivial_bounds,
 )
 from patternrelax.certificates import Certificate, CertificatePiece
 from patternrelax.models import ModelPolicy, build_lasserre_model, build_mccormick_model, build_shifted_model
-from patternrelax.patterns import Pattern, make_circuit, make_sdsos
+from patternrelax.patterns import Pattern, dense_sos_family, make_circuit, make_sdsos
 from patternrelax.polynomials import Box, Polynomial, degrees_up_to
 
 SOLVES = []  # optimal relaxations, for criterion 7

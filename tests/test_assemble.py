@@ -10,7 +10,7 @@ from patternrelax.patterns import (PatternFamily, chain_family, make_sdsos, mult
                                    submonoid_pattern, univariate_sparse_family)
 from patternrelax.pipeline import solve_relaxation
 from patternrelax.polynomials import Box, Polynomial, monomial_range
-from patternrelax.program import export_sdpa, gmc_to_psd2, parse_sdpa
+from patternrelax.program import ConicProgram, GMCData, export_sdpa, parse_sdpa
 
 
 def value_of(f, fam, box, policy=None, sense="min"):
@@ -192,4 +192,8 @@ def test_family_sdpa_is_pinned(f, fam, box, digest):
 
 @pytest.mark.parametrize("lambdas,digest", PINNED_GMC_SDPA)
 def test_gmc_tower_sdpa_is_pinned(lambdas, digest):
-    assert_pinned_and_reparsed(export_sdpa(gmc_to_psd2(lambdas)), digest)
+    # columns [y, t_0, ..., t_k] with the one record 0 <= y <= prod t_i^lambda_i
+    k = len(lambdas)
+    prog = ConicProgram(1 + k)
+    prog.gmcs.append(GMCData(0, tuple(range(1, k + 1)), tuple(lambdas), "even"))
+    assert_pinned_and_reparsed(export_sdpa(prog.lowered()), digest)

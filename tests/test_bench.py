@@ -8,7 +8,6 @@ from patternrelax.bench import (
     BenchConfig,
     SplitMix64,
     brute_force_min,
-    dense_sos_family,
     exponent_set_for_tag,
     family_for_method,
     gen_instance,
@@ -18,7 +17,7 @@ from patternrelax.bench import (
     trivial_bounds,
 )
 from patternrelax.models import BuilderError, ModelPolicy
-from patternrelax.patterns import chain_family
+from patternrelax.patterns import chain_family, dense_sos_family
 from patternrelax.polynomials import Box, Polynomial
 
 MASK = (1 << 64) - 1
@@ -153,12 +152,13 @@ def test_run_benchmark_records_and_determinism():
     assert all(r.status == "optimal" for r in records)
     for r in records:
         assert 0.0 <= r.triv <= 1.0 + 1e-6
-    csv1 = records_to_csv(records, include_time=False)
-    records2, _ = run_benchmark(cfg)
-    csv2 = records_to_csv(records2, include_time=False)
-    assert csv1 == csv2
+    csv1 = records_to_csv(records)
     assert csv1.splitlines()[0] == (
         "instance_id,family,method,sense,value,triv,status,iters,time_s")
+    records2, _ = run_benchmark(cfg)
+    # every column but the last, time_s, is deterministic
+    assert [line.rsplit(",", 1)[0] for line in csv1.splitlines()] == [
+        line.rsplit(",", 1)[0] for line in records_to_csv(records2).splitlines()]
     by_key = {(r.family, r.method) for r in records}
     assert {(row["family"], row["method"]) for row in summary} == by_key
     for row in summary:

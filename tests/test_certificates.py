@@ -136,8 +136,7 @@ def test_unprovable_factor_fails_naming_the_piece(factor, box, problem):
 def test_vertex_table_must_list_every_box_vertex():
     # x - 1/2 is nonnegative at x = 1 only; min x on [0, 1] is 0, not 1/2
     f = Polynomial(1, {(1,): 1.0})
-    piece = {"base_alpha": (1,), "support": (0,), "shift": None,
-             "poly": {(1,): 1.0, (0,): -0.5}}
+    piece = {"base_alpha": (1,), "support": (0,), "poly": {(1,): 1.0, (0,): -0.5}}
     partial = Certificate(0.5, "mixed",
                           [CertificatePiece("vertex", {**piece, "vertices": ((1.0,),)})])
     rep = verify_certificate(partial, f, Box.unit(1))
@@ -145,6 +144,32 @@ def test_vertex_table_must_list_every_box_vertex():
     full = Certificate(0.5, "mixed",
                        [CertificatePiece("vertex", {**piece, "vertices": ((0.0,), (1.0,))})])
     assert not verify_certificate(full, f, Box.unit(1)).passed
+
+
+def test_vertex_piece_outside_its_cube_fails_naming_the_piece():
+    # x^2 - x is 0 at both vertices of [0, 1] but -1/4 at x = 1/2: it is not
+    # multilinear in y = x, so its vertex values prove nothing
+    f = Polynomial(1, {(2,): 1.0, (1,): -1.0})
+    piece = {"base_alpha": (1,), "support": (0,), "vertices": ((0.0,), (1.0,)),
+             "poly": dict(f.terms)}
+    rep = verify_certificate(Certificate(0.0, "mixed", [CertificatePiece("vertex", piece)]),
+                             f, Box.unit(1))
+    assert not rep.passed
+    assert rep.problems[0] == "piece 0 (vertex): exponent (2,) lies outside the piece's cube"
+
+
+def test_vertex_certificate_json_with_null_shift_passes():
+    # vertex blocks written by older versions hold "shift": null
+    f = Polynomial(2, {(1, 1): 1.0, (1, 0): -0.5})
+    box = Box.unit(2)
+    cert, rep = solve_relaxation(f, multilinear_family(f.support()), box).certify()
+    assert rep.passed
+    data = cert.to_json_dict()
+    vertex_blocks = [blk for blk in data["blocks"] if blk["kind"] == "vertex"]
+    assert vertex_blocks and all("shift" not in blk for blk in vertex_blocks)
+    for blk in vertex_blocks:
+        blk["shift"] = None
+    assert verify_certificate(Certificate.from_json_dict(data), f, box).passed
 
 
 def test_circuit_weights_must_be_barycentric():

@@ -16,7 +16,6 @@ from patternrelax.models import (
     build_mccormick_model,
     build_multilinear_model,
     build_shifted_model,
-    build_sparse_sos_moment_model,
     model_for_pattern,
 )
 from patternrelax.patterns import (
@@ -29,6 +28,7 @@ from patternrelax.patterns import (
     make_sdsos,
     multilinear_family,
     shifted_chain_family,
+    sos_block_pattern,
     truncated_submonoid_family,
     univariate_sparse_family,
 )
@@ -178,15 +178,22 @@ def test_lasserre_one_sided_localizers():
 
 
 def test_sparse_sos_moment_blocks():
-    m = build_sparse_sos_moment_model([[(0,), (1,)]])
+    box = Box.unit(1)
+    policy = ModelPolicy()
+
+    def model(basis, shift=None):
+        return model_for_pattern(sos_block_pattern(basis, shift), box, policy)
+
+    m = model([(1,), (0,)])
     (block,) = m.lmis
     assert block.size == 2
+    assert block.basis == ((0,), (1,))  # the basis is sorted
     # TSSOS-partition blocks {{0,2},{1}} of B={0,1,2}
-    m = build_sparse_sos_moment_model([[(0,), (2,)], [(1,)]])
-    assert m.lmis[0].size == 2
-    assert rows_as_sets(m) == [{(2,): 1.0}]  # the 1x1 block [v2] as a row
+    assert model([(0,), (2,)]).lmis[0].size == 2
+    m = model([(1,)])
+    assert not m.lmis and rows_as_sets(m) == [{(2,): 1.0}]  # the 1x1 block [v2] as a row
     # univariate shifted blocks: entries v_{i+a+b}
-    m = build_sparse_sos_moment_model([[(0,), (1,)]], shifts=[(3,)])
+    m = model([(0,), (1,)], shift=(3,))
     (block,) = m.lmis
     assert block.entries[0][0].coeffs == {(3,): 1.0}
     assert block.entries[1][1].coeffs == {(5,): 1.0}

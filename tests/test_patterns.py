@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from patternrelax.bench import STRUCTURED_SETS, family_for_method, gen_instance
 from patternrelax.patterns import (
     AffinelyDependent,
     NotInRelativeInterior,
@@ -8,7 +12,9 @@ from patternrelax.patterns import (
     PatternError,
     PatternFamily,
     PatternTooLarge,
+    build_family,
     chain_family,
+    dense_sos_family,
     expression_tree_family,
     gamma_image,
     h_family,
@@ -109,8 +115,9 @@ def test_truncated_submonoid_examples():
 
 
 def test_truncated_submonoid_cap():
-    with pytest.raises(PatternTooLarge):
-        truncated_submonoid_family({(1, 1, 1, 1, 1, 1)}, cap=10)
+    # the even submonoid of degree 40 in 4 variables has 10626 exponents
+    with pytest.raises(PatternTooLarge, match="cap 5000"):
+        truncated_submonoid_family({(10, 10, 10, 10)})
 
 
 def test_gamma_image_examples():
@@ -212,6 +219,22 @@ def test_tssos_partition_examples():
 def test_tssos_partition_precondition():
     with pytest.raises(PatternError):
         tssos_partition({(9,)}, {(0,), (1,)})
+    # (1,) = (0,) + (1,) is in B + B, and joins the two
+    assert tssos_partition({(1,)}, {(0,), (1,)}) == [frozenset({(0,), (1,)})]
+
+
+def _tssos_step(S, B):
+    """One term-sparsity iteration, as a reference: b, c in B are joined when b + c is in S."""
+    blocks = [{b} for b in B]
+    for b in B:
+        for c in B:
+            if tuple(x + y for x, y in zip(b, c)) in S:
+                gb = next(g for g in blocks if b in g)
+                gc = next(g for g in blocks if c in g)
+                if gb is not gc:
+                    gb |= gc
+                    blocks.remove(gc)
+    return [frozenset(g) for g in blocks]
 
 
 def test_tssos_partition_coarsens_monotonically():
@@ -221,14 +244,17 @@ def test_tssos_partition_coarsens_monotonically():
         sums = sorted({tuple(a + b for a, b in zip(x, y)) for x in B for y in B})
         A = [sums[i] for i in rng.choice(len(sums), size=min(4, len(sums)),
                                          replace=False)]
+        S = set(A) | {tuple(2 * e for e in b) for b in B}
         prev = None
-        for it in range(1, len(B) + 2):
-            blocks = tssos_partition(A, B, max_iter=it)
+        for _ in range(len(B) + 1):
+            blocks = _tssos_step(S, B)
             if prev is not None:
                 for g_old in prev:
                     assert any(g_old <= g_new for g_new in blocks)
             prev = blocks
-        assert tssos_partition(A, B) == prev
+            S = {tuple(x + y for x, y in zip(b, c)) for g in blocks for b in g for c in g}
+        # tssos_partition returns the fixed point of the iteration
+        assert sorted(map(sorted, tssos_partition(A, B))) == sorted(map(sorted, prev))
 
 
 def test_univariate_sparse_family_examples():
@@ -240,6 +266,37 @@ def test_univariate_sparse_family_examples():
     fam = univariate_sparse_family({0, 3, 4, 7, 10})
     assert len(fam) == 7
     assert all(len(p.exponents) == 5 for p in fam)
+
+
+def test_univariate_sparse_family_adds_the_constant():
+    assert (univariate_sparse_family({2, 6}).to_json_dict()
+            == univariate_sparse_family({0, 2, 6}).to_json_dict())
+
+
+# SHA-256 of json.dumps(family.to_json_dict(), sort_keys=True), recorded when
+# the tssos-sos and dense-sos families were built by the benchmark harness,
+# univariate-sparse required the constant 0 in its set and MC added two families
+PINNED_FAMILY_JSON = [
+    ("tssos-dense26", lambda: family_for_method("tssos-sos", gen_instance("dense(2,6)", 1).f),
+     "7fb5a193aa2fcb2fb8a2e614f841a09f6a3bcb7d4ccbab98c0d77042e2a9b083"),
+    ("tssos-A5", lambda: family_for_method("tssos-sos", gen_instance("A5", 1).f),
+     "520f67650e2acd3f796137054d883cd9cb74e494c41c96b7602d4de5a010d5da"),
+    ("univariate", lambda: univariate_sparse_family({0, 2, 3, 7, 10}),
+     "c9ad77db98b200439c171413727ee2c8ae82ec7a62de86c7ed433d6327be18da"),
+    ("dense-sos", lambda: dense_sos_family(2, 2),
+     "0be6fdbc836ece4294f094bb62350564e70052b6f74ca1b1aad60891554a301f"),
+    ("MC-Aex", lambda: build_family("MC", STRUCTURED_SETS["Aex"]()),
+     "fa0e6ad2b10be715db6a097e1af61cac28d477d4cc7f1358bb4c291290c75bb2"),
+    ("S-A7", lambda: build_family("S", STRUCTURED_SETS["A7"]()),
+     "0cd27799fc2a5387492af4325f027f7cda73b1767bac7b912c2c307bb9a81f35"),
+]
+
+
+@pytest.mark.parametrize("build,digest", [c[1:] for c in PINNED_FAMILY_JSON],
+                         ids=[c[0] for c in PINNED_FAMILY_JSON])
+def test_family_json_is_pinned(build, digest):
+    text = json.dumps(build().to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_prune_examples():

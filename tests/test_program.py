@@ -11,7 +11,6 @@ from patternrelax.program import (
     DenominatorCap,
     GMCData,
     export_sdpa,
-    gmc_to_psd2,
     parse_sdpa,
     rationalize_weights,
 )
@@ -49,9 +48,7 @@ def test_gmc_half_half_gives_single_psd2():
     prog = gmc_program([0.5, 0.5]).lowered()
     assert len(prog.blocks) == 1 and prog.blocks[0].size == 2
     assert prog.ncols == 3  # no auxiliaries
-    direct = gmc_to_psd2([0.5, 0.5])
-    assert len(direct.blocks) == 1 and direct.blocks[0].size == 2
-    assert all(b.size == 2 for b in gmc_to_psd2([0.25, 0.25, 0.5]).blocks)
+    assert all(b.size == 2 for b in gmc_program([0.25, 0.25, 0.5]).lowered().blocks)
 
 
 def test_gmc_quarter_three_quarters_structure():
