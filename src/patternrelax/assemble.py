@@ -52,9 +52,7 @@ def assemble_relaxation(
 
     models = [model_for_pattern(p, box, policy) for p in fam]
     variables = set().union(*(m.variables for m in models))
-    monomials = sorted({zero} | variables | (fobj.support() - {zero}))
-    if monomials[0] != zero:
-        monomials = [zero] + monomials
+    monomials = sorted({zero} | variables | fobj.support())
     col_of = {a: j for j, a in enumerate(monomials)}
     n_mono = len(monomials)
     # each model's auxiliaries take the columns after those of the models before it
@@ -102,15 +100,22 @@ def assemble_relaxation(
     model_pieces = [prog.add_piece(m.piece.kind, dict(m.piece.payload)) if m.piece else None
                     for m in models]
 
-    seen_rows: set = set()
+    # sense -> hash of the column set -> the coefficient dicts of the rows added;
+    # ints, tuples and dicts of numbers leave the garbage collector little to track
+    seen_rows: dict = {"==": {}, ">=": {}}
 
     def add_row(coeff, sense_row, factors, piece=None):
-        """Add a row unless it duplicates one; a row without a piece gets its
-        own linear piece."""
-        key = (sense_row, tuple(sorted((j, round(c, 12)) for j, c in coeff.items())))
-        if key in seen_rows:
-            return
-        seen_rows.add(key)
+        """Add a row unless it duplicates one: the same sense and columns, with
+        coefficients equal after rounding to 12 decimals. A row without a
+        piece gets its own linear piece."""
+        seen = seen_rows[sense_row]
+        h = hash(frozenset(coeff))
+        same = seen.get(h, ())
+        if same:
+            key = _rounded(coeff)
+            if any(_rounded(other) == key for other in same):
+                return
+        seen[h] = same + (coeff,)
         if piece is None:
             piece = prog.add_piece("linear", {"factors": factors or ()})
         if sense_row == "==":
@@ -165,3 +170,7 @@ def assemble_relaxation(
         if math.isfinite(rng.hi):
             add_row({col: -1.0, j0: rng.hi}, ">=", (("up_minus_mon", alpha),))
     return prog
+
+
+def _rounded(coeff: dict) -> dict:
+    return {j: round(c, 12) for j, c in coeff.items()}

@@ -40,7 +40,8 @@ def cmd_relax(args):
     text = export_sdpa(lowered)
     Path(args.export_sdpa).write_text(text)
     print(f"wrote {args.export_sdpa}: {lowered.ncols} variables, "
-          f"{len(lowered.ineqs)} rows, {len(lowered.blocks)} psd blocks")
+          f"{len(lowered.eqs)} equality rows, {len(lowered.ineqs)} inequality rows, "
+          f"{len(lowered.blocks)} psd blocks")
 
 
 def cmd_solve(args):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -211,8 +212,7 @@ def _transformed_ranges(base: Exponent, box: Box) -> tuple:
 def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
     """Exact polytope model of a multilinear pattern via box-vertex mixtures."""
     base = _pattern_base(P)
-    cube_ok = all(a[i] in (0, base[i]) for a in P.exponents for i in range(P.n))
-    if not cube_ok:
+    if not all(set(col) <= {0, b} for col, b in zip(zip(*P.exponents), base)):
         raise BuilderError("pattern is not contained in its multilinear cube")
     supp, ranges = _transformed_ranges(base, box)
     k = len(supp)
@@ -221,31 +221,22 @@ def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
     model = MomentModel(P.n)
     vertices = list(itertools.product(*[(r.lo, r.hi) for r in ranges]))
     model.aux_count = len(vertices)
-    supp_pos = {i: j for j, i in enumerate(supp)}
-
-    def vertex_values(beta):
-        # m_beta at every vertex; the support positions are looked up once
-        pos = [supp_pos[i] for i in exp_support(beta)]
-        values = []
-        for p in vertices:
-            val = 1.0
-            for j in pos:
-                val *= p[j]
-            values.append(val)
-        return values
-
-    zero = zero_exponent(P.n)
-    pat_exps = sorted(P.exponents)
-    table = {beta: vertex_values(beta) for beta in pat_exps}
     # mixture rows: v_beta = sum_p lambda_p * m_beta(p); the beta = 0 row is
-    # the normalization sum_p lambda_p = 1
+    # the normalization sum_p lambda_p = 1. m_beta at every vertex is the
+    # product of the columns of beta's support coordinates, taken from 1.0 in
+    # the order of exp_support(beta), which fixes its rounding
     model.add_row(
         LinearForm(-1.0, {}, {j: 1.0 for j in range(len(vertices))}), sense="==")
+    columns = dict(zip(supp, zip(*vertices)))  # coordinate -> its value at every vertex
+    pat_exps = sorted(P.exponents)
     for beta in pat_exps:
-        if beta == zero:
+        if not any(beta):
             continue
-        aux = {j: -m for j, m in enumerate(table[beta]) if m != 0.0}
-        model.add_row(LinearForm(0.0, {beta: 1.0}, aux), sense="==")
+        values = [1.0] * len(vertices)
+        for i in exp_support(beta):
+            values = list(map(operator.mul, values, columns[i]))
+        model.add_row(LinearForm(0.0, {beta: 1.0}, {j: -m for j, m in enumerate(values) if m}),
+                      sense="==")
     for j in range(len(vertices)):
         model.add_row(LinearForm(0.0, {}, {j: 1.0}))
     model.piece = Piece(

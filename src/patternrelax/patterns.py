@@ -11,6 +11,7 @@ FAMILY_BUILDERS maps each method tag to its family builder.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -59,11 +60,10 @@ class Pattern:
     shift: Exponent | None = None
 
     def __post_init__(self):
-        exps = frozenset(as_exponent(a) for a in self.exponents)
+        exps = frozenset(map(as_exponent, self.exponents))
         if not exps:
             raise PatternError("pattern must be nonempty")
-        dims = {len(a) for a in exps}
-        if len(dims) != 1:
+        if len(set(map(len, exps))) != 1:
             raise PatternError("pattern mixes exponent dimensions")
         object.__setattr__(self, "exponents", exps)
         if self.kind in ("circuit", "sdsos"):
@@ -194,28 +194,27 @@ def _meta_from_json(meta: dict) -> dict:
 def prune_inclusion_maximal(pats: list) -> list:
     """Drop every pattern whose exponent set is contained in another's.
 
-    Duplicates keep their first occurrence; survivor order is stable.
+    Duplicates keep their first occurrence; survivor order is stable. A
+    pattern containing p holds each exponent of p, so only the holders of
+    p's rarest exponent are compared with p.
     """
+    holders: dict = {}  # exponent -> indices of the patterns that hold it
+    for j, q in enumerate(pats):
+        for a in q.exponents:
+            holders.setdefault(a, []).append(j)
     keep = []
     for i, p in enumerate(pats):
-        dominated = False
-        for j, q in enumerate(pats):
-            if i == j:
-                continue
-            if p.exponents < q.exponents:
-                dominated = True
-                break
-            if p.exponents == q.exponents and j < i:
-                dominated = True
-                break
-        if not dominated:
+        rarest = min(map(holders.__getitem__, p.exponents), key=len)
+        if not any(p.exponents < pats[j].exponents or (j < i and p.exponents == pats[j].exponents)
+                   for j in rarest):
             keep.append(p)
     return keep
 
 
-def _check_cap(size: int, what: str):
+def _check_cap(size: int, what: str, *args):
+    """Raise if a pattern would be too large; what % args names it."""
     if size > PATTERN_CAP:
-        raise PatternTooLarge(f"{what} would contain {size} exponents (cap {PATTERN_CAP})")
+        raise PatternTooLarge(f"{what % args} would contain {size} exponents (cap {PATTERN_CAP})")
 
 
 def _normalize_exponent_set(A: Iterable) -> list:
@@ -230,16 +229,7 @@ def _normalize_exponent_set(A: Iterable) -> list:
 
 def multilinear_cube(alpha: Exponent) -> frozenset:
     """The product set {0, alpha_1} x ... x {0, alpha_n}; zero factors collapse."""
-    n = len(alpha)
-    support = [i for i in range(n) if alpha[i]]
-    cube = set()
-    for mask in range(1 << len(support)):
-        e = [0] * n
-        for b, i in enumerate(support):
-            if mask >> b & 1:
-                e[i] = alpha[i]
-        cube.add(tuple(e))
-    return frozenset(cube)
+    return frozenset(itertools.product(*[(0, a) if a else (0,) for a in alpha]))
 
 
 def multilinear_family(A: Iterable) -> PatternFamily:
@@ -249,7 +239,7 @@ def multilinear_family(A: Iterable) -> PatternFamily:
     pats = []
     for alpha in exps:
         k = len(exp_support(alpha))
-        _check_cap(1 << k, f"multilinear cube of {alpha}")
+        _check_cap(1 << k, "multilinear cube of %s", alpha)
         pats.append(Pattern(multilinear_cube(alpha), kind="multilinear",
                             meta={"base_alpha": alpha}))
     return PatternFamily(prune_inclusion_maximal(pats), n, kind="M")
@@ -359,7 +349,7 @@ def truncated_submonoid_family(A: Iterable) -> PatternFamily:
         if not supp:
             continue
         size = math.comb(len(supp) + 2 * d_supp, len(supp))
-        _check_cap(size, f"support submonoid of {alpha}")
+        _check_cap(size, "support submonoid of %s", alpha)
         cols = tuple(unit_exponent(n, i) for i in supp)
         pats.append(submonoid_pattern(cols, d_supp))
     return PatternFamily(prune_inclusion_maximal(pats), n, kind="T")

@@ -20,8 +20,8 @@ COEFF_DROP_TOL = 1e-14
 
 def as_exponent(seq: Iterable[int]) -> Exponent:
     """Validate and canonicalize an exponent vector."""
-    e = tuple(int(k) for k in seq)
-    if any(k < 0 for k in e):
+    e = tuple(map(int, seq))
+    if e and min(e) < 0:
         raise ValueError(f"exponent vector must be nonnegative, got {e}")
     return e
 
@@ -95,15 +95,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def mul(self, other: "Interval") -> "Interval":
-        cands = [
-            _imul(self.lo, other.lo),
-            _imul(self.lo, other.hi),
-            _imul(self.hi, other.lo),
-            _imul(self.hi, other.hi),
-        ]
-        return Interval(min(cands), max(cands))
-
     @property
     def finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
@@ -173,16 +164,14 @@ class Box:
         return f"Box({list(self.lower)}, {list(self.upper)})"
 
 
-def _power_range(l: float, u: float, k: int) -> Interval:
-    """Exact range of x**k over [l, u]."""
-    if k == 0:
-        return Interval(1.0, 1.0)
+def _power_range(l: float, u: float, k: int) -> tuple:
+    """Exact range (lo, hi) of x**k over [l, u], for k >= 1."""
     lk, uk = _ipow(l, k), _ipow(u, k)
     if k % 2 == 1:
-        return Interval(lk, uk)
+        return lk, uk
     if l <= 0.0 <= u:
-        return Interval(0.0, max(lk, uk))
-    return Interval(min(lk, uk), max(lk, uk))
+        return 0.0, max(lk, uk)
+    return min(lk, uk), max(lk, uk)
 
 
 def monomial_range(alpha: Exponent, box: Box) -> Interval:
@@ -193,11 +182,13 @@ def monomial_range(alpha: Exponent, box: Box) -> Interval:
     """
     if len(alpha) != box.n:
         raise ValueError("monomial_range: dimension mismatch")
-    result = Interval(1.0, 1.0)
-    for i, k in enumerate(alpha):
+    lo = hi = 1.0
+    for l, u, k in zip(box.lower, box.upper, alpha):
         if k:
-            result = result.mul(_power_range(box.lower[i], box.upper[i], k))
-    return result
+            a, b = _power_range(l, u, k)
+            ends = (_imul(lo, a), _imul(lo, b), _imul(hi, a), _imul(hi, b))
+            lo, hi = min(ends), max(ends)
+    return Interval(lo, hi)
 
 
 class Polynomial:
@@ -354,23 +345,18 @@ class LinearForm:
     """Affine form constant + sum_alpha coeffs[alpha] * v_alpha + sum_i aux[i] * t_i.
 
     v_0 is the constant 1, so the zero exponent never appears among the
-    coefficients.
+    coefficients. The coefficient keys are exponent tuples as the model
+    builders make them from validated patterns; they are not validated again.
     """
 
     __slots__ = ("constant", "coeffs", "aux")
 
     def __init__(self, constant: float = 0.0, coeffs=None, aux=None):
         self.constant = float(constant)
-        self.coeffs = {}
-        if coeffs:
-            for a, c in coeffs.items():
-                if abs(c) > COEFF_DROP_TOL:
-                    self.coeffs[as_exponent(a)] = float(c)
-        self.aux = {}
-        if aux:
-            for i, c in aux.items():
-                if abs(c) > COEFF_DROP_TOL:
-                    self.aux[int(i)] = float(c)
+        self.coeffs = ({a: float(c) for a, c in coeffs.items() if abs(c) > COEFF_DROP_TOL}
+                       if coeffs else {})
+        self.aux = ({int(i): float(c) for i, c in aux.items() if abs(c) > COEFF_DROP_TOL}
+                    if aux else {})
 
     def value(self, assignment: Mapping[Exponent, float], aux=None) -> float:
         total = self.constant

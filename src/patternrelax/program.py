@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -93,11 +94,13 @@ class ConicProgram:
         self.pieces.append(Piece(kind, payload))
         return len(self.pieces) - 1
 
+    # a row keeps the caller's coeff dict, which must not change afterwards
+
     def add_eq(self, coeff: dict, rhs: float, piece=None):
-        self.eqs.append(LinRow(dict(coeff), float(rhs), piece))
+        self.eqs.append(LinRow(coeff, float(rhs), piece))
 
     def add_ineq(self, coeff: dict, rhs: float = 0.0, piece=None):
-        self.ineqs.append(LinRow(dict(coeff), float(rhs), piece))
+        self.ineqs.append(LinRow(coeff, float(rhs), piece))
 
     def add_block(self, size, entries, const=None, piece=None):
         self.blocks.append(PSDBlockData(size, dict(entries), dict(const or {}), piece))
@@ -263,51 +266,72 @@ def export_sdpa(prog: ConicProgram) -> str:
 
     Encoding: the program's variables are the SDPA primal variables; all
     inequality rows (plus each equality as a pair of opposite inequalities)
-    form one diagonal block, followed by the PSD blocks.
+    form one diagonal block, followed by the PSD blocks. Zero entries are
+    left out, and the entries are ordered by (matno, blkno, i, j).
     """
     if prog.gmcs:
         raise LoweringError("lower the program before SDPA export")
     if prog.ncols == 0:
         raise ValueError("cannot export an empty program")
-    diag_entries = []  # (row_in_block, coeff dict, rhs)
-    for row in prog.ineqs:
-        diag_entries.append((row.coeff, row.rhs))
-    for row in prog.eqs:
-        diag_entries.append((row.coeff, row.rhs))
-        diag_entries.append(({j: -c for j, c in row.coeff.items()}, -row.rhs))
-    nblocks = (1 if diag_entries else 0) + len(prog.blocks)
+    n_ineq, n_eq = len(prog.ineqs), len(prog.eqs)
+    n_diag = n_ineq + 2 * n_eq
+    nblocks = (1 if n_diag else 0) + len(prog.blocks)
     if nblocks == 0:
         raise ValueError("program has no constraints to export")
-    lines = [str(prog.ncols), str(nblocks)]
-    sizes = []
-    if diag_entries:
-        sizes.append(str(-len(diag_entries)))
-    sizes.extend(str(b.size) for b in prog.blocks)
-    lines.append(" ".join(sizes))
-    lines.append(" ".join(_fmt(v) for v in prog.c))
-    entries = []  # (matno, blkno, i, j, value)
-    blk0 = 1 if diag_entries else 0
-    if diag_entries:
-        for r, (coeff, rhs) in enumerate(diag_entries, start=1):
-            if rhs:
-                entries.append((0, 1, r, r, rhs))
-            for col, c in sorted(coeff.items()):
-                if c:
-                    entries.append((col + 1, 1, r, r, c))
-    for bi, blk in enumerate(prog.blocks, start=1):
-        blkno = blk0 + bi
+    sizes = ([-n_diag] if n_diag else []) + [b.size for b in prog.blocks]
+    head = [str(prog.ncols), str(nblocks), " ".join(map(str, sizes)),
+            " ".join(map(repr, np.asarray(prog.c, dtype=float).tolist()))]
+    parts = []  # (matno, blkno, i, j, value), as arrays or scalars
+    if n_diag:
+        rows = prog.ineqs + prog.eqs
+        # inequality r sits at r, equality k at n_ineq + 2k + 1 and its negation at the next
+        pos = np.concatenate([np.arange(1, n_ineq + 1), np.arange(n_ineq + 1, n_diag, 2)])
+        coeffs = [r.coeff for r in rows]
+        lens = np.fromiter(map(len, coeffs), np.int64, len(rows))
+        cols = np.fromiter(chain.from_iterable(coeffs), np.int64, int(lens.sum()))
+        vals = _values(coeffs)
+        rhs = np.fromiter((r.rhs for r in rows), float, len(rows))
+        at = np.repeat(pos, lens)
+        e0 = int(lens[:n_ineq].sum())  # the first entry of an equality
+        for matno, i, v in ((0, pos, rhs), (cols + 1, at, vals),
+                            (0, pos[n_ineq:] + 1, -rhs[n_ineq:]),
+                            (cols[e0:] + 1, at[e0:] + 1, -vals[e0:])):
+            parts.append((matno, 1, i, i, v))
+    if prog.blocks:
+        first = 2 if n_diag else 1
+        blkno = np.arange(first, first + len(prog.blocks))
+        entries = [b.entries for b in prog.blocks]
+        keys = _keys(entries, 3)
+        parts.append((keys[:, 0] + 1, np.repeat(blkno, list(map(len, entries))),
+                      keys[:, 1] + 1, keys[:, 2] + 1, _values(entries)))
         # SDPA's F0 is the negated constant: F(x) = sum_col x_col F_col - F0
-        entries.extend((0, blkno, i + 1, j + 1, -v) for (i, j), v in blk.const.items() if v)
-        entries.extend((col + 1, blkno, i + 1, j + 1, v)
-                       for (col, i, j), v in blk.entries.items() if v)
-    entries.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
-    for matno, blkno, i, j, v in entries:
-        lines.append(f"{matno} {blkno} {i} {j} {_fmt(v)}")
-    return "\n".join(lines) + "\n"
+        consts = [b.const for b in prog.blocks]
+        keys = _keys(consts, 2)
+        parts.append((0, np.repeat(blkno, list(map(len, consts))),
+                      keys[:, 0] + 1, keys[:, 1] + 1, -_values(consts)))
+    matno, blkno, i, j, v = (
+        np.concatenate([np.broadcast_to(p[k], p[4].shape) for p in parts]) for k in range(5))
+    keep = v != 0
+    matno, blkno, i, j, v = matno[keep], blkno[keep], i[keep], j[keep], v[keep]
+    order = np.lexsort((j, i, blkno, matno))
+    # each distinct value is written once by repr, the shortest round-trip form
+    values, which = np.unique(v[order], return_inverse=True)
+    reprs = list(map(repr, values.tolist()))
+    lines = map("%d %d %d %d %s".__mod__,
+                zip(*(a[order].tolist() for a in (matno, blkno, i, j)),
+                    map(reprs.__getitem__, which.tolist())))
+    return "\n".join(chain(head, lines)) + "\n"
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _keys(dicts: list, width: int) -> np.ndarray:
+    """The tuple keys of the dicts, in order, as rows of an int array."""
+    flat = chain.from_iterable(chain.from_iterable(dicts))
+    return np.fromiter(flat, np.int64, width * sum(map(len, dicts))).reshape(-1, width)
+
+
+def _values(dicts: list) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(d.values() for d in dicts), float,
+                       sum(map(len, dicts)))
 
 
 def parse_sdpa(text: str) -> ConicProgram:

@@ -17,8 +17,12 @@ def test_cli_gen_relax_solve_verify_bench(tmp_path, capsys):
     assert set(data) >= {"f", "box", "id", "tag", "seed"}
 
     sdpa = tmp_path / "prog.dat-s"
+    capsys.readouterr()
     assert main(["relax", "--instance", str(inst), "--method", "C",
                  "--sense", "min", "--export-sdpa", str(sdpa)]) == 0
+    # the v_0 = 1 row is an equality; it counts, as do the inequalities
+    assert capsys.readouterr().out == (
+        f"wrote {sdpa}: 9 variables, 1 equality rows, 6 inequality rows, 4 psd blocks\n")
     body = sdpa.read_text().splitlines()
     assert int(body[0]) > 0 and int(body[1]) > 0
 

@@ -329,6 +329,43 @@ def test_prune_no_subset_pairs_property():
                     assert not p.exponents <= q.exponents
 
 
+def prune_by_all_pairs(pats):
+    """The O(P^2) loop prune_inclusion_maximal once ran, as its reference."""
+    keep = []
+    for i, p in enumerate(pats):
+        dominated = False
+        for j, q in enumerate(pats):
+            if i == j:
+                continue
+            if p.exponents < q.exponents or (p.exponents == q.exponents and j < i):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(p)
+    return keep
+
+
+def test_prune_matches_all_pairs_reference():
+    # duplicate exponent sets carry different kinds and metadata; the first
+    # one is the one kept, since it decides which model gets built
+    rng = np.random.default_rng(23)
+    kinds = ("generic", "multilinear", "chain", "submonoid")
+    for _ in range(40):
+        pats = []
+        for t in range(int(rng.integers(1, 30))):
+            if pats and rng.uniform() < 0.3:
+                pts = pats[int(rng.integers(len(pats)))].exponents
+            else:
+                pts = {tuple(int(v) for v in rng.integers(0, 3, 3))
+                       for _ in range(rng.integers(1, 7))}
+            pats.append(Pattern(frozenset(pts), kind=str(rng.choice(kinds)),
+                                meta={"tag": t}))
+        kept = prune_inclusion_maximal(pats)
+        expected = prune_by_all_pairs(pats)
+        assert len(kept) == len(expected)
+        assert all(p is q for p, q in zip(kept, expected))
+
+
 def test_mc_family_is_pruned_union():
     A = {(2, 2), (1, 0)}
     fam = mc_family(A)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -198,6 +199,49 @@ def test_sdpa_deterministic():
     text1 = export_sdpa(lp_program())
     text2 = export_sdpa(lp_program())
     assert text1 == text2
+
+
+def edge_case_program():
+    """Rows and a block that exercise every rule of the SDPA writer."""
+    prog = ConicProgram(4)
+    prog.c[:] = [0.1, -0.0, 1e22, -1 / 3]
+    # coefficient dicts in unsorted insertion order; 0.0 and -0.0 are skipped
+    prog.add_ineq({3: 0.5, 0: -1.25, 2: 0.0, 1: -0.0}, -2.5)
+    prog.add_ineq({2: 1e-17, 0: 3.0}, 0.0)
+    # an equality with a nonzero rhs is written as a negated pair of rows
+    prog.add_eq({1: 2.0, 0: 1 / 3}, 1.5)
+    prog.add_eq({3: -0.0, 2: 7.0}, -0.0)
+    prog.add_block(3, {(3, 1, 2): 0.25, (0, 0, 0): 1.0, (2, 0, 1): 0.0,
+                       (1, 1, 1): -2.0, (0, 2, 2): 1e-9},
+                   {(1, 2): -0.5, (0, 0): 1.0, (2, 2): 0.0})
+    prog.add_block(2, {(1, 1, 1): 0.7, (1, 0, 1): -0.0, (0, 0, 0): 2.0})
+    return prog
+
+
+def psd_only_program():
+    """PSD blocks and no linear rows: the export has no diagonal block."""
+    prog = ConicProgram(2)
+    prog.c[:] = [1.0, 0.5]
+    prog.add_block(2, {(1, 1, 1): 1.0, (0, 0, 1): 1.0, (0, 0, 0): 0.0}, {(0, 0): 1.0})
+    prog.add_block(1, {(1, 0, 0): -3.0})
+    return prog
+
+
+# SHA-256 of export_sdpa of each program, recorded when the writer built one
+# tuple per entry and sorted them
+PINNED_EDGE_SDPA = [
+    (edge_case_program,
+     "f3c1458328104820b20225720a80524fd61f3f0fed07b765c2a96535ab2aa2e8"),
+    (psd_only_program,
+     "4febfc4c9023d7788b821718f4ffd2c1f8f662ffab3246cb77cfc36d17ca1d23"),
+]
+
+
+@pytest.mark.parametrize("make,digest", PINNED_EDGE_SDPA, ids=["edge-cases", "psd-only"])
+def test_sdpa_export_edge_cases_pinned(make, digest):
+    text = export_sdpa(make())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert export_sdpa(parse_sdpa(text)) == text
 
 
 def test_parse_sdpa_rejects_malformed():

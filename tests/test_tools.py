@@ -1,10 +1,10 @@
 """Smoke tests of the scripts under tools/.
 
-Bit-identity checks compare the output of tools/solve_digests.py across
-commits, so a library change that breaks a name a tool imports should fail
-the test suite. Each tool runs in its own interpreter, as the demos do in
-test_demos.py; PYTHONDONTWRITEBYTECODE keeps the runs from leaving bytecode
-caches under perfbench/.
+Bit-identity checks compare the output of tools/solve_digests.py and
+tools/relax_digests.py across commits, so a library change that breaks a
+name a tool imports should fail the test suite. Each tool runs in its own
+interpreter, as the demos do in test_demos.py; PYTHONDONTWRITEBYTECODE
+keeps the runs from leaving bytecode caches under perfbench/.
 """
 
 import os
@@ -28,6 +28,12 @@ def test_solve_digests_prints_one_digest_per_solve():
     out = run_tool("tools/solve_digests.py", "--tag", "A5", "--method", "M",
                    "--seeds", "1", "--senses", "min")
     assert re.fullmatch(r"A5#1:min [0-9a-f]{64}\n", out), out
+
+
+def test_relax_digests_prints_one_digest_per_program():
+    out = run_tool("tools/relax_digests.py", "--tag", "A5", "--method", "M",
+                   "--seeds", "1")
+    assert re.fullmatch(r"A5#1:min [0-9a-f]{64}\nA5#1:max [0-9a-f]{64}\n", out), out
 
 
 def test_pool_check_help():
