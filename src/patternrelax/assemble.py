@@ -59,28 +59,9 @@ def assemble_relaxation(
     aux_cols = list(itertools.accumulate((m.aux_count for m in models), initial=n_mono))
     ncols = aux_cols.pop()
     prog = ConicProgram(ncols, list(monomials) + [None] * (ncols - n_mono))
-    prog.meta.update(
-        {
-            "n": f.n,
-            "box": box,
-            "sense": sense,
-            "objective": f,
-            "minimized": fobj,
-            "v0_col": col_of[zero],
-            "model_aux_cols": list(range(n_mono, ncols)),
-        }
-    )
-    # the models' lifts are called in one flat loop, so the lift's depth does
-    # not grow with the number of models
-    lifts = [m.aux_lift for m in models if m.aux_count]
-    if lifts and None not in lifts:
-        def aux_lift(x):
-            vals = []
-            for lift in lifts:
-                vals.extend(lift(x))
-            return vals
-
-        prog.aux_lift = aux_lift
+    prog.meta.update({"box": box, "sense": sense, "minimized": fobj, "v0_col": col_of[zero]})
+    prog.aux_lifts = [(aux_col, m.aux_lift) for m, aux_col in zip(models, aux_cols)
+                      if m.aux_count]
 
     for alpha, c in fobj.terms.items():
         prog.c[col_of[alpha]] = c
@@ -97,7 +78,7 @@ def assemble_relaxation(
         return coeff
 
     # the models' own pieces come first, in model order
-    model_pieces = [prog.add_piece(m.piece.kind, dict(m.piece.payload)) if m.piece else None
+    model_pieces = [prog.add_piece(m.piece.kind, m.piece.payload) if m.piece else None
                     for m in models]
 
     # sense -> hash of the column set -> the coefficient dicts of the rows added;
@@ -128,28 +109,17 @@ def assemble_relaxation(
             add_row(to_coeff(row.form, aux_col), row.sense, row.factors, piece)
 
     seen_blocks: set = set()
-    for model, aux_col in zip(models, aux_cols):
+    for model in models:
         for block in model.lmis:
-            m = block.size
-            # the upper triangle of a symmetric block holds all of its data;
-            # the constant part is homogenized onto v_0
-            entries: dict = {}
-            for i in range(m):
-                for j in range(i, m):
-                    e = block.entries[i][j]
-                    terms = [(col_of[alpha], c) for alpha, c in e.coeffs.items()]
-                    terms += [(aux_col + a_idx, c) for a_idx, c in e.aux.items()]
-                    if e.constant:
-                        terms.append((col_of[zero], e.constant))
-                    for col, c in terms:
-                        entries[col, i, j] = entries.get((col, i, j), 0.0) + c
-            key = (m, tuple(sorted((k, round(v, 12)) for k, v in entries.items())))
+            # the zero exponent's column is v_0's, which homogenizes the constant part
+            entries = {(col_of[a], i, j): c for (a, i, j), c in block.entries.items()}
+            key = (block.size, tuple(sorted((k, round(v, 12)) for k, v in entries.items())))
             if key in seen_blocks:
                 continue
             seen_blocks.add(key)
             piece = prog.add_piece(
                 "sos", {"basis": block.basis, "multiplier_factors": block.multiplier_factors})
-            prog.add_block(m, entries, piece=piece)
+            prog.add_block(block.size, entries, piece=piece)
 
     for model, piece in zip(models, model_pieces):
         for rec in model.gmcs:

@@ -15,7 +15,7 @@ def export_instance_json(f: Polynomial, box: Box, fam: PatternFamily | None = No
         data["family"] = fam.to_json_dict()
     for key, val in meta.items():
         data[key] = val
-    return json.dumps(data, indent=1)
+    return json.dumps(data)
 
 
 def import_instance_json(text: str):

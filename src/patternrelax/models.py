@@ -4,9 +4,10 @@ model_for_pattern routes each pattern to one builder: box-vertex mixtures or
 McCormick rows for multilinear patterns, moment and localizer LMIs for
 chains and submonoids, shifted (homogenized) models, sparse SOS moment
 blocks, and geometric-mean-cone memberships for circuits.  Every builder
-emits a MomentModel: linear rows, LMI blocks with affine entries, and
-geometric-mean-cone memberships, all over monomial variables v_alpha plus
-model-local auxiliary scalars.  A vertex or circuit model is one
+emits a MomentModel over monomial variables v_alpha: linear rows (which
+may use model-local auxiliary scalars), LMI blocks in the program's entry
+format with exponents for columns, and geometric-mean-cone memberships, so
+assembly only renames exponents to columns.  A vertex or circuit model is one
 certificate piece, whose payload (vertex table or circuit data) lets the
 certificate module re-derive and verify it; the rows and LMI blocks of the
 other models are one piece each, with their factor lists.  Lifted points
@@ -33,6 +34,7 @@ from .polynomials import (
     degrees_up_to,
     exp_add,
     exp_support,
+    linearize,
     monomial_range,
     unit_exponent,
     zero_exponent,
@@ -112,13 +114,16 @@ class Row:
 
 @dataclass
 class LMIBlock:
-    entries: list  # list of list of LinearForm, symmetric
+    """The block sum_alpha v_alpha F_alpha >= 0, in PSDBlockData's entry format.
+
+    Each entry (alpha, i, j) -> c with i <= j sets F_alpha[i, j] =
+    F_alpha[j, i] = c; the zero exponent stands for v_0 = 1.
+    """
+
+    size: int
+    entries: dict  # (alpha, i, j) -> float, i <= j
     basis: tuple | None = None  # x-monomials indexing rows/cols (Gram basis)
     multiplier_factors: tuple = ()  # certificate multiplier g = prod(factors)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
 @dataclass
@@ -147,18 +152,13 @@ class MomentModel:
     piece: Piece | None = None
     aux_lift: Callable | None = None  # x -> list of aux values
 
-    def note_form(self, form: LinearForm):
-        self.variables.update(form.coeffs)
-
     def add_row(self, form, sense=">=", factors=None):
-        self.note_form(form)
+        self.variables.update(form.coeffs)
         self.rows.append(Row(form, sense, tuple(factors) if factors else None))
 
-    def add_lmi(self, entries, basis=None, multiplier_factors=()):
-        for row_entries in entries:
-            for e in row_entries:
-                self.note_form(e)
-        self.lmis.append(LMIBlock(entries, basis, tuple(multiplier_factors)))
+    def add_lmi(self, size, entries, basis=None, multiplier_factors=()):
+        self.variables.update(a for a, _, _ in entries if any(a))  # v_0 is no variable
+        self.lmis.append(LMIBlock(size, entries, basis, tuple(multiplier_factors)))
 
     def add_gmc(self, beta, gammas, lambdas, sign_mode):
         self.variables.add(beta)
@@ -173,9 +173,14 @@ class MomentModel:
             op = ">= 0" if row.sense == ">=" else "== 0"
             lines.append(f"  row:  {row.form} {op}")
         for block in self.lmis:
-            lines.append(f"  lmi ({block.size}x{block.size}):")
-            for row_entries in block.entries:
-                lines.append("    [ " + " | ".join(str(e) for e in row_entries) + " ]")
+            m = block.size
+            lines.append(f"  lmi ({m}x{m}):")
+            cells = [[{} for _ in range(m)] for _ in range(m)]
+            for (a, i, j), c in block.entries.items():
+                cells[i][j][a] = cells[j][i][a] = c
+            for row in cells:
+                lines.append("    [ " + " | ".join(
+                    str(linearize(Polynomial(self.n, cs))) for cs in row) + " ]")
         for rec in self.gmcs:
             rel = "0 <= v <= prod" if rec.sign_mode == "even" else "|v| <= prod"
             lines.append(
@@ -306,22 +311,22 @@ def _moment_block(model: MomentModel, basis: tuple, h: Polynomial, factors: tupl
 
     h is the block's multiplier, prod(factors); a 1x1 block becomes a row.
     """
-    zero = zero_exponent(model.n)
     terms = list(h.terms.items())
     m = len(basis)
-    entries = [[None] * m for _ in range(m)]
+    entries = {}
     for i, a in enumerate(basis):
         for j in range(i, m):
             s = exp_add(a, basis[j])
-            coeffs = {exp_add(g, s): c for g, c in terms}
-            entries[i][j] = entries[j][i] = LinearForm(coeffs.pop(zero, 0.0), coeffs)
+            for g, c in terms:
+                entries[exp_add(g, s), i, j] = c
     if m == 1:
         b = basis[0]
         if sum(b):
             factors = factors + (("monomial", exp_add(b, b)),)
-        model.add_row(entries[0][0], factors=factors or None)
+        row = Polynomial(model.n, {a: c for (a, _, _), c in entries.items()})
+        model.add_row(linearize(row), factors=factors or None)
     else:
-        model.add_lmi(entries, basis=basis, multiplier_factors=factors)
+        model.add_lmi(m, entries, basis=basis, multiplier_factors=factors)
 
 
 def build_lasserre_model(Gamma, d: int, box: Box) -> MomentModel:
@@ -397,8 +402,8 @@ def build_shifted_model(eta: Exponent, base: MomentModel, box: Box) -> MomentMod
             factors = factors + (("monomial", eta),)
         model.add_row(shifted(row.form), row.sense, factors)
     for block in base.lmis:
-        entries = [[shifted(e) for e in row_entries] for row_entries in block.entries]
-        model.add_lmi(entries, basis=block.basis,
+        entries = {(exp_add(a, eta), i, j): c for (a, i, j), c in block.entries.items()}
+        model.add_lmi(block.size, entries, basis=block.basis,
                       multiplier_factors=block.multiplier_factors + (("monomial", eta),))
     _bounds_model(model, eta, box)
     return model

@@ -79,7 +79,7 @@ class ConicProgram:
         self.gmcs: list[GMCData] = []
         self.pieces: list[Piece] = []
         self.meta: dict = {}
-        self.aux_lift = None  # x -> values for model aux columns
+        self.aux_lifts: list = []  # (first aux column, x -> that model's aux values)
         self.tower_lift: list = []  # (node_col, kind, data) in evaluation order
 
     # -- construction helpers ------------------------------------------------
@@ -108,19 +108,19 @@ class ConicProgram:
     # -- lowering of geometric-mean cones -------------------------------------
 
     def lowered(self, denominator_cap: int = 1 << 16) -> "ConicProgram":
-        """Replace GMC records by 2x2 PSD towers; returns a new program."""
+        """Replace GMC records by 2x2 PSD towers; returns a new program.
+
+        Lowering only appends columns, rows, blocks and lift steps, so the new
+        program shares its rows, blocks and pieces with this one.
+        """
         if not self.gmcs:
             return self
         out = ConicProgram(self.ncols, self.col_exponents)
         out.c = self.c.copy()
-        out.eqs = [LinRow(dict(r.coeff), r.rhs, r.piece) for r in self.eqs]
-        out.ineqs = [LinRow(dict(r.coeff), r.rhs, r.piece) for r in self.ineqs]
-        out.blocks = [PSDBlockData(b.size, dict(b.entries), dict(b.const), b.piece)
-                      for b in self.blocks]
-        out.pieces = [Piece(p.kind, dict(p.payload)) for p in self.pieces]
+        out.eqs, out.ineqs = list(self.eqs), list(self.ineqs)
+        out.blocks, out.pieces = list(self.blocks), list(self.pieces)
         out.meta = dict(self.meta)
-        out.aux_lift = self.aux_lift
-        out.tower_lift = list(self.tower_lift)
+        out.aux_lifts, out.tower_lift = list(self.aux_lifts), list(self.tower_lift)
         for rec in self.gmcs:
             _lower_gmc(out, rec, denominator_cap)
         return out
@@ -130,17 +130,12 @@ class ConicProgram:
     def lift_point(self, x) -> np.ndarray:
         """Monomial lift of x, with auxiliaries set by their construction rules."""
         v = np.zeros(self.ncols)
-        aux_cols = []
         for j, alpha in enumerate(self.col_exponents):
             if alpha is not None:
                 v[j] = Polynomial.monomial(alpha).evaluate(x)
-            else:
-                aux_cols.append(j)
-        model_aux = self.meta.get("model_aux_cols", [])
-        if model_aux:
-            vals = self.aux_lift(x)
-            for j, val in zip(model_aux, vals):
-                v[j] = val
+        for col, lift in self.aux_lifts:
+            vals = lift(x)
+            v[col:col + len(vals)] = vals
         for col, kind, data in self.tower_lift:
             if kind == "geomean":
                 prod = 1.0

@@ -69,12 +69,9 @@ def test_criterion_1_worked_examples():
     # (b) Lasserre with Gamma = diag(2,2), d=1 on [-1,1]x[-2,2]
     m = build_lasserre_model(np.diag([2, 2]), 1, Box([-1, -2], [1, 2]))
     ok &= len(m.lmis) == 1 and m.lmis[0].size == 3
-    entry_vars = set()
-    for i in range(3):
-        for j in range(3):
-            e = m.lmis[0].entries[i][j]
-            entry_vars.add(next(iter(e.coeffs)) if e.coeffs else e.constant)
-    ok &= entry_vars == {1.0, (2, 0), (0, 2), (4, 0), (2, 2), (0, 4)}
+    entry_vars = {alpha for alpha, _, _ in m.lmis[0].entries}
+    ok &= entry_vars == {(0, 0), (2, 0), (0, 2), (4, 0), (2, 2), (0, 4)}
+    ok &= len(m.lmis[0].entries) == 6 and set(m.lmis[0].entries.values()) == {1.0}
     locs = row_signature(m)
     ok &= contains_row(locs, {(2, 0): 1.0, (4, 0): -1.0})
     ok &= contains_row(locs, {(0, 2): 4.0, (0, 4): -1.0})

@@ -5,7 +5,7 @@ import pytest
 
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import brute_force_min, family_for_method, gen_instance
-from patternrelax.models import ModelPolicy
+from patternrelax.models import ModelPolicy, model_for_pattern
 from patternrelax.patterns import (PatternFamily, chain_family, make_sdsos, multilinear_family,
                                    submonoid_pattern, univariate_sparse_family)
 from patternrelax.pipeline import solve_relaxation
@@ -127,6 +127,28 @@ def test_v0_pinned_and_homogeneous_rows():
     assert prog.eqs[0].rhs == 1.0
     for row in prog.ineqs:
         assert row.rhs == 0.0
+
+
+S36 = gen_instance("S(3,6)", 1)
+
+
+@pytest.mark.parametrize("f,fam,box", [
+    (S36.f, family_for_method("S", S36.f), S36.box),
+    (Polynomial(1, {(6,): 1.0, (2,): -2.0, (0,): 0.5}), univariate_sparse_family({0, 2, 6}),
+     Box([0], [3])),
+], ids=["shifted-chain", "univariate"])
+def test_blocks_are_model_blocks_with_exponents_renamed(f, fam, box):
+    # assembly hands each model block over unchanged but for exponent -> column
+    prog = assemble_relaxation(f, fam, box)
+    col_of = {alpha: j for j, alpha in enumerate(prog.col_exponents) if alpha is not None}
+    renamed = []
+    for pat in fam:
+        for block in model_for_pattern(pat, box, ModelPolicy()).lmis:
+            entries = {(col_of[a], i, j): c for (a, i, j), c in block.entries.items()}
+            if (block.size, entries) not in renamed:  # a repeated block is dropped
+                renamed.append((block.size, entries))
+    assert renamed
+    assert [(b.size, b.entries) for b in prog.blocks] == renamed
 
 
 # SHA-256 of the SDPA text of assembled programs, recorded when models were

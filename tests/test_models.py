@@ -137,14 +137,12 @@ def test_lasserre_worked_example_diag22():
     m = build_lasserre_model(np.diag([2, 2]), 1, Box([-1, -2], [1, 2]))
     (block,) = m.lmis
     assert block.size == 3
-    entries = {}
-    for i in range(3):
-        for j in range(3):
-            e = block.entries[i][j]
-            key = e.constant if not e.coeffs else next(iter(e.coeffs))
-            entries[(i, j)] = key
-    flat = set(entries.values())
-    assert flat == {1.0, (2, 0), (0, 2), (4, 0), (2, 2), (0, 4)}
+    # one upper-triangle entry per cell, each a single monomial; v_0 is the zero exponent
+    assert sorted((i, j) for _, i, j in block.entries) == [
+        (i, j) for i in range(3) for j in range(i, 3)]
+    assert set(block.entries.values()) == {1.0}
+    flat = {alpha for alpha, _, _ in block.entries}
+    assert flat == {(0, 0), (2, 0), (0, 2), (4, 0), (2, 2), (0, 4)}
     locs = rows_as_sets(m)
     assert {(2, 0): 1.0, (4, 0): -1.0} in locs
     assert {(0, 2): 4.0, (0, 4): -1.0} in locs
@@ -195,8 +193,7 @@ def test_sparse_sos_moment_blocks():
     # univariate shifted blocks: entries v_{i+a+b}
     m = model([(0,), (1,)], shift=(3,))
     (block,) = m.lmis
-    assert block.entries[0][0].coeffs == {(3,): 1.0}
-    assert block.entries[1][1].coeffs == {(5,): 1.0}
+    assert block.entries == {((3,), 0, 0): 1.0, ((4,), 0, 1): 1.0, ((5,), 1, 1): 1.0}
     assert block.multiplier_factors == (("monomial", (3,)),)
 
 
@@ -218,14 +215,17 @@ def test_shifted_model_worked_example():
 
 
 def test_shifted_chain_lmis():
+    def cell(block, i, j):
+        return {alpha: c for (alpha, a, b), c in block.entries.items() if (a, b) == (i, j)}
+
     box = Box([-1, 1], [1, 2])
     base = build_lasserre_model(np.array([[1], [0]]), 2, box)
     m = build_shifted_model((0, 1), base, box)
     mom = m.lmis[0]
-    assert mom.entries[0][0].coeffs == {(0, 1): 1.0}
-    assert mom.entries[2][2].coeffs == {(4, 1): 1.0}
+    assert cell(mom, 0, 0) == {(0, 1): 1.0}
+    assert cell(mom, 2, 2) == {(4, 1): 1.0}
     loc = m.lmis[1]
-    assert loc.entries[0][0].coeffs == {(0, 1): 1.0, (2, 1): -1.0}
+    assert cell(loc, 0, 0) == {(0, 1): 1.0, (2, 1): -1.0}
     bounds = [r for r in m.rows if r.factors and len(r.factors) == 1]
     assert len(bounds) == 2
 
@@ -413,7 +413,8 @@ def test_merge_of_many_vertex_models_lifts_without_recursion():
     pat = multilinear_family({(1, 1)}).patterns[0]
     fam = PatternFamily([pat] * 5000)
     prog = assemble_relaxation(Polynomial(2, {(1, 1): 1.0}), fam, box)
-    assert len(prog.meta["model_aux_cols"]) == 5000 * 4
+    # each model's four vertex weights take the columns after the previous model's
+    assert [col for col, _ in prog.aux_lifts] == list(range(prog.ncols - 5000 * 4, prog.ncols, 4))
     assert sum(p.kind == "vertex" for p in prog.pieces) == 5000
     assert prog.max_violation(prog.lift_point(np.array([0.3, 1.7]))) <= 1e-9
 

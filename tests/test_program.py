@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 
@@ -50,6 +51,24 @@ def test_gmc_half_half_gives_single_psd2():
     assert len(prog.blocks) == 1 and prog.blocks[0].size == 2
     assert prog.ncols == 3  # no auxiliaries
     assert all(b.size == 2 for b in gmc_program([0.25, 0.25, 0.5]).lowered().blocks)
+
+
+def test_lowering_leaves_the_source_program_unchanged():
+    from patternrelax.assemble import assemble_relaxation
+    from patternrelax.patterns import PatternFamily
+
+    # an odd circuit record: lowering adds columns, rows, 2x2 blocks and lift steps
+    f = Polynomial(2, {(1, 1): 1.0, (2, 0): 1.0, (0, 2): 1.0})
+    prog = assemble_relaxation(f, PatternFamily([make_sdsos((1, 0), (0, 1))], 2),
+                               Box.full_space(2))
+    prog.add_block(2, {(1, 0, 0): 1.0, (2, 1, 1): 1.0, (3, 0, 1): 1.0})
+    before = copy.deepcopy((prog.ncols, prog.eqs, prog.ineqs, prog.blocks, prog.pieces,
+                            prog.tower_lift))
+    lowered = prog.lowered()
+    assert lowered.ncols > prog.ncols and len(lowered.blocks) > len(prog.blocks)
+    assert lowered.tower_lift and len(lowered.ineqs) > len(prog.ineqs)
+    assert (prog.ncols, prog.eqs, prog.ineqs, prog.blocks, prog.pieces,
+            prog.tower_lift) == before
 
 
 def test_gmc_quarter_three_quarters_structure():

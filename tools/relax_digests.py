@@ -8,12 +8,13 @@ Run from the repository root:
 Each line is ``<instance id>:<sense> <digest>``. The program is assembled
 with the default policy and lowered, as in ``patternrelax relax``; the digest
 covers, in this order, its SDPA text, the kind and payload of every piece,
-``col_exponents``, ``meta["model_aux_cols"]`` and ``lift_point`` at one box
-point drawn from the instance seed. Values are fed as in
-``tools/solve_digests.py`` (floats and arrays by their raw bytes), so two
-commits relax bit-identically exactly when their outputs ``diff`` clean. The
-seconds for assemble, lower and export go to stderr as
-``<instance id>:<sense> <seconds> s``, so stdout holds only the digests.
+``col_exponents`` (``None`` for each auxiliary column) and ``lift_point``
+at one box point drawn from the instance seed, which sets every auxiliary
+column. Values are fed as in ``tools/solve_digests.py`` (floats and arrays
+by their raw bytes), so two commits relax bit-identically exactly when their
+outputs ``diff`` clean. The seconds for assemble, lower and export go to
+stderr as ``<instance id>:<sense> <seconds> s``, so stdout holds only the
+digests.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ def digest(prog, text: str, point) -> str:
         ("sdpa", text),
         ("pieces", [(p.kind, p.payload) for p in prog.pieces]),
         ("col_exponents", prog.col_exponents),
-        ("model_aux_cols", prog.meta.get("model_aux_cols", [])),
         ("lift_point", prog.lift_point(point)),
     ):
         h.update(name.encode())
