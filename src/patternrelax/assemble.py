@@ -66,20 +66,27 @@ def assemble_relaxation(
     for alpha, c in fobj.terms.items():
         prog.c[col_of[alpha]] = c
 
-    prog.add_eq({col_of[zero]: 1.0}, 1.0)
+    j0 = col_of[zero]
+    prog.add_eq({j0: 1.0}, 1.0)
 
-    def to_coeff(form: LinearForm, aux_col: int) -> dict:
+    def to_coeff(form: LinearForm) -> dict:
         coeff = {col_of[a]: c for a, c in form.coeffs.items()}
         if form.constant:
-            j0 = col_of[zero]
             coeff[j0] = coeff.get(j0, 0.0) + form.constant
-        for i, c in form.aux.items():
-            coeff[aux_col + i] = c
         return coeff
 
     # the models' own pieces come first, in model order
     model_pieces = [prog.add_piece(m.piece.kind, m.piece.payload) if m.piece else None
                     for m in models]
+
+    def emit(coeff, sense_row, factors, piece):
+        """Add the row; a row without a piece gets its own linear piece."""
+        if piece is None:
+            piece = prog.add_piece("linear", {"factors": factors or ()})
+        if sense_row == "==":
+            prog.add_eq(coeff, 0.0, piece=piece)
+        else:
+            prog.add_ineq(coeff, 0.0, piece=piece)
 
     # sense -> hash of the column set -> the coefficient dicts of the rows added;
     # ints, tuples and dicts of numbers leave the garbage collector little to track
@@ -87,8 +94,7 @@ def assemble_relaxation(
 
     def add_row(coeff, sense_row, factors, piece=None):
         """Add a row unless it duplicates one: the same sense and columns, with
-        coefficients equal after rounding to 12 decimals. A row without a
-        piece gets its own linear piece."""
+        coefficients equal after rounding to 12 decimals."""
         seen = seen_rows[sense_row]
         h = hash(frozenset(coeff))
         same = seen.get(h, ())
@@ -97,16 +103,21 @@ def assemble_relaxation(
             if any(_rounded(other) == key for other in same):
                 return
         seen[h] = same + (coeff,)
-        if piece is None:
-            piece = prog.add_piece("linear", {"factors": factors or ()})
-        if sense_row == "==":
-            prog.add_eq(coeff, 0.0, piece=piece)
-        else:
-            prog.add_ineq(coeff, 0.0, piece=piece)
+        emit(coeff, sense_row, factors, piece)
 
     for model, piece, aux_col in zip(models, model_pieces, aux_cols):
         for row in model.rows:
-            add_row(to_coeff(row.form, aux_col), row.sense, row.factors, piece)
+            form = row.form
+            if not form.aux:
+                add_row(to_coeff(form), row.sense, row.factors, piece)
+                continue
+            # a row on a model's own auxiliary columns cannot duplicate another
+            # model's row, and the rows of a vertex model (the one model with
+            # auxiliaries) have distinct column sets, so it is not compared
+            coeff = {aux_col + i: c for i, c in form.aux.items()}
+            if form.coeffs or form.constant:
+                coeff = to_coeff(form) | coeff
+            emit(coeff, row.sense, row.factors, piece)
 
     seen_blocks: set = set()
     for model in models:
@@ -129,7 +140,6 @@ def assemble_relaxation(
             )
 
     # trivial monomial bounds on the objective support
-    j0 = col_of[zero]
     for alpha in sorted(fobj.support()):
         if alpha == zero:
             continue

@@ -17,6 +17,7 @@ max_violation), not per model.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -26,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .polynomials import (
+    COEFF_DROP_TOL,
     Box,
     Exponent,
     LinearForm,
@@ -36,6 +38,7 @@ from .polynomials import (
     exp_support,
     linearize,
     monomial_range,
+    power_range,
     unit_exponent,
     zero_exponent,
 )
@@ -200,18 +203,25 @@ def _pattern_base(P: Pattern) -> Exponent:
     return base
 
 
-def _transformed_ranges(base: Exponent, box: Box) -> tuple:
-    """Support coordinates of base and the exact ranges of x_i^{base_i}."""
-    supp = sorted(exp_support(base))
-    ranges = []
-    for i in supp:
-        r = monomial_range(unit_exponent(len(base), i, base[i]), box)
-        if not r.finite:
+def _coordinate_ranges(base: Exponent, box: Box) -> tuple:
+    """Support coordinates of base and the exact range (lo, hi) of each x_i^{base_i}."""
+    supp = [i for i, k in enumerate(base) if k]
+    ranges = [power_range(box.lower[i], box.upper[i], base[i]) for i in supp]
+    for i, (lo, hi) in zip(supp, ranges):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise BuilderError(
                 f"vertex model needs finite bounds; x_{i}^{base[i]} is unbounded"
             )
-        ranges.append(r)
     return supp, ranges
+
+
+@functools.cache
+def _nonnegative_rows(count: int) -> tuple:
+    """The rows lambda_j >= 0 of a count-vertex model.
+
+    Every such model shares them; rows are not changed once built.
+    """
+    return tuple(Row(LinearForm(0.0, None, {j: 1.0})) for j in range(count))
 
 
 def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
@@ -219,31 +229,35 @@ def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
     base = _pattern_base(P)
     if not all(set(col) <= {0, b} for col, b in zip(zip(*P.exponents), base)):
         raise BuilderError("pattern is not contained in its multilinear cube")
-    supp, ranges = _transformed_ranges(base, box)
+    supp, ranges = _coordinate_ranges(base, box)
     k = len(supp)
     if k > VERTEX_HARD_CAP:
         raise PatternTooWide(f"multilinear pattern touches {k} coordinates (cap {VERTEX_HARD_CAP})")
     model = MomentModel(P.n)
-    vertices = list(itertools.product(*[(r.lo, r.hi) for r in ranges]))
-    model.aux_count = len(vertices)
-    # mixture rows: v_beta = sum_p lambda_p * m_beta(p); the beta = 0 row is
-    # the normalization sum_p lambda_p = 1. m_beta at every vertex is the
-    # product of the columns of beta's support coordinates, taken from 1.0 in
-    # the order of exp_support(beta), which fixes its rounding
-    model.add_row(
-        LinearForm(-1.0, {}, {j: 1.0 for j in range(len(vertices))}), sense="==")
+    vertices = list(itertools.product(*ranges))
+    count = model.aux_count = len(vertices)
+    # mixture rows: v_beta - sum_p lambda_p * m_beta(p) = 0; the beta = 0 row
+    # is the normalization sum_p lambda_p = 1. -m_beta at every vertex is the
+    # product of the columns of beta's support coordinates, the first one
+    # negated, in the order of exp_support(beta): that order fixes the
+    # rounding, and negating a factor negates the rounded product exactly
+    rows = model.rows
+    rows.append(Row(LinearForm(-1.0, None, dict.fromkeys(range(count), 1.0)), "=="))
     columns = dict(zip(supp, zip(*vertices)))  # coordinate -> its value at every vertex
+    negated = {i: tuple(map(operator.neg, col)) for i, col in columns.items()}
     pat_exps = sorted(P.exponents)
     for beta in pat_exps:
         if not any(beta):
             continue
-        values = [1.0] * len(vertices)
-        for i in exp_support(beta):
+        first, *rest = exp_support(beta)
+        values = negated[first]
+        for i in rest:
             values = list(map(operator.mul, values, columns[i]))
-        model.add_row(LinearForm(0.0, {beta: 1.0}, {j: -m for j, m in enumerate(values) if m}),
-                      sense="==")
-    for j in range(len(vertices)):
-        model.add_row(LinearForm(0.0, {}, {j: 1.0}))
+        aux = {j: v for j, v in enumerate(values) if abs(v) > COEFF_DROP_TOL}
+        rows.append(Row(LinearForm(0.0, {beta: 1.0}, aux), "=="))
+    model.variables.update(pat_exps)
+    model.variables.discard(zero_exponent(P.n))
+    rows += _nonnegative_rows(count)
     model.piece = Piece(
         "vertex",
         {
@@ -257,15 +271,15 @@ def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
     def lift(x, supp=supp, ranges=ranges, base=base, vertices=vertices):
         # each coordinate's (low, high) vertex weight, 0.5 each on a point range
         weights = []
-        for i, r in zip(supp, ranges):
+        for i, (lo, hi) in zip(supp, ranges):
             y = float(x[i]) ** base[i]
-            weights.append(((r.hi - y) / (r.hi - r.lo), (y - r.lo) / (r.hi - r.lo))
-                           if r.hi > r.lo else (0.5, 0.5))
+            weights.append(((hi - y) / (hi - lo), (y - lo) / (hi - lo))
+                           if hi > lo else (0.5, 0.5))
         vals = []
         for p in vertices:
             lam = 1.0
-            for v, r, (w_lo, w_hi) in zip(p, ranges, weights):
-                lam *= w_hi if v == r.hi else w_lo
+            for v, (_, hi), (w_lo, w_hi) in zip(p, ranges, weights):
+                lam *= w_hi if v == hi else w_lo
             vals.append(lam)
         return vals
 
@@ -273,28 +287,33 @@ def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
     return model
 
 
+def _nonzero(coeffs: dict) -> dict:
+    return {a: c for a, c in coeffs.items() if abs(c) > COEFF_DROP_TOL}
+
+
 def build_mccormick_model(P: Pattern, box: Box) -> MomentModel:
     """The four linearized bound-factor products for a two-coordinate square."""
     base = _pattern_base(P)
-    supp, ranges = _transformed_ranges(base, box)
+    supp, ranges = _coordinate_ranges(base, box)
     if len(supp) != 2:
         raise BuilderError("McCormick model needs exactly two active coordinates")
     i, j = supp
     gi = unit_exponent(P.n, i, base[i])
     gj = unit_exponent(P.n, j, base[j])
     gij = exp_add(gi, gj)
-    (li, ui), (lj, uj) = (ranges[0].lo, ranges[0].hi), (ranges[1].lo, ranges[1].hi)
+    (li, ui), (lj, uj) = ranges
     model = MomentModel(P.n)
     lo_i, up_i = ("mon_minus_lo", gi), ("up_minus_mon", gi)
     lo_j, up_j = ("mon_minus_lo", gj), ("up_minus_mon", gj)
-    # (y_i - l_i)(y_j - l_j) >= 0 and the three sign variants, expanded
-    model.add_row(LinearForm(li * lj, {gij: 1.0, gi: -lj, gj: -li}),
+    # (y_i - l_i)(y_j - l_j) >= 0 and the three sign variants, expanded; a
+    # zero bound gives a zero coefficient, which is dropped
+    model.add_row(LinearForm(li * lj, _nonzero({gij: 1.0, gi: -lj, gj: -li})),
                   factors=(lo_i, lo_j))
-    model.add_row(LinearForm(-li * uj, {gij: -1.0, gi: uj, gj: li}),
+    model.add_row(LinearForm(-li * uj, _nonzero({gij: -1.0, gi: uj, gj: li})),
                   factors=(lo_i, up_j))
-    model.add_row(LinearForm(-ui * lj, {gij: -1.0, gi: lj, gj: ui}),
+    model.add_row(LinearForm(-ui * lj, _nonzero({gij: -1.0, gi: lj, gj: ui})),
                   factors=(up_i, lo_j))
-    model.add_row(LinearForm(ui * uj, {gij: 1.0, gi: -uj, gj: -ui}),
+    model.add_row(LinearForm(ui * uj, _nonzero({gij: 1.0, gi: -uj, gj: -ui})),
                   factors=(up_i, up_j))
     return model
 
@@ -391,9 +410,10 @@ def build_shifted_model(eta: Exponent, base: MomentModel, box: Box) -> MomentMod
     model = MomentModel(base.n)
 
     def shifted(form: LinearForm) -> LinearForm:
+        # eta shares no variable with the base monomials, so it is a new key
         coeffs = {exp_add(a, eta): c for a, c in form.coeffs.items()}
-        if form.constant:
-            coeffs[eta] = coeffs.get(eta, 0.0) + form.constant
+        if abs(form.constant) > COEFF_DROP_TOL:
+            coeffs[eta] = form.constant
         return LinearForm(0.0, coeffs)
 
     for row in base.rows:

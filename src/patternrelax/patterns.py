@@ -97,6 +97,17 @@ class Pattern:
         return f"Pattern({self.kind}, {self.sorted_exponents()})"
 
 
+def _built_pattern(exponents: frozenset, kind: str, meta: dict, shift=None) -> Pattern:
+    """A pattern on exponents that a family builder made from validated ones.
+
+    They are already nonempty int tuples of one length, so __post_init__,
+    which would check them again, is skipped.
+    """
+    p = object.__new__(Pattern)
+    p.exponents, p.kind, p.meta, p.shift = exponents, kind, meta, shift
+    return p
+
+
 class PatternFamily:
     """An ordered collection of patterns over a common dimension."""
 
@@ -240,8 +251,8 @@ def multilinear_family(A: Iterable) -> PatternFamily:
     for alpha in exps:
         k = len(exp_support(alpha))
         _check_cap(1 << k, "multilinear cube of %s", alpha)
-        pats.append(Pattern(multilinear_cube(alpha), kind="multilinear",
-                            meta={"base_alpha": alpha}))
+        pats.append(_built_pattern(multilinear_cube(alpha), "multilinear",
+                                   {"base_alpha": alpha}))
     return PatternFamily(prune_inclusion_maximal(pats), n, kind="M")
 
 
@@ -281,8 +292,8 @@ def shifted_chain_family(A: Iterable) -> PatternFamily:
                 tuple(k if j == i else alpha[j] for j in range(n))
                 for k in range(steps + 1)
             )
-            pats.append(Pattern(pts, kind="shifted_chain",
-                                meta={"axis": i, "steps": steps}, shift=eta))
+            pats.append(_built_pattern(pts, "shifted_chain",
+                                       {"axis": i, "steps": steps}, shift=eta))
     return PatternFamily(prune_inclusion_maximal(pats), n, kind="S")
 
 
@@ -302,8 +313,8 @@ def h_family(A: Iterable) -> PatternFamily:
     pats.append(chain_pattern((1,) * n, 2 * d))
     _check_cap(1 << n, "multilinear cube")
     for k in range(1, 2 * d + 1):
-        pats.append(Pattern(multilinear_cube((k,) * n), kind="multilinear",
-                            meta={"base_alpha": (k,) * n}))
+        pats.append(_built_pattern(multilinear_cube((k,) * n), "multilinear",
+                                   {"base_alpha": (k,) * n}))
     pats.extend(multilinear_family(exps).patterns)
     return PatternFamily(prune_inclusion_maximal(pats), n, kind="H")
 
@@ -499,11 +510,15 @@ def sos_block_pattern(basis: Iterable, shift: Exponent | None = None) -> Pattern
 def tssos_family(A: Iterable) -> PatternFamily:
     """Term sparsity: one SOS block per stabilized TSSOS block of the half-degree basis.
 
-    The partition starts from A with the constant 0 added.
+    The partition starts from A with the constant 0 added. A basis above
+    PATTERN_CAP is refused before the partition, whose pair loop is
+    quadratic in the basis size.
     """
     exps = _normalize_exponent_set(A)
     n = len(exps[0])
-    B = degrees_up_to(n, math.ceil(max(sum(a) for a in exps) / 2))
+    d = math.ceil(max(sum(a) for a in exps) / 2)
+    _check_cap(math.comb(n + d, n), "TSSOS half-degree basis")
+    B = degrees_up_to(n, d)
     blocks = tssos_partition(set(exps) | {zero_exponent(n)}, B)
     return PatternFamily([sos_block_pattern(b) for b in blocks], n, kind="tssos-sos")
 

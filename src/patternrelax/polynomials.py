@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping
 
 Exponent = tuple  # tuple[int, ...]
@@ -32,7 +33,7 @@ def exp_add(a: Exponent, b: Exponent) -> Exponent:
 
 def exp_support(a: Exponent) -> frozenset:
     """Indices of nonzero entries."""
-    return frozenset(i for i, k in enumerate(a) if k)
+    return frozenset(compress(range(len(a)), a))
 
 
 def zero_exponent(n: int) -> Exponent:
@@ -164,11 +165,15 @@ class Box:
         return f"Box({list(self.lower)}, {list(self.upper)})"
 
 
-def _power_range(l: float, u: float, k: int) -> tuple:
-    """Exact range (lo, hi) of x**k over [l, u], for k >= 1."""
+def power_range(l: float, u: float, k: int) -> tuple:
+    """Exact range (lo, hi) of x**k over [l, u], for k >= 1; a zero end is +0.0.
+
+    This is monomial_range of the unit exponent k * e_i on a box with [l, u]
+    as coordinate i.
+    """
     lk, uk = _ipow(l, k), _ipow(u, k)
     if k % 2 == 1:
-        return lk, uk
+        return lk or 0.0, uk or 0.0
     if l <= 0.0 <= u:
         return 0.0, max(lk, uk)
     return min(lk, uk), max(lk, uk)
@@ -182,13 +187,21 @@ def monomial_range(alpha: Exponent, box: Box) -> Interval:
     """
     if len(alpha) != box.n:
         raise ValueError("monomial_range: dimension mismatch")
-    lo = hi = 1.0
+    lo = hi = None
     for l, u, k in zip(box.lower, box.upper, alpha):
-        if k:
-            a, b = _power_range(l, u, k)
+        if not k:
+            continue
+        a, b = power_range(l, u, k)
+        if lo is None:
+            lo, hi = a, b
+        elif a >= 0.0 and lo >= 0.0:
+            # rounding is monotone, so of the four end products of two
+            # nonnegative ranges these two are the extremes
+            lo, hi = _imul(lo, a), _imul(hi, b)
+        else:
             ends = (_imul(lo, a), _imul(lo, b), _imul(hi, a), _imul(hi, b))
             lo, hi = min(ends), max(ends)
-    return Interval(lo, hi)
+    return Interval(1.0, 1.0) if lo is None else Interval(lo, hi)
 
 
 class Polynomial:
@@ -345,18 +358,17 @@ class LinearForm:
     """Affine form constant + sum_alpha coeffs[alpha] * v_alpha + sum_i aux[i] * t_i.
 
     v_0 is the constant 1, so the zero exponent never appears among the
-    coefficients. The coefficient keys are exponent tuples as the model
-    builders make them from validated patterns; they are not validated again.
+    coefficients. The form keeps the dicts it is given: its builder makes the
+    keys from validated patterns and drops coefficients of magnitude at most
+    COEFF_DROP_TOL where it computes them.
     """
 
     __slots__ = ("constant", "coeffs", "aux")
 
     def __init__(self, constant: float = 0.0, coeffs=None, aux=None):
-        self.constant = float(constant)
-        self.coeffs = ({a: float(c) for a, c in coeffs.items() if abs(c) > COEFF_DROP_TOL}
-                       if coeffs else {})
-        self.aux = ({int(i): float(c) for i, c in aux.items() if abs(c) > COEFF_DROP_TOL}
-                    if aux else {})
+        self.constant = constant
+        self.coeffs = coeffs or {}
+        self.aux = aux or {}
 
     def value(self, assignment: Mapping[Exponent, float], aux=None) -> float:
         total = self.constant

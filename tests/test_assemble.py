@@ -1,12 +1,15 @@
 import hashlib
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 from patternrelax.assemble import assemble_relaxation
-from patternrelax.bench import brute_force_min, family_for_method, gen_instance
-from patternrelax.models import ModelPolicy, model_for_pattern
-from patternrelax.patterns import (PatternFamily, chain_family, make_sdsos, multilinear_family,
+from patternrelax.bench import STRUCTURED_SETS, brute_force_min, family_for_method, gen_instance
+from patternrelax.models import BuilderError, ModelPolicy, model_for_pattern
+from patternrelax.patterns import (FAMILY_BUILDERS, PatternError, PatternFamily, PatternTooLarge,
+                                   chain_family, make_sdsos, multilinear_family,
                                    submonoid_pattern, univariate_sparse_family)
 from patternrelax.pipeline import solve_relaxation
 from patternrelax.polynomials import Box, Polynomial, monomial_range
@@ -175,6 +178,12 @@ PINNED_SDPA = [
     # images of two-column Gammas, with localizers
     ("dense(3,4)", 1, "T", None,
      "297a6406a30a8a83bde06c0693bf253713a7a0da56c21d20de7021e83f9a8c51"),
+    # the first relax-d64 job: 126 vertex models with up to 16 auxiliaries
+    ("dense(6,4)", 1, "M", None,
+     "0f28a3f2558f633f41c1eb4987c86dbc778db548c653b602fd4b6c7d82b3c686"),
+    # the first lp-a6 job: vertex models of the cubes of (k, k, k, k)
+    ("A6", 1, "M", None,
+     "60cc88dfa616eac45cf0f555ff1d73192ba0bb023cfe4b80e12ed35c3f84a4b0"),
 ]
 
 # the same for hand-made families: (objective, family, box, digest)
@@ -219,3 +228,42 @@ def test_gmc_tower_sdpa_is_pinned(lambdas, digest):
     prog = ConicProgram(1 + k)
     prog.gmcs.append(GMCData(0, tuple(range(1, k + 1)), tuple(lambdas), "even"))
     assert_pinned_and_reparsed(export_sdpa(prog.lowered()), digest)
+
+
+SWEEP_TAGS = sorted(STRUCTURED_SETS) + ["dense(2,6)", "dense(3,4)", "S(3,6)"]
+
+
+def test_every_named_instance_builds_or_refuses():
+    # seed 1 of each tag under every method: the program assembles, or the
+    # family or a model refuses with its own error, and none of them hangs
+    start = time.perf_counter()
+    refused = {}
+    for tag in SWEEP_TAGS:
+        inst = gen_instance(tag, 1)
+        for method in FAMILY_BUILDERS:
+            try:
+                fam = family_for_method(method, inst.f)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # uncovered exponents
+                    prog = assemble_relaxation(inst.f, fam, inst.box)
+            except (PatternError, BuilderError) as exc:
+                refused[tag, method] = type(exc)
+            else:
+                assert prog.ncols > 0 and (prog.eqs or prog.ineqs or prog.blocks)
+    assert time.perf_counter() - start < 30.0
+    # every tag is multivariate; A6 and A8 have degree 40 in 4 variables
+    assert refused == {
+        **{(tag, "univariate-sparse"): PatternError for tag in SWEEP_TAGS},
+        **{(tag, m): PatternTooLarge for tag in ("A6", "A8") for m in ("T", "tssos-sos")},
+    }
+
+
+@pytest.mark.parametrize("tag", ["A6", "A8"])
+def test_tssos_basis_above_the_cap_is_refused_at_once(tag):
+    # the half-degree basis has 10626 exponents; without the cap check, the
+    # partition's pair loop over it ran for more than 15 s
+    f = gen_instance(tag, 1).f
+    start = time.perf_counter()
+    with pytest.raises(PatternTooLarge, match="10626"):
+        family_for_method("tssos-sos", f)
+    assert time.perf_counter() - start < 1.0

@@ -15,6 +15,7 @@ from patternrelax.polynomials import (
     linearize,
     minkowski_sum,
     monomial_range,
+    power_range,
 )
 
 
@@ -75,6 +76,38 @@ def test_monomial_range_sampling_property():
         vals = np.prod(X ** np.array(alpha), axis=1)
         assert np.all(vals >= r.lo - 1e-12)
         assert np.all(vals <= r.hi + 1e-12)
+
+
+def _four_end_products_range(alpha, box):
+    # reference: the product of the per-coordinate ranges, each step taking
+    # the min and max of all four end products (0 * inf = 0)
+    def mul(a, b):
+        return 0.0 if a == 0.0 or b == 0.0 else a * b
+
+    lo = hi = 1.0
+    for l, u, k in zip(box.lower, box.upper, alpha):
+        if k:
+            a, b = power_range(l, u, k)
+            ends = (mul(lo, a), mul(lo, b), mul(hi, a), mul(hi, b))
+            lo, hi = min(ends), max(ends)
+    return lo, hi
+
+
+def test_monomial_range_matches_four_end_products_bitwise():
+    # signed zeros, underflow, overflow and infinite sides included; a zero
+    # end must come out as +0.0, as the reference's rule 0 * x = 0 gives
+    ends = [-math.inf, -3.0, -1.0, -1e-170, -0.0, 0.0, 1e-170, 1e-20, 0.5, 2.0, 1e100, math.inf]
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        n = int(rng.integers(1, 5))
+        lower = [ends[int(t)] for t in rng.integers(0, len(ends), n)]
+        upper = [max(l, ends[int(t)]) for l, t in zip(lower, rng.integers(0, len(ends), n))]
+        box = Box(lower, upper)
+        alpha = tuple(int(k) for k in rng.choice([0, 0, 1, 2, 3, 7], n))
+        r = monomial_range(alpha, box)
+        lo, hi = _four_end_products_range(alpha, box)
+        assert (math.copysign(1.0, r.lo), r.lo, math.copysign(1.0, r.hi), r.hi) == (
+            math.copysign(1.0, lo), lo, math.copysign(1.0, hi), hi), (alpha, box)
 
 
 def test_evaluate_examples():

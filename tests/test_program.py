@@ -12,6 +12,7 @@ from patternrelax.program import (
     ConicProgram,
     DenominatorCap,
     GMCData,
+    _entry_order,
     export_sdpa,
     parse_sdpa,
     rationalize_weights,
@@ -261,6 +262,17 @@ def test_sdpa_export_edge_cases_pinned(make, digest):
     text = export_sdpa(make())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert export_sdpa(parse_sdpa(text)) == text
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 30], ids=["one-key", "lexsort"])
+def test_sdpa_entry_order_is_lexicographic(scale):
+    # the one-key sort and its fallback for numbers whose key would not fit
+    # in int64 both give the (matno, blkno, i, j) order
+    rng = np.random.default_rng(3)
+    entries = np.unique(rng.integers(1, 6, size=(60, 4)), axis=0)[rng.permutation(40)]
+    matno, blkno, i, j = (entries * scale).T
+    order = _entry_order(matno, blkno, i, j)
+    assert order.tolist() == np.lexsort((j, i, blkno, matno)).tolist()
 
 
 def test_parse_sdpa_rejects_malformed():
