@@ -7,7 +7,7 @@ pieces, and circuit pieces.  verify_certificate is the one check of every
 certificate: it re-expands each piece with poly-core arithmetic only, proves
 it nonnegative on the box by the check of its kind, and compares the sum
 with f - lambda coefficient-wise, so it shares no code with the model
-builders beyond poly-core and the factor descriptors.
+builders beyond poly-core, which holds the factor descriptors.
 """
 
 from __future__ import annotations
@@ -16,13 +16,16 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ipm import SolveResult
-from .models import factor_min_on_box, product_of_factors
-from .polynomials import Box, Polynomial, exp_add, exp_support, monomial_range, unit_exponent
+from .polynomials import (Box, Polynomial, exp_add, exp_support, factor_min_on_box,
+                          monomial_range, product_of_factors, unit_exponent)
 from .program import ConicProgram
+
+if TYPE_CHECKING:
+    from .ipm import SolveResult
 
 COEFF_TOL = 1e-6
 EIG_TOL = 1e-7
@@ -390,7 +393,7 @@ def verify_certificate(cert: Certificate, f: Polynomial, box: Box) -> VerifyRepo
         try:
             part = check(piece.data, f.n, box)
         except (ValueError, TypeError) as exc:
-            # CertificateError and the builders' BuilderError are ValueErrors,
+            # CertificateError and the factor descriptors' errors are ValueErrors,
             # as are numbers and exponents of the wrong shape; TypeError is a
             # field of the wrong type, such as a null from JSON
             problems.append(f"piece {i} ({piece.kind}): {exc}")

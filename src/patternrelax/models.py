@@ -39,6 +39,7 @@ from .polynomials import (
     linearize,
     monomial_range,
     power_range,
+    product_of_factors,
     unit_exponent,
     zero_exponent,
 )
@@ -58,50 +59,6 @@ class PatternTooWide(BuilderError):
 
 class SupportOverlap(BuilderError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# factor descriptors: primitive data from which a verifier can re-expand the
-# nonnegative polynomial behind a row or LMI multiplier with poly-core only.
-# A factor is ("mon_minus_lo", gamma), ("up_minus_mon", gamma) or
-# ("monomial", gamma): x^gamma minus its lower bound on the box, its upper
-# bound minus x^gamma, or x^gamma itself
-
-
-def factor_polynomial(factor, box: Box, n: int) -> Polynomial:
-    kind = factor[0]
-    if kind == "mon_minus_lo":
-        gamma = factor[1]
-        lo = monomial_range(gamma, box).lo
-        if not math.isfinite(lo):
-            raise BuilderError(f"monomial {gamma} unbounded below on the box")
-        return Polynomial.monomial(gamma) - lo
-    if kind == "up_minus_mon":
-        gamma = factor[1]
-        hi = monomial_range(gamma, box).hi
-        if not math.isfinite(hi):
-            raise BuilderError(f"monomial {gamma} unbounded above on the box")
-        return Polynomial.constant(n, hi) - Polynomial.monomial(gamma)
-    if kind == "monomial":
-        return Polynomial.monomial(factor[1])
-    raise BuilderError(f"unknown factor kind {kind!r}")
-
-
-def factor_min_on_box(factor, box: Box) -> float:
-    """A certified lower bound of the factor over the box."""
-    kind = factor[0]
-    if kind in ("mon_minus_lo", "up_minus_mon"):
-        return 0.0
-    if kind == "monomial":
-        return monomial_range(factor[1], box).lo
-    raise BuilderError(f"unknown factor kind {kind!r}")
-
-
-def product_of_factors(factors, box: Box, n: int) -> Polynomial:
-    p = Polynomial.constant(n, 1.0)
-    for f in factors:
-        p = p * factor_polynomial(f, box, n)
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ def solve_relaxation(f: Polynomial, fam: PatternFamily, box: Box, sense: str = "
                      policy: ModelPolicy | None = None,
                      cfg: SolverConfig | None = None) -> Relaxation:
     """Relax f over the box with the family's patterns, lower and solve."""
+    from . import hsde  # noqa: F401  loads scipy here, so that solve_s is the solve alone
     cfg = cfg or SolverConfig()
     prog = assemble_relaxation(f, fam, box, policy, sense).lowered(cfg.gmc_denominator_cap)
     t0 = time.perf_counter()

@@ -114,9 +114,9 @@ class Box:
         self.upper = tuple(float(v) for v in upper)
         if len(self.lower) != len(self.upper):
             raise ValueError("box bound vectors must have equal length")
-        for l, u in zip(self.lower, self.upper):
-            if l > u:
-                raise ValueError(f"box requires l <= u, got [{l}, {u}]")
+        for i, (l, u) in enumerate(zip(self.lower, self.upper)):
+            if not l <= u:  # also refuses a NaN bound
+                raise ValueError(f"box coordinate {i} requires l <= u, got [{l}, {u}]")
 
     @property
     def n(self) -> int:
@@ -352,6 +352,49 @@ class Polynomial:
             return "Polynomial(0)"
         bits = [f"{c:+g}*x^{a}" for a, c in sorted(self.terms.items())]
         return "Polynomial(" + " ".join(bits) + ")"
+
+
+# factor descriptors: primitive data from which a verifier can re-expand the
+# nonnegative polynomial behind a row or LMI multiplier with poly-core only.
+# A factor is ("mon_minus_lo", gamma), ("up_minus_mon", gamma) or
+# ("monomial", gamma): x^gamma minus its lower bound on the box, its upper
+# bound minus x^gamma, or x^gamma itself
+
+
+def factor_polynomial(factor, box: Box, n: int) -> Polynomial:
+    kind = factor[0]
+    if kind == "mon_minus_lo":
+        gamma = factor[1]
+        lo = monomial_range(gamma, box).lo
+        if not math.isfinite(lo):
+            raise ValueError(f"monomial {gamma} unbounded below on the box")
+        return Polynomial.monomial(gamma) - lo
+    if kind == "up_minus_mon":
+        gamma = factor[1]
+        hi = monomial_range(gamma, box).hi
+        if not math.isfinite(hi):
+            raise ValueError(f"monomial {gamma} unbounded above on the box")
+        return Polynomial.constant(n, hi) - Polynomial.monomial(gamma)
+    if kind == "monomial":
+        return Polynomial.monomial(factor[1])
+    raise ValueError(f"unknown factor kind {kind!r}")
+
+
+def factor_min_on_box(factor, box: Box) -> float:
+    """A certified lower bound of the factor over the box."""
+    kind = factor[0]
+    if kind in ("mon_minus_lo", "up_minus_mon"):
+        return 0.0
+    if kind == "monomial":
+        return monomial_range(factor[1], box).lo
+    raise ValueError(f"unknown factor kind {kind!r}")
+
+
+def product_of_factors(factors, box: Box, n: int) -> Polynomial:
+    p = Polynomial.constant(n, 1.0)
+    for f in factors:
+        p = p * factor_polynomial(f, box, n)
+    return p
 
 
 class LinearForm:

@@ -10,8 +10,9 @@ import scipy.sparse as sps
 
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import family_for_method, gen_instance
-from patternrelax.ipm import (_KKT, DENSE_BLOCK_MAX, SolveResult, SolverConfig, _DenseBlock,
-                              _jordan, _matmul_ld, _Scaling, _SparseBlock, _StandardForm, solve)
+from patternrelax.hsde import (_KKT, DENSE_BLOCK_MAX, _DenseBlock, _jordan, _matmul_ld, _Scaling,
+                               _SparseBlock, _StandardForm)
+from patternrelax.ipm import SolveResult, SolverConfig, solve
 from patternrelax.pipeline import solve_relaxation
 from patternrelax.program import ConicProgram
 

@@ -186,6 +186,15 @@ def test_box_validation_and_json():
         Box.from_json_dict({"l": [0.0]})
 
 
+@pytest.mark.parametrize("lower, upper", [([0.0, math.nan], [1.0, 1.0]),
+                                          ([0.0, 0.0], [1.0, math.nan]),
+                                          ([0.0, math.nan], [1.0, math.nan])])
+def test_box_refuses_nan_bounds_naming_the_coordinate(lower, upper):
+    # NaN compares false both ways, so only a check written as not l <= u sees it
+    with pytest.raises(ValueError, match="box coordinate 1 requires l <= u"):
+        Box(lower, upper)
+
+
 def test_degenerate_box_is_legal():
     b = Box([0.5, 1.0], [0.5, 2.0])
     assert monomial_range((2, 1), b) == Interval(0.25, 0.5)

@@ -319,6 +319,12 @@ def test_instance_json_missing_fields():
         import_instance_json('{"f": {"terms": []}, "box": {"l": [0], "u": [1]}}')
 
 
+def test_instance_json_refuses_nan_bound():
+    # Python's json reads the bare token NaN as a float
+    with pytest.raises(ValueError, match="box coordinate 0 requires l <= u, got \\[nan, 1.0\\]"):
+        import_instance_json('{"f": {"n": 1, "terms": [[1, 1.0]]}, "box": {"l": [NaN], "u": [1]}}')
+
+
 def test_instance_json_drops_noise_coefficients():
     text = '{"f": {"n": 1, "terms": [[1, 1.0], [2, 1e-20]]}, "box": {"l": [0], "u": [1]}}'
     f, box, fam, meta = import_instance_json(text)

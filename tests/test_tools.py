@@ -1,10 +1,11 @@
 """Smoke tests of the scripts under tools/.
 
 Bit-identity checks compare the output of tools/solve_digests.py and
-tools/relax_digests.py across commits, so a library change that breaks a
-name a tool imports should fail the test suite. Each tool runs in its own
-interpreter, as the demos do in test_demos.py; PYTHONDONTWRITEBYTECODE
-keeps the runs from leaving bytecode caches under perfbench/.
+tools/relax_digests.py across commits, and tools/cold_start.py measures
+start-up, so a library change that breaks a name a tool imports should fail
+the test suite. Each tool runs in its own interpreter, as the demos do in
+test_demos.py; PYTHONDONTWRITEBYTECODE keeps the runs from leaving bytecode
+caches under perfbench/.
 """
 
 import os
@@ -34,6 +35,13 @@ def test_relax_digests_prints_one_digest_per_program():
     out = run_tool("tools/relax_digests.py", "--tag", "A5", "--method", "M",
                    "--seeds", "1")
     assert re.fullmatch(r"A5#1:min [0-9a-f]{64}\nA5#1:max [0-9a-f]{64}\n", out), out
+
+
+def test_cold_start_times_each_command_and_reports_scipy():
+    out = run_tool("tools/cold_start.py", "--repeats", "1")
+    times = r"median [0-9.]+ q1 [0-9.]+ q3 [0-9.]+"
+    assert re.fullmatch(rf"import {times} scipy no\nrelax  {times} scipy no\n"
+                        rf"solve  {times} scipy yes\n", out), out
 
 
 def test_pool_check_help():
