@@ -8,12 +8,13 @@ squared coordinates, and a shifted multilinear model.
 
 import numpy as np
 
-from patternrelax import Box, Pattern
 from patternrelax.models import (
     build_lasserre_model,
     build_mccormick_model,
     build_shifted_model,
 )
+from patternrelax.patterns import Pattern
+from patternrelax.polynomials import Box
 
 print("=" * 70)
 print("McCormick on [-1,1]^2 for the pattern {0,1}^2")

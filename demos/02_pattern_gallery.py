@@ -5,8 +5,8 @@ points, diagonal points, and off-grid exponents, so the methods disagree in
 interesting ways about which monomials to link.
 """
 
-from patternrelax import Polynomial, expression_tree_family
-from patternrelax.patterns import build_family
+from patternrelax.patterns import build_family, expression_tree_family
+from patternrelax.polynomials import Polynomial
 
 A_EX = [(0, 2), (1, 1), (2, 3), (2, 4), (4, 0), (5, 5)]
 

@@ -7,8 +7,9 @@ independently re-expanded certificates and a brute-force scan.
 
 import numpy as np
 
-from patternrelax import Box, Polynomial, solve_relaxation
 from patternrelax.bench import brute_force_min, family_for_method
+from patternrelax.pipeline import solve_relaxation
+from patternrelax.polynomials import Box, Polynomial
 
 f = Polynomial(2, {(2, 1): 1.0, (1, 1): -1.0, (0, 2): 0.3, (1, 0): -0.5})
 box = Box.unit(2)

@@ -9,16 +9,10 @@ coincides with the dense one.
 
 import numpy as np
 
-from patternrelax import (
-    Box,
-    Polynomial,
-    dense_sos_family,
-    solve_relaxation,
-    tssos_partition,
-    univariate_sparse_family,
-)
 from patternrelax.bench import family_for_method
-from patternrelax.polynomials import degrees_up_to
+from patternrelax.patterns import dense_sos_family, tssos_partition, univariate_sparse_family
+from patternrelax.pipeline import solve_relaxation
+from patternrelax.polynomials import Box, Polynomial, degrees_up_to
 
 # --- sparse univariate over R_+ --------------------------------------------
 f = Polynomial(1, {(10,): 0.4, (7,): -1.0, (3,): 0.8, (2,): -0.3, (0,): 0.5})

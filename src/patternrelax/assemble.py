@@ -88,21 +88,15 @@ def assemble_relaxation(
         else:
             prog.add_ineq(coeff, 0.0, piece=piece)
 
-    # sense -> hash of the column set -> the coefficient dicts of the rows added;
-    # ints, tuples and dicts of numbers leave the garbage collector little to track
-    seen_rows: dict = {"==": {}, ">=": {}}
+    seen_rows: dict = {"==": set(), ">=": set()}
 
     def add_row(coeff, sense_row, factors, piece=None):
         """Add a row unless it duplicates one: the same sense and columns, with
         coefficients equal after rounding to 12 decimals."""
-        seen = seen_rows[sense_row]
-        h = hash(frozenset(coeff))
-        same = seen.get(h, ())
-        if same:
-            key = _rounded(coeff)
-            if any(_rounded(other) == key for other in same):
-                return
-        seen[h] = same + (coeff,)
+        key = _rounded(coeff)
+        if key in seen_rows[sense_row]:
+            return
+        seen_rows[sense_row].add(key)
         emit(coeff, sense_row, factors, piece)
 
     for model, piece, aux_col in zip(models, model_pieces, aux_cols):
@@ -124,7 +118,7 @@ def assemble_relaxation(
         for block in model.lmis:
             # the zero exponent's column is v_0's, which homogenizes the constant part
             entries = {(col_of[a], i, j): c for (a, i, j), c in block.entries.items()}
-            key = (block.size, tuple(sorted((k, round(v, 12)) for k, v in entries.items())))
+            key = (block.size, _rounded(entries))
             if key in seen_blocks:
                 continue
             seen_blocks.add(key)
@@ -152,5 +146,7 @@ def assemble_relaxation(
     return prog
 
 
-def _rounded(coeff: dict) -> dict:
-    return {j: round(c, 12) for j, c in coeff.items()}
+def _rounded(coeff: dict) -> frozenset:
+    """The dedupe key of a row or block: its (key, value) items, values rounded
+    to 12 decimals."""
+    return frozenset((k, round(c, 12)) for k, c in coeff.items())

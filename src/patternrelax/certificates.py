@@ -22,10 +22,10 @@ import numpy as np
 
 from .polynomials import (Box, Polynomial, exp_add, exp_support, factor_min_on_box,
                           monomial_range, product_of_factors, unit_exponent)
-from .program import ConicProgram
 
 if TYPE_CHECKING:
     from .ipm import SolveResult
+    from .program import ConicProgram
 
 COEFF_TOL = 1e-6
 EIG_TOL = 1e-7
@@ -86,6 +86,8 @@ class Certificate:
         except (TypeError, ValueError, IndexError, KeyError, AttributeError) as exc:
             raise CertificateError(f"{where} cannot be decoded: "
                                    f"{type(exc).__name__}: {exc}") from exc
+        if sense not in ("min", "max"):
+            raise CertificateError(f"sense must be 'min' or 'max', not {sense!r}")
         return cls(lam, data["kind"], pieces, sense)
 
     @classmethod
@@ -383,7 +385,8 @@ def verify_certificate(cert: Certificate, f: Polynomial, box: Box) -> VerifyRepo
     polynomial is built once, so a partial sum is never rounded to zero; it
     must match f - lambda coefficient-wise up to COEFF_TOL.
     """
-    problems: list = []
+    # a NaN lambda would pass unseen: Polynomial drops the NaN constant of f - lambda
+    problems: list = [] if math.isfinite(cert.lam) else [f"lambda {cert.lam} is not finite"]
     terms: dict = {}
     for i, piece in enumerate(cert.pieces):
         check = _PIECE_CHECKS.get(piece.kind)

@@ -10,17 +10,27 @@ import time
 import numpy as np
 import pytest
 
-import patternrelax as pr
+from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import (
     brute_force_min,
     family_for_method,
     gen_instance,
     trivial_bounds,
 )
-from patternrelax.certificates import Certificate, CertificatePiece
+from patternrelax.certificates import Certificate, CertificatePiece, verify_certificate
+from patternrelax.ipm import solve
 from patternrelax.models import ModelPolicy, build_lasserre_model, build_mccormick_model, build_shifted_model
-from patternrelax.patterns import Pattern, dense_sos_family, make_circuit, make_sdsos
-from patternrelax.polynomials import Box, Polynomial, degrees_up_to
+from patternrelax.patterns import (
+    Pattern,
+    PatternFamily,
+    dense_sos_family,
+    make_circuit,
+    make_sdsos,
+    multilinear_family,
+    univariate_sparse_family,
+)
+from patternrelax.pipeline import solve_relaxation
+from patternrelax.polynomials import Box, Polynomial, degrees_up_to, minkowski_sum
 
 SOLVES = []  # optimal relaxations, for criterion 7
 
@@ -32,7 +42,7 @@ def _report(num, ok, detail):
 
 
 def solve_with_family(f, fam, box, sense="min", policy=None):
-    rel = pr.solve_relaxation(f, fam, box, sense, policy)
+    rel = solve_relaxation(f, fam, box, sense, policy)
     if rel.result.status == "optimal":
         SOLVES.append(rel)
     return rel.result
@@ -104,16 +114,16 @@ def test_criterion_2_lifted_point_feasibility():
                         ("S(3,4)", "S"), ("S(2,6)", "T"), ("dense(2,4)", "MC")]:
         inst = gen_instance(tag, 3)
         fam = family_for_method(method, inst.f)
-        prog = pr.assemble_relaxation(inst.f, fam, inst.box)
+        prog = assemble_relaxation(inst.f, fam, inst.box)
         cases.append((prog.lowered(), inst.box))
     # circuits and shifted blocks enter through dedicated families
     f = Polynomial(1, {(6,): 1.0, (2,): -1.0, (0,): 1.0})
-    prog = pr.assemble_relaxation(f, pr.univariate_sparse_family({0, 2, 6}),
-                                  Box([0.0], [3.0]))
+    prog = assemble_relaxation(f, univariate_sparse_family({0, 2, 6}),
+                               Box([0.0], [3.0]))
     cases.append((prog.lowered(), Box([0.0], [3.0])))
     f2 = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 1): -1.0})
-    prog = pr.assemble_relaxation(
-        f2, pr.PatternFamily([make_sdsos((1, 0), (0, 1))], 2), Box.full_space(2))
+    prog = assemble_relaxation(
+        f2, PatternFamily([make_sdsos((1, 0), (0, 1))], 2), Box.full_space(2))
     cases.append((prog.lowered(), Box([-3, -3], [3, 3])))
     for lowered, box in cases:
         for x in box.sample(rng, 200):
@@ -158,7 +168,7 @@ def test_criterion_4_exactness_cases():
         d = int(rng.integers(2, 7))
         f = Polynomial(1, {(k,): float(rng.uniform(-1, 1)) for k in range(d + 1)})
         top = 2 * math.ceil(d / 2)
-        fam = pr.PatternFamily(
+        fam = PatternFamily(
             [Pattern(frozenset((k,) for k in range(top + 1)), kind="chain",
                      meta={"gamma": (1,), "steps": top})], 1)
         result = solve_with_family(f, fam, Box.unit(1))
@@ -171,7 +181,7 @@ def test_criterion_4_exactness_cases():
         f = Polynomial(2, {(1, 1): float(rng.uniform(-2, 2)),
                            (1, 0): float(rng.uniform(-1, 1)),
                            (0, 1): float(rng.uniform(-1, 1))})
-        fam = pr.multilinear_family(f.support())
+        fam = multilinear_family(f.support())
         result = solve_with_family(f, fam, Box.unit(2),
                                    policy=ModelPolicy(multilinear="mccormick"))
         assert result.status == "optimal"
@@ -215,7 +225,7 @@ def test_criterion_5_univariate_sparse_exactness():
         terms = {(a,): float(rng.uniform(-1, 1)) for a in A}
         terms[(d,)] = abs(terms[(d,)]) + 0.1  # bounded below on R_+
         f = Polynomial(1, terms)
-        fam = pr.univariate_sparse_family(A)
+        fam = univariate_sparse_family(A)
         result = solve_with_family(f, fam, Box.nonneg_orthant(1))
         assert result.status == "optimal"
         oracle = univariate_infimum_on_nonneg_axis(f)
@@ -231,7 +241,7 @@ def test_criterion_5_univariate_sparse_exactness():
 
 def coercive_tssos_instance(rng, even_only):
     B = degrees_up_to(2, 2)
-    pool = sorted(pr.minkowski_sum(B, B))
+    pool = sorted(minkowski_sum(B, B))
     terms = {(4, 0): 2.0 + rng.uniform(0, 1), (0, 4): 2.0 + rng.uniform(0, 1),
              (0, 0): rng.uniform(-1, 1)}
     for alpha in pool:
@@ -298,7 +308,7 @@ def test_criterion_8_circuit_checks():
         f = Polynomial(1, {(4,): 1.0, (2,): inner, (0,): 1.0})
         piece = CertificatePiece("circuit", {**circuit, "domain": "R_full",
                                              "poly": dict(f.terms)})
-        rep = pr.verify_certificate(Certificate(0.0, "circuit", [piece]), f, Box.full_space(1))
+        rep = verify_certificate(Certificate(0.0, "circuit", [piece]), f, Box.full_space(1))
         ok &= rep.passed == passes
     # SDSOS membership: accept monomial lifts, reject inflated midpoints
     rng = np.random.default_rng(88)
@@ -308,8 +318,8 @@ def test_criterion_8_circuit_checks():
         else:
             sd = make_sdsos((1, 0), (0, 1))  # inner (1,1)
         f_any = Polynomial(2, {sd.meta["beta"]: 1.0})
-        prog = pr.assemble_relaxation(f_any, pr.PatternFamily([sd], 2),
-                                      Box.full_space(2))
+        prog = assemble_relaxation(f_any, PatternFamily([sd], 2),
+                                   Box.full_space(2))
         lowered = prog.lowered()
         accept = reject = 0
         for _ in range(500):
@@ -344,7 +354,7 @@ def test_criterion_9_figure5_qualitative():
             for seed in range(1, 21):
                 inst = gen_instance(tag, seed)
                 fam = family_for_method(method, inst.f)
-                rmin, rmax = (pr.solve_relaxation(inst.f, fam, inst.box, sense)
+                rmin, rmax = (solve_relaxation(inst.f, fam, inst.box, sense)
                               for sense in ("min", "max"))
                 assert rmin.result.status == rmax.result.status == "optimal", (tag, method, seed)
                 tmin, tmax = trivial_bounds(inst.f, inst.box)
@@ -367,7 +377,7 @@ def test_criterion_10_solver_unit_suite():
     assert len(CASES) >= 30
     failures = []
     for name, build, status, value in CASES:
-        result = pr.solve(build())
+        result = solve(build())
         if result.status != status:
             failures.append((name, result.status))
             continue

@@ -250,6 +250,18 @@ def test_certificate_json_missing_field():
         Certificate.loads('{"kind": "sos", "blocks": []}')
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_lambda_that_is_not_finite_fails(lam):
+    # 3 = 3 * (empty product) certifies lambda = 0; f - NaN has a NaN constant,
+    # which Polynomial drops, so without the check of lambda every
+    # coefficient of the sum would match
+    f = Polynomial(1, {(0,): 3.0})
+    assert verify_certificate(_handelman_certificate(0.0, [((), 3.0)]), f, Box.unit(1)).passed
+    report = verify_certificate(_handelman_certificate(lam, [((), 3.0)]), f, Box.unit(1))
+    assert not report.passed
+    assert f"lambda {lam} is not finite" in report.problems
+
+
 def test_tssos_block_certificate():
     # dense-enough objective: one Gram per partition block
     from patternrelax.bench import family_for_method

@@ -122,10 +122,20 @@ def _affine_factor(data):
     blk["factors"] = [["affine", {"n": n, "terms": [[1] + [0] * (n - 1) + [1.0]]}]]
 
 
+def _bogus_sense(data):
+    data["blocks"][0]["sense"] = "bogus"
+
+
+def _null_sense(data):
+    # without a sense check, verify would test this against -f, as for max
+    data["blocks"][0]["sense"] = None
+
+
 @pytest.mark.parametrize("malform",
-                         [_ragged_gram, _factor_without_payload, _drop_lambda, _affine_factor],
+                         [_ragged_gram, _factor_without_payload, _drop_lambda, _affine_factor,
+                          _bogus_sense, _null_sense],
                          ids=["ragged_gram", "factor_without_payload", "missing_lambda",
-                              "affine_factor"])
+                              "affine_factor", "bogus_sense", "null_sense"])
 def test_undecodable_certificate_fails_without_raising(tmp_path, capsys, malform):
     # data the field decoders cannot read is a CertificateError, which the
     # CLI reports as a FAIL line rather than a traceback

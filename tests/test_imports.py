@@ -1,7 +1,10 @@
-"""What a fresh interpreter loads: scipy comes in with the first solve only.
+"""What a fresh interpreter loads: scipy comes in with the first solve only,
+the package root loads no submodule, and the verifier loads only the
+polynomial core.
 
 Each check runs in its own interpreter, as the tools do in test_tools.py,
-because the test session itself has long since imported scipy.
+because the test session itself has long since imported scipy and every
+submodule.
 """
 
 import os
@@ -72,3 +75,16 @@ print(rel.result.status, loaded[0])
 def test_first_solve_starts_its_clock_with_the_solver_loaded():
     # solve_s must not include scipy's import, which the first solve triggers
     assert run_python(FIRST_CLOCK_READ) == ["optimal True"]
+
+
+LOADED_SUBMODULES = """
+import sys
+import {}
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "patternrelax")))
+"""
+
+
+def test_package_root_loads_nothing_and_verifier_only_the_polynomial_core():
+    assert run_python(LOADED_SUBMODULES.format("patternrelax")) == ["patternrelax"]
+    assert run_python(LOADED_SUBMODULES.format("patternrelax.certificates")) == [
+        "patternrelax patternrelax.certificates patternrelax.polynomials"]

@@ -1,4 +1,4 @@
-"""Time fresh interpreters that import the package, relax an instance or solve it.
+"""Time fresh interpreters that import the pipeline, relax an instance or solve it.
 
 Run from the repository root:
 
@@ -7,7 +7,8 @@ Run from the repository root:
 Each run is a new interpreter with ``src`` on the path and BLAS pinned to
 one thread, as in ``perfbench/run.py``. The three commands:
 
-- ``import``: ``import patternrelax``;
+- ``import``: ``from patternrelax.pipeline import solve_relaxation``, the
+  import of the README quick start (the package root alone loads nothing);
 - ``relax``: ``import patternrelax.cli``, then ``gen`` and ``relax`` on
   dense(2,6) seed 1 with method C;
 - ``solve``: ``import patternrelax.cli``, then ``gen`` and ``solve`` on the
@@ -40,7 +41,7 @@ _CLI = ("import sys; from patternrelax import cli; d = sys.argv[1]; "
         "cli.main(['gen', '--tag', 'dense(2,6)', '--seed', '1', '--out', d + '/inst.json']); "
         "cli.main(['{cmd}', '--instance', d + '/inst.json', '--method', 'C'{extra}]); ")
 COMMANDS = {
-    "import": "import sys; import patternrelax; " + _REPORT,
+    "import": "import sys; from patternrelax.pipeline import solve_relaxation; " + _REPORT,
     "relax": _CLI.format(cmd="relax", extra=", '--export-sdpa', d + '/prog.dat-s'") + _REPORT,
     "solve": _CLI.format(cmd="solve", extra="") + _REPORT,
 }
