@@ -14,7 +14,7 @@ import itertools
 import math
 import warnings
 
-from .models import ModelPolicy, model_for_pattern
+from .models import ModelPolicy, model_for_pattern, shared_vertex_tables
 from .patterns import PatternFamily
 from .polynomials import (
     Box,
@@ -50,7 +50,8 @@ def assemble_relaxation(
             stacklevel=2,
         )
 
-    models = [model_for_pattern(p, box, policy) for p in fam]
+    with shared_vertex_tables():
+        models = [model_for_pattern(p, box, policy) for p in fam]
     variables = set().union(*(m.variables for m in models))
     monomials = sorted({zero} | variables | fobj.support())
     col_of = {a: j for j, a in enumerate(monomials)}

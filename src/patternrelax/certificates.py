@@ -82,7 +82,7 @@ class Certificate:
                 pieces.append(CertificatePiece(kind, {k: _FIELD_CODECS.get(k, _IDENTITY)[1](v)
                                                       for k, v in blk.items() if k != "kind"}))
             where = "lambda"
-            lam = float(data["lambda"])
+            lam = _number(data["lambda"])
         except (TypeError, ValueError, IndexError, KeyError, AttributeError) as exc:
             raise CertificateError(f"{where} cannot be decoded: "
                                    f"{type(exc).__name__}: {exc}") from exc
@@ -99,27 +99,51 @@ class Certificate:
         return cls.from_json_dict(data)
 
 
+def _number(v) -> float:
+    """A JSON number as a float; float() would also take a bool or a string."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
+def _integer(v) -> int:
+    """A JSON integer, for an exponent entry or a coordinate index."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{v!r} is not an integer")
+    return v
+
+
+def _number_array(v) -> np.ndarray:
+    """A (nested) list of JSON numbers as a float array of its shape."""
+    a = np.array(v, dtype=object)
+    return np.array([_number(x) for x in a.flat], float).reshape(a.shape)
+
+
 # JSON codecs of piece data fields, as (encode, decode) pairs; a field not in
-# the table is stored as is
+# the table is stored as is. The decoders take numbers and integers only where
+# JSON has them
 _FACTORS = (lambda v: [[f[0], list(f[1])] for f in v],
-            lambda v: tuple((f[0], tuple(int(e) for e in f[1])) for f in v))
-_EXPONENT_LIST = (lambda v: [list(e) for e in v], lambda v: tuple(tuple(e) for e in v))
+            lambda v: tuple((f[0], tuple(map(_integer, f[1]))) for f in v))
+_EXPONENT_LIST = (lambda v: [list(e) for e in v],
+                  lambda v: tuple(tuple(map(_integer, e)) for e in v))
 _OPTIONAL_EXPONENT = (lambda v: list(v) if v is not None else None,
-                      lambda v: tuple(int(e) for e in v) if v is not None else None)
+                      lambda v: tuple(map(_integer, v)) if v is not None else None)
 _FIELD_CODECS = {
     "factors": _FACTORS,
     "multiplier_factors": _FACTORS,
     "basis": _EXPONENT_LIST,
     "gammas": _EXPONENT_LIST,
     "pattern": _EXPONENT_LIST,
-    "vertices": _EXPONENT_LIST,
+    "vertices": (lambda v: [list(p) for p in v],
+                 lambda v: tuple(tuple(map(_number, p)) for p in v)),
     "beta": _OPTIONAL_EXPONENT,
     "base_alpha": _OPTIONAL_EXPONENT,
-    "support": (list, lambda v: tuple(int(e) for e in v)),
-    "gram": (lambda v: np.asarray(v).tolist(), lambda v: np.array(v, float)),
+    "support": (list, lambda v: tuple(map(_integer, v))),
+    "gram": (lambda v: np.asarray(v).tolist(), _number_array),
     "poly": (lambda v: [list(a) + [c] for a, c in sorted(v.items())],
-             lambda v: {tuple(int(e) for e in row[:-1]): float(row[-1]) for row in v}),
-    "lambdas": (list, lambda v: tuple(float(x) for x in v)),
+             lambda v: {tuple(map(_integer, row[:-1])): _number(row[-1]) for row in v}),
+    "lambdas": (list, lambda v: tuple(map(_number, v))),
+    "weight": (lambda v: v, _number),
 }
 _IDENTITY = (lambda v: v, lambda v: v)
 

@@ -62,7 +62,11 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    f, box, _, _ = import_instance_json(Path(args.instance).read_text())
+    try:
+        f, box, _, _ = import_instance_json(Path(args.instance).read_text())
+    except ValueError as exc:
+        print(f"FAIL (malformed instance): {exc}")
+        return 1
     try:
         cert = Certificate.loads(Path(args.certificate).read_text())
     except CertificateError as exc:

@@ -24,17 +24,25 @@ def import_instance_json(text: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"instance JSON is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError("instance JSON is not an object")
     if "f" not in data:
         raise ValueError("instance JSON missing field 'f'")
     if "box" not in data:
         raise ValueError("instance JSON missing field 'box'")
-    f = Polynomial.from_json_dict(data["f"])
-    box = Box.from_json_dict(data["box"])
-    fam = None
-    if data.get("family") is not None:
-        fam = PatternFamily.from_json_dict(data["family"])
-        if fam.n != f.n:
-            raise ValueError("family dimension does not match the objective")
+    # the decoders raise whatever Python raises on data of the wrong shape or
+    # type; each becomes a ValueError
+    try:
+        f = Polynomial.from_json_dict(data["f"])
+        box = Box.from_json_dict(data["box"])
+        fam = None
+        if data.get("family") is not None:
+            fam = PatternFamily.from_json_dict(data["family"])
+    except (TypeError, IndexError, KeyError, AttributeError) as exc:
+        raise ValueError(f"instance JSON cannot be decoded: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    if fam is not None and fam.n != f.n:
+        raise ValueError("family dimension does not match the objective")
     if box.n != f.n:
         raise ValueError("box dimension does not match the objective")
     meta = {k: v for k, v in data.items() if k not in ("f", "box", "family")}

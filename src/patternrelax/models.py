@@ -17,10 +17,11 @@ max_violation), not per model.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,7 +66,7 @@ class SupportOverlap(BuilderError):
 # model containers
 
 
-@dataclass
+@dataclass(slots=True)
 class Row:
     form: LinearForm
     sense: str = ">="  # ">=" (form >= 0) or "==" (form == 0)
@@ -172,17 +173,43 @@ def _coordinate_ranges(base: Exponent, box: Box) -> tuple:
     return supp, ranges
 
 
-@functools.cache
-def _nonnegative_rows(count: int) -> tuple:
-    """The rows lambda_j >= 0 of a count-vertex model.
+def _vertex_table(ranges: tuple, orders: tuple) -> tuple:
+    """The vertex table of a vertex model: its vertices, its normalization row,
+    the aux dict of each mixture row and its rows lambda_j >= 0.
 
-    Every such model shares them; rows are not changed once built.
+    ranges holds the (lo, hi) range of each support coordinate's power, and
+    orders, for each nonzero exponent of the pattern in sorted order, the
+    positions of its support coordinates in the order of exp_support: the
+    table is a function of the two alone, so models with equal ones share it.
+    Rows and dicts are not changed once built.
     """
-    return tuple(Row(LinearForm(0.0, None, {j: 1.0})) for j in range(count))
+    vertices = tuple(itertools.product(*ranges))
+    count = len(vertices)
+    # mixture rows: v_beta - sum_p lambda_p * m_beta(p) = 0; the beta = 0 row
+    # is the normalization sum_p lambda_p = 1. -m_beta at every vertex is the
+    # product of the columns of beta's support coordinates, the first one
+    # negated, in the order of exp_support(beta): that order fixes the
+    # rounding, and negating a factor negates the rounded product exactly
+    normalization = Row(LinearForm(-1.0, None, dict.fromkeys(range(count), 1.0)), "==")
+    columns = list(zip(*vertices))  # support position -> its value at every vertex
+    negated = [tuple(map(operator.neg, col)) for col in columns]
+    auxes = []
+    for first, *rest in orders:
+        values = negated[first]
+        for i in rest:
+            values = list(map(operator.mul, values, columns[i]))
+        auxes.append({j: v for j, v in enumerate(values) if abs(v) > COEFF_DROP_TOL})
+    nonnegative = tuple(Row(LinearForm(0.0, None, {j: 1.0})) for j in range(count))
+    return vertices, normalization, tuple(auxes), nonnegative
 
 
-def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
-    """Exact polytope model of a multilinear pattern via box-vertex mixtures."""
+def build_multilinear_model(P: Pattern, box: Box, tables: dict | None = None) -> MomentModel:
+    """Exact polytope model of a multilinear pattern via box-vertex mixtures.
+
+    tables, when given, holds the vertex tables built so far, by key: models
+    built with one dict share equal tables, and the model is the same as
+    without it.
+    """
     base = _pattern_base(P)
     if not all(set(col) <= {0, b} for col, b in zip(zip(*P.exponents), base)):
         raise BuilderError("pattern is not contained in its multilinear cube")
@@ -190,37 +217,27 @@ def build_multilinear_model(P: Pattern, box: Box) -> MomentModel:
     k = len(supp)
     if k > VERTEX_HARD_CAP:
         raise PatternTooWide(f"multilinear pattern touches {k} coordinates (cap {VERTEX_HARD_CAP})")
-    model = MomentModel(P.n)
-    vertices = list(itertools.product(*ranges))
-    count = model.aux_count = len(vertices)
-    # mixture rows: v_beta - sum_p lambda_p * m_beta(p) = 0; the beta = 0 row
-    # is the normalization sum_p lambda_p = 1. -m_beta at every vertex is the
-    # product of the columns of beta's support coordinates, the first one
-    # negated, in the order of exp_support(beta): that order fixes the
-    # rounding, and negating a factor negates the rounded product exactly
-    rows = model.rows
-    rows.append(Row(LinearForm(-1.0, None, dict.fromkeys(range(count), 1.0)), "=="))
-    columns = dict(zip(supp, zip(*vertices)))  # coordinate -> its value at every vertex
-    negated = {i: tuple(map(operator.neg, col)) for i, col in columns.items()}
     pat_exps = sorted(P.exponents)
-    for beta in pat_exps:
-        if not any(beta):
-            continue
-        first, *rest = exp_support(beta)
-        values = negated[first]
-        for i in rest:
-            values = list(map(operator.mul, values, columns[i]))
-        aux = {j: v for j, v in enumerate(values) if abs(v) > COEFF_DROP_TOL}
-        rows.append(Row(LinearForm(0.0, {beta: 1.0}, aux), "=="))
-    model.variables.update(pat_exps)
-    model.variables.discard(zero_exponent(P.n))
-    rows += _nonnegative_rows(count)
+    betas = [beta for beta in pat_exps if any(beta)]
+    position = {i: j for j, i in enumerate(supp)}
+    # power_range gives +0.0 for a zero end, so equal keys have bitwise equal
+    # ranges and hence bitwise equal tables
+    key = (tuple(ranges),
+           tuple(tuple(map(position.__getitem__, exp_support(beta))) for beta in betas))
+    if tables is None:
+        table = _vertex_table(*key)
+    elif (table := tables.get(key)) is None:
+        table = tables[key] = _vertex_table(*key)
+    vertices, normalization, auxes, nonnegative = table
+    model = MomentModel(P.n, set(betas), len(vertices))
+    mixture = [Row(LinearForm(0.0, {beta: 1.0}, aux), "==") for beta, aux in zip(betas, auxes)]
+    model.rows = [normalization, *mixture, *nonnegative]
     model.piece = Piece(
         "vertex",
         {
             "base_alpha": base,
             "support": tuple(supp),
-            "vertices": tuple(vertices),
+            "vertices": vertices,
             "pattern": tuple(pat_exps),
         },
     )
@@ -480,6 +497,23 @@ def _collinear_direction(P: Pattern):
     return gamma, max(mults)
 
 
+# The vertex tables of the shared_vertex_tables block in progress, or None.
+# model_for_pattern reads them here rather than take them as an argument, so
+# that it keeps the signature a caller may wrap (perfbench/spans.py times it).
+_vertex_tables: ContextVar[dict | None] = ContextVar("vertex_tables", default=None)
+
+
+@contextmanager
+def shared_vertex_tables():
+    """Vertex models built by model_for_pattern in the block share equal
+    vertex tables; the tables are dropped when the block ends."""
+    token = _vertex_tables.set({})
+    try:
+        yield
+    finally:
+        _vertex_tables.reset(token)
+
+
 def model_for_pattern(P: Pattern, box: Box, policy: ModelPolicy) -> MomentModel:
     """Route one pattern to its convex model per the policy."""
     kind = P.kind
@@ -489,7 +523,7 @@ def model_for_pattern(P: Pattern, box: Box, policy: ModelPolicy) -> MomentModel:
         if k == 0:
             return MomentModel(P.n)
         if k == 1 or (policy.multilinear == "vertex" and k <= policy.vertex_cap):
-            return build_multilinear_model(P, box)
+            return build_multilinear_model(P, box, _vertex_tables.get())
         if k == 2:
             return build_mccormick_model(P, box)
         return _pairwise_mccormick(P, box)

@@ -30,7 +30,7 @@ class DenominatorCap(LoweringError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Piece:
     kind: str  # "linear", "sos", "vertex", "circuit"
     payload: dict
@@ -61,7 +61,7 @@ class GMCData:
     piece: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class LinRow:
     coeff: dict  # column -> float
     rhs: float = 0.0  # a'x >= rhs  (or == rhs)

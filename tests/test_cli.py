@@ -131,11 +131,22 @@ def _null_sense(data):
     data["blocks"][0]["sense"] = None
 
 
+def _boolean_lambda(data):
+    # float() would read it as lambda = 1
+    data["lambda"] = True
+
+
+def _string_weight(data):
+    blk = next(b for b in data["blocks"] if b["kind"] == "linear")
+    blk["weight"] = str(blk["weight"])
+
+
 @pytest.mark.parametrize("malform",
                          [_ragged_gram, _factor_without_payload, _drop_lambda, _affine_factor,
-                          _bogus_sense, _null_sense],
+                          _bogus_sense, _null_sense, _boolean_lambda, _string_weight],
                          ids=["ragged_gram", "factor_without_payload", "missing_lambda",
-                              "affine_factor", "bogus_sense", "null_sense"])
+                              "affine_factor", "bogus_sense", "null_sense", "boolean_lambda",
+                              "string_weight"])
 def test_undecodable_certificate_fails_without_raising(tmp_path, capsys, malform):
     # data the field decoders cannot read is a CertificateError, which the
     # CLI reports as a FAIL line rather than a traceback
@@ -153,6 +164,22 @@ def test_undecodable_certificate_fails_without_raising(tmp_path, capsys, malform
     assert main(["verify", "--certificate", str(cert),
                  "--instance", str(inst)]) == 1
     assert capsys.readouterr().out.startswith("FAIL (malformed certificate)")
+
+
+@pytest.mark.parametrize("text", ['{"n": 1}', "[1]", "5",
+                                  '{"f": 5, "box": {"l": [0], "u": [1]}}'],
+                         ids=["without_f", "list", "number", "f_not_an_object"])
+def test_malformed_instance_fails_without_raising(tmp_path, capsys, text):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--tag", "S(2,4)", "--seed", "3", "--out", str(inst)])
+    cert = tmp_path / "cert.json"
+    assert main(["solve", "--instance", str(inst), "--method", "H",
+                 "--sense", "min", "--certificate", str(cert)]) == 0
+    inst.write_text(text)
+    capsys.readouterr()
+    assert main(["verify", "--certificate", str(cert),
+                 "--instance", str(inst)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL (malformed instance): ")
 
 
 def test_cli_max_sense_certificate_round_trip(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import functools
+import itertools
 import math
+import operator
+import struct
 
 import numpy as np
 import pytest
@@ -33,7 +37,8 @@ from patternrelax.patterns import (
     univariate_sparse_family,
 )
 from patternrelax.pipeline import solve_relaxation
-from patternrelax.polynomials import Box, Polynomial
+from patternrelax.polynomials import COEFF_DROP_TOL, Box, LinearForm, Polynomial, exp_support
+from patternrelax.program import Piece
 
 
 def row_map(row):
@@ -395,7 +400,7 @@ def test_multilinear_pattern_routing(monkeypatch, policy, k, expected):
     for name, builder in (("build_multilinear_model", "vertex"),
                           ("build_mccormick_model", "mccormick"),
                           ("_pairwise_mccormick", "pairwise")):
-        monkeypatch.setattr(models, name, lambda P, box, builder=builder: builder)
+        monkeypatch.setattr(models, name, lambda P, box, *_, builder=builder: builder)
     pat = multilinear_family({(1,) * k}).patterns[0]
     assert model_for_pattern(pat, Box.unit(k), ModelPolicy(**policy)) == expected
 
@@ -426,3 +431,158 @@ def test_model_dump_mentions_all_constraint_kinds():
     assert "gmc" in text and "row" in text
     m2 = build_lasserre_model(np.array([[1]]), 1, Box.unit(1))
     assert "lmi" in m2.dump()
+
+
+# ---------------------------------------------------------------------------
+# vertex tables shared within one assembly: an oracle against the builder that
+# made every table per pattern
+
+
+@functools.cache
+def _reference_nonnegative_rows(count: int) -> tuple:
+    return tuple(models.Row(LinearForm(0.0, None, {j: 1.0})) for j in range(count))
+
+
+def _reference_multilinear_model(P, box):
+    """build_multilinear_model as it was before vertex tables were shared."""
+    base = models._pattern_base(P)
+    if not all(set(col) <= {0, b} for col, b in zip(zip(*P.exponents), base)):
+        raise BuilderError("pattern is not contained in its multilinear cube")
+    supp, ranges = models._coordinate_ranges(base, box)
+    k = len(supp)
+    if k > models.VERTEX_HARD_CAP:
+        raise PatternTooWide(
+            f"multilinear pattern touches {k} coordinates (cap {models.VERTEX_HARD_CAP})")
+    model = models.MomentModel(P.n)
+    vertices = list(itertools.product(*ranges))
+    count = model.aux_count = len(vertices)
+    rows = model.rows
+    rows.append(models.Row(LinearForm(-1.0, None, dict.fromkeys(range(count), 1.0)), "=="))
+    columns = dict(zip(supp, zip(*vertices)))  # coordinate -> its value at every vertex
+    negated = {i: tuple(map(operator.neg, col)) for i, col in columns.items()}
+    pat_exps = sorted(P.exponents)
+    for beta in pat_exps:
+        if not any(beta):
+            continue
+        first, *rest = exp_support(beta)
+        values = negated[first]
+        for i in rest:
+            values = list(map(operator.mul, values, columns[i]))
+        aux = {j: v for j, v in enumerate(values) if abs(v) > COEFF_DROP_TOL}
+        rows.append(models.Row(LinearForm(0.0, {beta: 1.0}, aux), "=="))
+    model.variables.update(pat_exps)
+    model.variables.discard(tuple([0] * P.n))
+    rows += _reference_nonnegative_rows(count)
+    model.piece = Piece(
+        "vertex",
+        {
+            "base_alpha": base,
+            "support": tuple(supp),
+            "vertices": tuple(vertices),
+            "pattern": tuple(pat_exps),
+        },
+    )
+
+    def lift(x, supp=supp, ranges=ranges, base=base, vertices=vertices):
+        weights = []
+        for i, (lo, hi) in zip(supp, ranges):
+            y = float(x[i]) ** base[i]
+            weights.append(((hi - y) / (hi - lo), (y - lo) / (hi - lo))
+                           if hi > lo else (0.5, 0.5))
+        vals = []
+        for p in vertices:
+            lam = 1.0
+            for v, (_, hi), (w_lo, w_hi) in zip(p, ranges, weights):
+                lam *= w_hi if v == hi else w_lo
+            vals.append(lam)
+        return vals
+
+    model.aux_lift = lift
+    return model
+
+
+def _bits(v):
+    """v with each float as its bytes and each dict as its item list, so that
+    -0.0 differs from 0.0, 1 from 1.0 and dicts in another key order differ."""
+    if isinstance(v, float):
+        return struct.pack("<d", v)
+    if isinstance(v, dict):
+        return [(_bits(k), _bits(x)) for k, x in v.items()]
+    if isinstance(v, (list, tuple)):
+        return [_bits(x) for x in v]
+    return v
+
+
+def _model_bits(model, points):
+    rows = [(r.sense, r.factors, _bits(r.form.constant), _bits(r.form.coeffs),
+             _bits(r.form.aux)) for r in model.rows]
+    return (rows, model.aux_count, sorted(model.variables), model.piece.kind,
+            _bits(model.piece.payload), [_bits(model.aux_lift(x)) for x in points])
+
+
+def _oracle_box(n, rng, uniform):
+    """Coordinates drawn from a few intervals, so that supports of equal
+    ranges recur: a signed zero end, a point range and a negative lower
+    bound; a uniform box has one interval, [-a, c], on every coordinate."""
+    a, b, c = sorted(rng.uniform(0.25, 2.0, size=3))
+    pool = [(-a, c)] if uniform else [(-0.0, b), (-c, -0.0), (a - 1.0, a - 1.0), (-a, c), (a, b)]
+    picks = rng.integers(len(pool), size=n)
+    return Box([pool[p][0] for p in picks], [pool[p][1] for p in picks])
+
+
+def _oracle_patterns(n, rng, count):
+    """Multilinear patterns of 1 to 5 coordinates, each with one of 8 and up:
+    half of them the full cube of x_S, the others a random part of a cube
+    with random exponents."""
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(1, 6))
+        supp = {int(rng.integers(8, n))} | {int(i) for i in rng.choice(n, k - 1, replace=False)}
+        full = rng.random() < 0.5
+        base = tuple((1 if full else int(rng.integers(1, 4))) if i in supp else 0
+                     for i in range(n))
+        cube = [tuple(b if i in sub else 0 for i, b in enumerate(base))
+                for r in range(len(supp) + 1) for sub in itertools.combinations(sorted(supp), r)]
+        keep = rng.random(len(cube)) < (1.0 if full else 0.7)
+        exps = {e for e, kept in zip(cube, keep) if kept} | {base}
+        out.append(Pattern(frozenset(exps), kind="multilinear", meta={"base_alpha": base}))
+    return out
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_shared_vertex_tables_build_the_reference_models_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    out_of_order = shared = 0
+    for uniform in (False, False, False, True):
+        box = _oracle_box(n, rng, uniform)
+        patterns = _oracle_patterns(n, rng, 40)
+        points = box.sample(rng, 3)
+        tables = {}
+        for P in patterns:
+            want = _model_bits(_reference_multilinear_model(P, box), points)
+            assert _model_bits(models.build_multilinear_model(P, box, tables), points) == want
+            assert _model_bits(models.build_multilinear_model(P, box), points) == want
+            out_of_order += any(list(exp_support(a)) != sorted(exp_support(a))
+                                for a in P.exponents if sum(a) > 2)
+        shared += len(patterns) - len(tables)
+    # the inputs reach the cases a unit box hides: products taken out of
+    # ascending coordinate order, and tables shared between patterns
+    assert out_of_order and shared
+
+
+def test_assembly_shares_vertex_tables_only_while_it_runs(monkeypatch):
+    box = Box.unit(3)
+    pats = multilinear_family({(1, 1, 0), (0, 1, 1), (1, 0, 1)}).patterns
+    built = []
+
+    def spy(P, box, tables=None):
+        built.append(tables)
+        return _reference_multilinear_model(P, box)
+
+    monkeypatch.setattr(models, "build_multilinear_model", spy)
+    assemble_relaxation(Polynomial(3, {(1, 1, 0): 1.0}), PatternFamily(pats), box)
+    model_for_pattern(pats[0], box, ModelPolicy())
+    # one dict for every model of the assembly, none for a model built on its own
+    assert isinstance(built[0], dict) and all(t is built[0] for t in built[:-1])
+    assert built[-1] is None
+    assert models._vertex_tables.get() is None

@@ -37,6 +37,14 @@ def test_relax_digests_prints_one_digest_per_program():
     assert re.fullmatch(r"A5#1:min [0-9a-f]{64}\nA5#1:max [0-9a-f]{64}\n", out), out
 
 
+def test_relax_digests_leaves_the_unit_box_with_box_random():
+    args = ("tools/relax_digests.py", "--tag", "dense(2,6)", "--method", "M", "--seeds", "1",
+            "--senses", "min")
+    unit, random = run_tool(*args), run_tool(*args, "--box", "random")
+    assert re.fullmatch(r"dense\(2,6\)#1:min [0-9a-f]{64}\n", random), random
+    assert random != unit
+
+
 def test_cold_start_times_each_command_and_reports_scipy():
     out = run_tool("tools/cold_start.py", "--repeats", "1")
     times = r"median [0-9.]+ q1 [0-9.]+ q3 [0-9.]+"

@@ -15,6 +15,14 @@ by their raw bytes), so two commits relax bit-identically exactly when their
 outputs ``diff`` clean. The seconds for assemble, lower and export go to
 stderr as ``<instance id>:<sense> <seconds> s``, so stdout holds only the
 digests.
+
+With ``--box random`` each instance's unit box is replaced by one drawn
+from the instance seed, whose coordinates mix signed zeros (``[-0.0, u]``
+and ``[l, -0.0]``), point ranges (``l == u``), negative lower bounds and
+positive ranges, so that a check can leave the unit box, on which the
+vertex products are exact:
+
+    python3 tools/relax_digests.py --tag "dense(6,4)" --method M --seeds 1-8 --box random
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from solve_digests import _feed, _seed_range
 import numpy as np
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import family_for_method, gen_instance
+from patternrelax.polynomials import Box
 from patternrelax.program import export_sdpa
 
 
@@ -47,6 +56,19 @@ def digest(prog, text: str, point) -> str:
     return h.hexdigest()
 
 
+def random_box(n: int, rng) -> Box:
+    """A box on n coordinates; each coordinate is, with equal odds, [-0.0, b],
+    [-b, -0.0], a point [c, c], [-a, b] or [a, b], where a < b are drawn from
+    [0.25, 2) and c from [-0.75, 1)."""
+    lower, upper = [], []
+    for case in rng.integers(5, size=n):
+        a, b = sorted(float(v) for v in rng.uniform(0.25, 2.0, size=2))
+        lo, hi = ((-0.0, b), (-b, -0.0), (a - 1.0, a - 1.0), (-a, b), (a, b))[case]
+        lower.append(lo)
+        upper.append(hi)
+    return Box(lower, upper)
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", required=True, help='instance tag, e.g. "dense(6,4)" or A6')
@@ -54,15 +76,19 @@ def main(argv=None) -> None:
     ap.add_argument("--seeds", type=_seed_range, required=True,
                     help="instance seeds, one (7) or a range (1-400)")
     ap.add_argument("--senses", default="min,max", help="comma-separated, of min and max")
+    ap.add_argument("--box", choices=("unit", "random"), default="unit",
+                    help="the instance's unit box, or one drawn from the instance seed")
     args = ap.parse_args(argv)
     senses = args.senses.split(",")
     for seed in args.seeds:
         inst = gen_instance(args.tag, seed)
+        rng = np.random.default_rng(seed)
+        box = inst.box if args.box == "unit" else random_box(inst.n, rng)
         fam = family_for_method(args.method, inst.f)
-        point = inst.box.sample(np.random.default_rng(seed), 1)[0]
+        point = box.sample(rng, 1)[0]
         for sense in senses:
             start = time.perf_counter()
-            prog = assemble_relaxation(inst.f, fam, inst.box, sense=sense).lowered()
+            prog = assemble_relaxation(inst.f, fam, box, sense=sense).lowered()
             text = export_sdpa(prog)
             wall = time.perf_counter() - start
             print(f"{inst.id}:{sense} {digest(prog, text, point)}", flush=True)
