@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -43,6 +45,36 @@ def test_relax_digests_leaves_the_unit_box_with_box_random():
     unit, random = run_tool(*args), run_tool(*args, "--box", "random")
     assert re.fullmatch(r"dense\(2,6\)#1:min [0-9a-f]{64}\n", random), random
     assert random != unit
+
+
+# tools/relax_digests.py at seed 1, sense min, on routes whose models write
+# rows with a v_0 term: chain localizers (C), term sparsity (T), the mixed
+# method (H), TSSOS blocks, sdsos circuits (S) and vertex models on a random
+# box (M). The digest covers the SDPA text, pieces, col_exponents and the
+# lift. dense(3,4)/S with --box random is left out: it raises BuilderError
+# at seed 1
+PINNED_RELAX_DIGESTS = [
+    ("dense(2,6)", "C", "unit",
+     "0023095d1d215a9a5f613c5267e3af4de60db2f71df410b9248bd2c50c10104c"),
+    ("dense(3,4)", "T", "unit",
+     "a4b848e8d1492425d1726c7373219f2731d28bda50313493824c428fa751ebae"),
+    ("dense(3,4)", "H", "unit",
+     "300bd8338e3cdf5ff4558ec3590302ac1661348a9668849e21735dea272871ea"),
+    ("A5", "tssos-sos", "unit",
+     "43e5aa302e474a2e82273646fa939d1843f4937924c865b65e7406c4d2169453"),
+    ("S(3,6)", "S", "unit",
+     "5214ab1637d9ab21bd2efaee912c39705f1ef74d1a50d5138589008225f10887"),
+    ("dense(2,6)", "M", "random",
+     "71c9a6e31b5ba199d108b7490198126978dcee9913419a2a3aeceaa2e3cca4d2"),
+]
+
+
+@pytest.mark.parametrize("tag,method,box,digest", PINNED_RELAX_DIGESTS,
+                         ids=[f"{t}/{m}/{b}" for t, m, b, _ in PINNED_RELAX_DIGESTS])
+def test_relax_digests_are_pinned(tag, method, box, digest):
+    out = run_tool("tools/relax_digests.py", "--tag", tag, "--method", method, "--seeds", "1",
+                   "--senses", "min", "--box", box)
+    assert out == f"{tag}#1:min {digest}\n"
 
 
 def test_cold_start_times_each_command_and_reports_scipy():
