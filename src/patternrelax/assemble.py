@@ -16,13 +16,7 @@ import warnings
 
 from .models import ModelPolicy, model_for_pattern, shared_vertex_tables
 from .patterns import PatternFamily
-from .polynomials import (
-    Box,
-    LinearForm,
-    Polynomial,
-    monomial_range,
-    zero_exponent,
-)
+from .polynomials import Box, Polynomial, monomial_range, zero_exponent
 from .program import ConicProgram, GMCData
 
 
@@ -70,12 +64,6 @@ def assemble_relaxation(
     j0 = col_of[zero]
     prog.add_eq({j0: 1.0}, 1.0)
 
-    def to_coeff(form: LinearForm) -> dict:
-        coeff = {col_of[a]: c for a, c in form.coeffs.items()}
-        if form.constant:
-            coeff[j0] = coeff.get(j0, 0.0) + form.constant
-        return coeff
-
     # the models' own pieces come first, in model order
     model_pieces = [prog.add_piece(m.piece.kind, m.piece.payload) if m.piece else None
                     for m in models]
@@ -102,16 +90,15 @@ def assemble_relaxation(
 
     for model, piece, aux_col in zip(models, model_pieces, aux_cols):
         for row in model.rows:
-            form = row.form
-            if not form.aux:
-                add_row(to_coeff(form), row.sense, row.factors, piece)
+            # the zero exponent's column is v_0's, as in a block
+            coeff = {col_of[a]: c for a, c in row.coeffs.items()}
+            if not row.aux:
+                add_row(coeff, row.sense, row.factors, piece)
                 continue
             # a row on a model's own auxiliary columns cannot duplicate another
             # model's row, and the rows of a vertex model (the one model with
             # auxiliaries) have distinct column sets, so it is not compared
-            coeff = {aux_col + i: c for i, c in form.aux.items()}
-            if form.coeffs or form.constant:
-                coeff = to_coeff(form) | coeff
+            coeff |= {aux_col + i: c for i, c in row.aux.items()}
             emit(coeff, row.sense, row.factors, piece)
 
     seen_blocks: set = set()

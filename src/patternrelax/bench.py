@@ -155,15 +155,19 @@ def eval_on_grid(f: Polynomial, X: np.ndarray) -> np.ndarray:
     return out
 
 
+# the grid phase scans at most this many points, with fewer per axis if need be
+BRUTE_FORCE_BUDGET = 2_000_000
+# coordinate-descent sweeps from each start
+BRUTE_FORCE_REFINE_STEPS = 200
+
+
 @dataclass
 class BruteForceResult:
     value: float
     point: np.ndarray
-    budget_exceeded: bool = False
 
 
-def brute_force_min(f: Polynomial, box: Box, budget: int = 2_000_000,
-                    grid: int = 21, refine_steps: int = 200,
+def brute_force_min(f: Polynomial, box: Box, grid: int = 21,
                     starts: int = 10) -> BruteForceResult:
     """Grid scan plus projected coordinate descent; an upper bound on min f.
 
@@ -176,10 +180,8 @@ def brute_force_min(f: Polynomial, box: Box, budget: int = 2_000_000,
     if not box.bounded:
         raise ValueError("brute force needs a bounded box")
     per_axis = grid
-    exceeded = False
-    while per_axis ** n > budget and per_axis > 2:
+    while per_axis ** n > BRUTE_FORCE_BUDGET and per_axis > 2:
         per_axis -= 1
-        exceeded = True
     axes = [np.linspace(box.lower[i], box.upper[i], per_axis) for i in range(n)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     vals = eval_on_grid(f, mesh)
@@ -191,7 +193,7 @@ def brute_force_min(f: Polynomial, box: Box, budget: int = 2_000_000,
         x = mesh[idx].astype(float).copy()
         fx = float(vals[idx])
         step = span / max(per_axis - 1, 1)
-        for _ in range(refine_steps):
+        for _ in range(BRUTE_FORCE_REFINE_STEPS):
             improved = False
             for i in range(n):
                 for delta in (step[i], -step[i]):
@@ -210,7 +212,7 @@ def brute_force_min(f: Polynomial, box: Box, budget: int = 2_000_000,
                     break
         if fx < best_val:
             best_val, best_x = fx, x
-    return BruteForceResult(best_val, best_x, exceeded)
+    return BruteForceResult(best_val, best_x)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .polynomials import (Box, Polynomial, exp_add, exp_support, factor_min_on_box,
-                          monomial_range, product_of_factors, unit_exponent)
+from .polynomials import (Box, Polynomial, _integer, _number, exp_add, exp_support,
+                          factor_min_on_box, monomial_range, product_of_factors,
+                          unit_exponent)
 
 if TYPE_CHECKING:
     from .ipm import SolveResult
@@ -97,20 +98,6 @@ class Certificate:
         except json.JSONDecodeError as exc:
             raise CertificateError(f"certificate is not JSON: {exc}") from exc
         return cls.from_json_dict(data)
-
-
-def _number(v) -> float:
-    """A JSON number as a float; float() would also take a bool or a string."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"{v!r} is not a number")
-    return float(v)
-
-
-def _integer(v) -> int:
-    """A JSON integer, for an exponent entry or a coordinate index."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"{v!r} is not an integer")
-    return v
 
 
 def _number_array(v) -> np.ndarray:

@@ -24,6 +24,16 @@ def _family_for(args, f, fam_from_file):
     return family_for_method(args.method, f)
 
 
+def _read_instance(path):
+    """(f, box, family or None, meta) from the instance file, or None after a
+    FAIL line if the file is malformed."""
+    try:
+        return import_instance_json(Path(path).read_text())
+    except ValueError as exc:
+        print(f"FAIL (malformed instance): {exc}")
+        return None
+
+
 def cmd_gen(args):
     inst = gen_instance(args.tag, args.seed)
     text = export_instance_json(inst.f, inst.box, id=inst.id, tag=inst.tag,
@@ -33,7 +43,9 @@ def cmd_gen(args):
 
 
 def cmd_relax(args):
-    f, box, fam_file, _ = import_instance_json(Path(args.instance).read_text())
+    if (inst := _read_instance(args.instance)) is None:
+        return 1
+    f, box, fam_file, _ = inst
     fam = _family_for(args, f, fam_file)
     prog = assemble_relaxation(f, fam, box, sense=args.sense)
     lowered = prog.lowered()
@@ -45,7 +57,9 @@ def cmd_relax(args):
 
 
 def cmd_solve(args):
-    f, box, fam_file, _ = import_instance_json(Path(args.instance).read_text())
+    if (inst := _read_instance(args.instance)) is None:
+        return 1
+    f, box, fam_file, _ = inst
     fam = _family_for(args, f, fam_file)
     rel = solve_relaxation(f, fam, box, args.sense)
     result = rel.result
@@ -62,11 +76,9 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    try:
-        f, box, _, _ = import_instance_json(Path(args.instance).read_text())
-    except ValueError as exc:
-        print(f"FAIL (malformed instance): {exc}")
+    if (inst := _read_instance(args.instance)) is None:
         return 1
+    f, box, _, _ = inst
     try:
         cert = Certificate.loads(Path(args.certificate).read_text())
     except CertificateError as exc:

@@ -5,14 +5,15 @@ McCormick rows for multilinear patterns, moment and localizer LMIs for
 chains and submonoids, shifted (homogenized) models, sparse SOS moment
 blocks, and geometric-mean-cone memberships for circuits.  Every builder
 emits a MomentModel over monomial variables v_alpha: linear rows (which
-may use model-local auxiliary scalars), LMI blocks in the program's entry
-format with exponents for columns, and geometric-mean-cone memberships, so
-assembly only renames exponents to columns.  A vertex or circuit model is one
-certificate piece, whose payload (vertex table or circuit data) lets the
-certificate module re-derive and verify it; the rows and LMI blocks of the
-other models are one piece each, with their factor lists.  Lifted points
-are checked on the assembled program (ConicProgram.lift_point and
-max_violation), not per model.
+may use model-local auxiliary scalars) and LMI blocks, both in the
+program's entry format with exponents for columns and the zero exponent for
+v_0 = 1, and geometric-mean-cone memberships, so assembly only renames
+exponents to columns.  A vertex or circuit model is one certificate piece,
+whose payload (vertex table or circuit data) lets the certificate module
+re-derive and verify it; the rows and LMI blocks of the other models are
+one piece each, with their factor lists.  Lifted points are checked on the
+assembled program (ConicProgram.lift_point and max_violation), not per
+model.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ from .polynomials import (
     COEFF_DROP_TOL,
     Box,
     Exponent,
-    LinearForm,
     Polynomial,
     as_exponent,
     degrees_up_to,
     exp_add,
     exp_support,
-    linearize,
     monomial_range,
     power_range,
     product_of_factors,
@@ -68,9 +67,16 @@ class SupportOverlap(BuilderError):
 
 @dataclass(slots=True)
 class Row:
-    form: LinearForm
-    sense: str = ">="  # ">=" (form >= 0) or "==" (form == 0)
+    """The row sum_alpha coeffs[alpha] v_alpha + sum_i aux[i] t_i >= 0 (or == 0).
+
+    As in an LMIBlock, the zero exponent stands for v_0 = 1; t_i is the
+    model's auxiliary i.
+    """
+
+    coeffs: dict  # exponent -> float
+    sense: str = ">="  # ">=" or "=="
     factors: tuple | None = None  # origin of a provably nonnegative row
+    aux: dict | None = None  # auxiliary index -> float
 
 
 @dataclass
@@ -113,9 +119,9 @@ class MomentModel:
     piece: Piece | None = None
     aux_lift: Callable | None = None  # x -> list of aux values
 
-    def add_row(self, form, sense=">=", factors=None):
-        self.variables.update(form.coeffs)
-        self.rows.append(Row(form, sense, tuple(factors) if factors else None))
+    def add_row(self, coeffs, sense=">=", factors=None):
+        self.variables.update(a for a in coeffs if any(a))  # v_0 is no variable
+        self.rows.append(Row(coeffs, sense, tuple(factors) if factors else None))
 
     def add_lmi(self, size, entries, basis=None, multiplier_factors=()):
         self.variables.update(a for a, _, _ in entries if any(a))  # v_0 is no variable
@@ -132,7 +138,7 @@ class MomentModel:
                  f"{self.aux_count} auxiliaries"]
         for row in self.rows:
             op = ">= 0" if row.sense == ">=" else "== 0"
-            lines.append(f"  row:  {row.form} {op}")
+            lines.append(f"  row:  {_form_text(row.coeffs, row.aux)} {op}")
         for block in self.lmis:
             m = block.size
             lines.append(f"  lmi ({m}x{m}):")
@@ -140,14 +146,21 @@ class MomentModel:
             for (a, i, j), c in block.entries.items():
                 cells[i][j][a] = cells[j][i][a] = c
             for row in cells:
-                lines.append("    [ " + " | ".join(
-                    str(linearize(Polynomial(self.n, cs))) for cs in row) + " ]")
+                lines.append("    [ " + " | ".join(map(_form_text, row)) + " ]")
         for rec in self.gmcs:
             rel = "0 <= v <= prod" if rec.sign_mode == "even" else "|v| <= prod"
             lines.append(
                 f"  gmc:  v{rec.beta} vs prod of v{list(rec.gammas)}^{list(rec.lambdas)} ({rel})"
             )
         return "\n".join(lines)
+
+
+def _form_text(coeffs: dict, aux: dict | None = None) -> str:
+    """A row or an LMI cell as text: v_0's coefficient as a bare number, then
+    each v_alpha and t_i term."""
+    bits = [f"{c:+g}*v{a}" if any(a) else f"{c:g}" for a, c in sorted(coeffs.items())]
+    bits += [f"{c:+g}*t{i}" for i, c in sorted((aux or {}).items())]
+    return " ".join(bits) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +186,16 @@ def _coordinate_ranges(base: Exponent, box: Box) -> tuple:
     return supp, ranges
 
 
-def _vertex_table(ranges: tuple, orders: tuple) -> tuple:
+def _vertex_table(ranges: tuple, orders: tuple, zero: Exponent) -> tuple:
     """The vertex table of a vertex model: its vertices, its normalization row,
     the aux dict of each mixture row and its rows lambda_j >= 0.
 
-    ranges holds the (lo, hi) range of each support coordinate's power, and
+    ranges holds the (lo, hi) range of each support coordinate's power,
     orders, for each nonzero exponent of the pattern in sorted order, the
-    positions of its support coordinates in the order of exp_support: the
-    table is a function of the two alone, so models with equal ones share it.
-    Rows and dicts are not changed once built.
+    positions of its support coordinates in the order of exp_support, and
+    zero the zero exponent, v_0's key in the normalization row: the table is
+    a function of the three alone, so models with equal ones share it. Rows
+    and dicts are not changed once built.
     """
     vertices = tuple(itertools.product(*ranges))
     count = len(vertices)
@@ -190,7 +204,7 @@ def _vertex_table(ranges: tuple, orders: tuple) -> tuple:
     # product of the columns of beta's support coordinates, the first one
     # negated, in the order of exp_support(beta): that order fixes the
     # rounding, and negating a factor negates the rounded product exactly
-    normalization = Row(LinearForm(-1.0, None, dict.fromkeys(range(count), 1.0)), "==")
+    normalization = Row({zero: -1.0}, "==", aux=dict.fromkeys(range(count), 1.0))
     columns = list(zip(*vertices))  # support position -> its value at every vertex
     negated = [tuple(map(operator.neg, col)) for col in columns]
     auxes = []
@@ -199,7 +213,7 @@ def _vertex_table(ranges: tuple, orders: tuple) -> tuple:
         for i in rest:
             values = list(map(operator.mul, values, columns[i]))
         auxes.append({j: v for j, v in enumerate(values) if abs(v) > COEFF_DROP_TOL})
-    nonnegative = tuple(Row(LinearForm(0.0, None, {j: 1.0})) for j in range(count))
+    nonnegative = tuple(Row({}, aux={j: 1.0}) for j in range(count))
     return vertices, normalization, tuple(auxes), nonnegative
 
 
@@ -223,14 +237,15 @@ def build_multilinear_model(P: Pattern, box: Box, tables: dict | None = None) ->
     # power_range gives +0.0 for a zero end, so equal keys have bitwise equal
     # ranges and hence bitwise equal tables
     key = (tuple(ranges),
-           tuple(tuple(map(position.__getitem__, exp_support(beta))) for beta in betas))
+           tuple(tuple(map(position.__getitem__, exp_support(beta))) for beta in betas),
+           zero_exponent(P.n))
     if tables is None:
         table = _vertex_table(*key)
     elif (table := tables.get(key)) is None:
         table = tables[key] = _vertex_table(*key)
     vertices, normalization, auxes, nonnegative = table
     model = MomentModel(P.n, set(betas), len(vertices))
-    mixture = [Row(LinearForm(0.0, {beta: 1.0}, aux), "==") for beta, aux in zip(betas, auxes)]
+    mixture = [Row({beta: 1.0}, "==", aux=aux) for beta, aux in zip(betas, auxes)]
     model.rows = [normalization, *mixture, *nonnegative]
     model.piece = Piece(
         "vertex",
@@ -261,12 +276,18 @@ def build_multilinear_model(P: Pattern, box: Box, tables: dict | None = None) ->
     return model
 
 
-def _nonzero(coeffs: dict) -> dict:
-    return {a: c for a, c in coeffs.items() if abs(c) > COEFF_DROP_TOL}
+def _affine(coeffs: dict, zero: Exponent, constant: float) -> dict:
+    """coeffs without those of magnitude at most COEFF_DROP_TOL, then v_0's
+    term if constant is nonzero: a bound's constant is no noise however small,
+    and without it an upper-bound row could cut off feasible points."""
+    row = {a: c for a, c in coeffs.items() if abs(c) > COEFF_DROP_TOL}
+    if constant:
+        row[zero] = constant
+    return row
 
 
 def build_mccormick_model(P: Pattern, box: Box) -> MomentModel:
-    """The four linearized bound-factor products for a two-coordinate square."""
+    """The four bound-factor products for a two-coordinate square, in v."""
     base = _pattern_base(P)
     supp, ranges = _coordinate_ranges(base, box)
     if len(supp) != 2:
@@ -279,16 +300,13 @@ def build_mccormick_model(P: Pattern, box: Box) -> MomentModel:
     model = MomentModel(P.n)
     lo_i, up_i = ("mon_minus_lo", gi), ("up_minus_mon", gi)
     lo_j, up_j = ("mon_minus_lo", gj), ("up_minus_mon", gj)
+    zero = zero_exponent(P.n)
     # (y_i - l_i)(y_j - l_j) >= 0 and the three sign variants, expanded; a
     # zero bound gives a zero coefficient, which is dropped
-    model.add_row(LinearForm(li * lj, _nonzero({gij: 1.0, gi: -lj, gj: -li})),
-                  factors=(lo_i, lo_j))
-    model.add_row(LinearForm(-li * uj, _nonzero({gij: -1.0, gi: uj, gj: li})),
-                  factors=(lo_i, up_j))
-    model.add_row(LinearForm(-ui * lj, _nonzero({gij: -1.0, gi: lj, gj: ui})),
-                  factors=(up_i, lo_j))
-    model.add_row(LinearForm(ui * uj, _nonzero({gij: 1.0, gi: -uj, gj: -ui})),
-                  factors=(up_i, up_j))
+    model.add_row(_affine({gij: 1.0, gi: -lj, gj: -li}, zero, li * lj), factors=(lo_i, lo_j))
+    model.add_row(_affine({gij: -1.0, gi: uj, gj: li}, zero, -li * uj), factors=(lo_i, up_j))
+    model.add_row(_affine({gij: -1.0, gi: lj, gj: ui}, zero, -ui * lj), factors=(up_i, lo_j))
+    model.add_row(_affine({gij: 1.0, gi: -uj, gj: -ui}, zero, ui * uj), factors=(up_i, up_j))
     return model
 
 
@@ -300,9 +318,10 @@ def _as_columns(Gamma) -> tuple:
 
 
 def _moment_block(model: MomentModel, basis: tuple, h: Polynomial, factors: tuple):
-    """Add the block [h x^(a+b)]_{a,b in basis}, linearized (v_0 = 1).
+    """Add the block [h x^(a+b)]_{a,b in basis} with each x^alpha read as v_alpha.
 
-    h is the block's multiplier, prod(factors); a 1x1 block becomes a row.
+    h is the block's multiplier, prod(factors); a 1x1 block becomes a row,
+    whose coefficients are its entries.
     """
     terms = list(h.terms.items())
     m = len(basis)
@@ -316,8 +335,7 @@ def _moment_block(model: MomentModel, basis: tuple, h: Polynomial, factors: tupl
         b = basis[0]
         if sum(b):
             factors = factors + (("monomial", exp_add(b, b)),)
-        row = Polynomial(model.n, {a: c for (a, _, _), c in entries.items()})
-        model.add_row(linearize(row), factors=factors or None)
+        model.add_row({a: c for (a, _, _), c in entries.items()}, factors=factors or None)
     else:
         model.add_lmi(m, entries, basis=basis, multiplier_factors=factors)
 
@@ -382,19 +400,15 @@ def build_shifted_model(eta: Exponent, base: MomentModel, box: Box) -> MomentMod
     if rng.lo < 0:
         raise BuilderError(f"shift monomial {eta} can be negative on the box")
     model = MomentModel(base.n)
-
-    def shifted(form: LinearForm) -> LinearForm:
-        # eta shares no variable with the base monomials, so it is a new key
-        coeffs = {exp_add(a, eta): c for a, c in form.coeffs.items()}
-        if abs(form.constant) > COEFF_DROP_TOL:
-            coeffs[eta] = form.constant
-        return LinearForm(0.0, coeffs)
-
     for row in base.rows:
         factors = row.factors
         if factors is not None:
             factors = factors + (("monomial", eta),)
-        model.add_row(shifted(row.form), row.sense, factors)
+        # eta shares no variable with the base monomials, so v_0's term
+        # becomes a new key, v_eta's, unless it is noise
+        coeffs = {exp_add(a, eta): c for a, c in row.coeffs.items()
+                  if any(a) or abs(c) > COEFF_DROP_TOL}
+        model.add_row(coeffs, row.sense, factors)
     for block in base.lmis:
         entries = {(exp_add(a, eta), i, j): c for (a, i, j), c in block.entries.items()}
         model.add_lmi(block.size, entries, basis=block.basis,
@@ -421,9 +435,9 @@ def build_circuit_model(P: Pattern, domain: str = "R_plus") -> MomentModel:
         even = True
     model = MomentModel(P.n)
     for g in gammas:
-        model.add_row(LinearForm(0.0, {g: 1.0}), factors=(("monomial", g),))
+        model.add_row({g: 1.0}, factors=(("monomial", g),))
     if even:
-        model.add_row(LinearForm(0.0, {beta: 1.0}), factors=(("monomial", beta),))
+        model.add_row({beta: 1.0}, factors=(("monomial", beta),))
     model.add_gmc(beta, gammas, lambdas, "even" if even else "odd")
     model.piece = Piece(
         "circuit",
@@ -453,10 +467,11 @@ class ModelPolicy:
 
 def _bounds_model(model: MomentModel, alpha: Exponent, box: Box):
     rng = monomial_range(alpha, box)
+    zero = zero_exponent(model.n)
     if math.isfinite(rng.lo):
-        model.add_row(LinearForm(-rng.lo, {alpha: 1.0}), factors=(("mon_minus_lo", alpha),))
+        model.add_row(_affine({alpha: 1.0}, zero, -rng.lo), factors=(("mon_minus_lo", alpha),))
     if math.isfinite(rng.hi):
-        model.add_row(LinearForm(rng.hi, {alpha: -1.0}), factors=(("up_minus_mon", alpha),))
+        model.add_row(_affine({alpha: -1.0}, zero, rng.hi), factors=(("up_minus_mon", alpha),))
 
 
 def _pairwise_mccormick(P: Pattern, box: Box) -> MomentModel:

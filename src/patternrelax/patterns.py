@@ -21,6 +21,8 @@ import numpy as np
 from .polynomials import (
     Exponent,
     Polynomial,
+    _integer,
+    _number,
     as_exponent,
     degrees_up_to,
     exp_add,
@@ -161,11 +163,11 @@ class PatternFamily:
         for idx, exps in enumerate(data["patterns"]):
             kind = kinds[idx] if kinds else "generic"
             pmeta = _meta_from_json(metas[idx]) if metas else {}
-            shift = tuple(shifts[idx]) if shifts and shifts[idx] is not None else None
-            patterns.append(Pattern(frozenset(map(tuple, map(lambda e: map(int, e), exps))),
+            shift = _exponent(shifts[idx]) if shifts and shifts[idx] is not None else None
+            patterns.append(Pattern(frozenset(map(_exponent, exps)),
                                     kind=kind, meta=pmeta, shift=shift))
         n = meta.get("dimension")
-        return cls(patterns, n=n, kind=data["kind"])
+        return cls(patterns, n=n if n is None else _integer(n), kind=data["kind"])
 
 
 def _meta_to_json(meta: dict) -> dict:
@@ -180,23 +182,30 @@ def _meta_to_json(meta: dict) -> dict:
     return out
 
 
+def _exponent(v) -> Exponent:
+    """An exponent read from JSON: integers only."""
+    return tuple(map(_integer, v))
+
+
 def _meta_from_json(meta: dict) -> dict:
     out = {}
     for k, v in meta.items():
         if k in ("gamma", "gammas"):
             # either one direction vector or a tuple of matrix columns
             if v and isinstance(v[0], list):
-                out[k] = tuple(tuple(int(e) for e in col) for col in v)
+                out[k] = tuple(map(_exponent, v))
             else:
-                out[k] = tuple(int(e) for e in v)
+                out[k] = _exponent(v)
         elif k in ("beta", "base_alpha"):
-            out[k] = tuple(int(e) for e in v)
+            out[k] = _exponent(v)
         elif k == "basis":
-            out[k] = tuple(tuple(int(e) for e in b) for b in v)
+            out[k] = tuple(map(_exponent, v))
         elif k == "lambdas":
-            out[k] = tuple(float(x) for x in v)
+            out[k] = tuple(map(_number, v))
         elif k == "base":
-            out[k] = frozenset(tuple(int(e) for e in b) for b in v)
+            out[k] = frozenset(map(_exponent, v))
+        elif k in ("steps", "axis", "d"):
+            out[k] = _integer(v)
         else:
             out[k] = v
     return out

@@ -27,6 +27,21 @@ def as_exponent(seq: Iterable[int]) -> Exponent:
     return e
 
 
+def _number(v) -> float:
+    """A JSON number as a float; float() would also take a bool or a string."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
+def _integer(v) -> int:
+    """A JSON integer, for an exponent entry or a coordinate index; int()
+    would also take 2.7 as 2."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{v!r} is not an integer")
+    return v
+
+
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -152,7 +167,7 @@ class Box:
         for key in ("l", "u"):
             if key not in data:
                 raise ValueError(f"box JSON missing field '{key}'")
-        return cls(data["l"], data["u"])
+        return cls(map(_number, data["l"]), map(_number, data["u"]))
 
     def __eq__(self, other):
         return (
@@ -335,13 +350,13 @@ class Polynomial:
             raise ValueError("polynomial JSON missing field 'n'")
         if "terms" not in data:
             raise ValueError("polynomial JSON missing field 'terms'")
-        n = int(data["n"])
+        n = _integer(data["n"])
         terms = {}
         for row in data["terms"]:
             if len(row) != n + 1:
                 raise ValueError(f"polynomial JSON term row {row} must have {n + 1} entries")
-            alpha = as_exponent(row[:n])
-            terms[alpha] = terms.get(alpha, 0.0) + float(row[n])
+            alpha = as_exponent(map(_integer, row[:n]))
+            terms[alpha] = terms.get(alpha, 0.0) + _number(row[n])
         return cls(n, terms)
 
     def dumps(self) -> str:
@@ -395,46 +410,3 @@ def product_of_factors(factors, box: Box, n: int) -> Polynomial:
     for f in factors:
         p = p * factor_polynomial(f, box, n)
     return p
-
-
-class LinearForm:
-    """Affine form constant + sum_alpha coeffs[alpha] * v_alpha + sum_i aux[i] * t_i.
-
-    v_0 is the constant 1, so the zero exponent never appears among the
-    coefficients. The form keeps the dicts it is given: its builder makes the
-    keys from validated patterns and drops coefficients of magnitude at most
-    COEFF_DROP_TOL where it computes them.
-    """
-
-    __slots__ = ("constant", "coeffs", "aux")
-
-    def __init__(self, constant: float = 0.0, coeffs=None, aux=None):
-        self.constant = constant
-        self.coeffs = coeffs or {}
-        self.aux = aux or {}
-
-    def value(self, assignment: Mapping[Exponent, float], aux=None) -> float:
-        total = self.constant
-        for a, c in self.coeffs.items():
-            total += c * assignment[a]
-        for i, c in self.aux.items():
-            total += c * aux[i]
-        return total
-
-    def __repr__(self):
-        bits = []
-        if self.constant or not (self.coeffs or self.aux):
-            bits.append(f"{self.constant:g}")
-        bits += [f"{c:+g}*v{a}" for a, c in sorted(self.coeffs.items())]
-        bits += [f"{c:+g}*t{i}" for i, c in sorted(self.aux.items())]
-        return " ".join(bits)
-
-
-def linearize(f: Polynomial) -> LinearForm:
-    """Riesz linearization: replace each x^alpha by the monomial variable v_alpha.
-
-    The constant term of f becomes the form's constant (v_0 = 1).
-    """
-    coeffs = dict(f.terms)
-    constant = coeffs.pop(zero_exponent(f.n), 0.0)
-    return LinearForm(constant, coeffs)

@@ -49,15 +49,8 @@ def solve_with_family(f, fam, box, sense="min", policy=None):
 
 
 def row_signature(model):
-    out = []
-    for row in model.rows:
-        if row.sense != ">=":
-            continue
-        d = dict(row.form.coeffs)
-        if row.form.constant:
-            d["const"] = row.form.constant
-        out.append(d)
-    return out
+    return [{a if any(a) else "const": c for a, c in row.coeffs.items()}
+            for row in model.rows if row.sense == ">="]
 
 
 def contains_row(rows, want):

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +181,18 @@ def test_malformed_instance_fails_without_raising(tmp_path, capsys, text):
     assert main(["verify", "--certificate", str(cert),
                  "--instance", str(inst)]) == 1
     assert capsys.readouterr().out.startswith("FAIL (malformed instance): ")
+
+
+@pytest.mark.parametrize("command", [["relax", "--export-sdpa", "prog.dat-s"], ["solve"]],
+                         ids=["relax", "solve"])
+def test_relax_and_solve_report_a_malformed_instance(tmp_path, capsys, command, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("inst.json").write_text('{"n": 1}')
+    name, *rest = command
+    assert main([name, "--instance", "inst.json", "--method", "H", *rest]) == 1
+    assert capsys.readouterr().out == \
+        "FAIL (malformed instance): instance JSON missing field 'f'\n"
+    assert not Path("prog.dat-s").exists()
 
 
 def test_cli_max_sense_certificate_round_trip(tmp_path, capsys):

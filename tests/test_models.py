@@ -37,15 +37,13 @@ from patternrelax.patterns import (
     univariate_sparse_family,
 )
 from patternrelax.pipeline import solve_relaxation
-from patternrelax.polynomials import COEFF_DROP_TOL, Box, LinearForm, Polynomial, exp_support
+from patternrelax.polynomials import COEFF_DROP_TOL, Box, Polynomial, exp_support
 from patternrelax.program import Piece
 
 
 def row_map(row):
-    d = dict(row.form.coeffs)
-    if row.form.constant:
-        d["const"] = row.form.constant
-    return d
+    """The row's coefficients, v_0's under the key "const"."""
+    return {a if any(a) else "const": c for a, c in row.coeffs.items()}
 
 
 def rows_as_sets(model):
@@ -93,7 +91,7 @@ def test_mccormick_degenerate_interval_collapses():
     # rows imply v11 == 0.5*v01 through two opposite inequality pairs
     vals = []
     for r in m.rows:
-        c = r.form.coeffs
+        c = r.coeffs
         if set(c) == {(1, 1), (0, 1)}:
             vals.append((c[(1, 1)], c[(0, 1)]))
     assert len(vals) >= 2
@@ -440,11 +438,12 @@ def test_model_dump_mentions_all_constraint_kinds():
 
 @functools.cache
 def _reference_nonnegative_rows(count: int) -> tuple:
-    return tuple(models.Row(LinearForm(0.0, None, {j: 1.0})) for j in range(count))
+    return tuple(models.Row({}, aux={j: 1.0}) for j in range(count))
 
 
 def _reference_multilinear_model(P, box):
-    """build_multilinear_model as it was before vertex tables were shared."""
+    """build_multilinear_model as it was before vertex tables were shared,
+    its rows written in the current Row format."""
     base = models._pattern_base(P)
     if not all(set(col) <= {0, b} for col, b in zip(zip(*P.exponents), base)):
         raise BuilderError("pattern is not contained in its multilinear cube")
@@ -457,7 +456,7 @@ def _reference_multilinear_model(P, box):
     vertices = list(itertools.product(*ranges))
     count = model.aux_count = len(vertices)
     rows = model.rows
-    rows.append(models.Row(LinearForm(-1.0, None, dict.fromkeys(range(count), 1.0)), "=="))
+    rows.append(models.Row({(0,) * P.n: -1.0}, "==", aux=dict.fromkeys(range(count), 1.0)))
     columns = dict(zip(supp, zip(*vertices)))  # coordinate -> its value at every vertex
     negated = {i: tuple(map(operator.neg, col)) for i, col in columns.items()}
     pat_exps = sorted(P.exponents)
@@ -469,7 +468,7 @@ def _reference_multilinear_model(P, box):
         for i in rest:
             values = list(map(operator.mul, values, columns[i]))
         aux = {j: v for j, v in enumerate(values) if abs(v) > COEFF_DROP_TOL}
-        rows.append(models.Row(LinearForm(0.0, {beta: 1.0}, aux), "=="))
+        rows.append(models.Row({beta: 1.0}, "==", aux=aux))
     model.variables.update(pat_exps)
     model.variables.discard(tuple([0] * P.n))
     rows += _reference_nonnegative_rows(count)
@@ -514,8 +513,7 @@ def _bits(v):
 
 
 def _model_bits(model, points):
-    rows = [(r.sense, r.factors, _bits(r.form.constant), _bits(r.form.coeffs),
-             _bits(r.form.aux)) for r in model.rows]
+    rows = [(r.sense, r.factors, _bits(r.coeffs), _bits(r.aux)) for r in model.rows]
     return (rows, model.aux_count, sorted(model.variables), model.piece.kind,
             _bits(model.piece.payload), [_bits(model.aux_lift(x)) for x in points])
 

@@ -5,38 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patternrelax import models
 from patternrelax.assemble import assemble_relaxation
-from patternrelax.patterns import chain_family
+from patternrelax.patterns import Pattern, chain_family
 from patternrelax.polynomials import (
     Box,
     Interval,
-    LinearForm,
     Polynomial,
-    linearize,
+    exp_add,
     minkowski_sum,
     monomial_range,
     power_range,
+    product_of_factors,
 )
 
 
 def test_linearize_product_example():
-    # (1-x1)(1-x2) -> 1 - v10 - v01 + v11
-    f = Polynomial(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
-    form = linearize(f)
-    assert form.constant == 1.0
-    assert form.coeffs == {(1, 0): -1.0, (0, 1): -1.0, (1, 1): 1.0}
-
-
-def test_linearize_zero_polynomial():
-    form = linearize(Polynomial.zero(3))
-    assert form.constant == 0.0 and not form.coeffs
-
-
-def test_linearize_tree_polynomial():
-    f = Polynomial(3, {(2, 0, 1): 2, (1, 1, 4): -3, (1, 1, 1): 7})
-    form = linearize(f)
-    assert form.coeffs == {(2, 0, 1): 2.0, (1, 1, 4): -3.0, (1, 1, 1): 7.0}
-    assert form.constant == 0.0
+    # a McCormick row is the product of its factors with each x^alpha read as
+    # v_alpha, the zero exponent standing for v_0 = 1: on the unit square
+    # (1-x1)(1-x2) -> 1 - v10 - v01 + v11, and a zero constant writes no v_0
+    square = Pattern(frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}), kind="multilinear")
+    for box in (Box.unit(2), Box([-1.0, 0.5], [2.0, 3.0])):
+        for row in models.build_mccormick_model(square, box).rows:
+            assert row.coeffs == product_of_factors(row.factors, box, 2).terms
+    rows = models.build_mccormick_model(square, Box.unit(2)).rows
+    assert rows[0].coeffs == {(1, 1): 1.0}
+    assert rows[3].coeffs == {(1, 1): 1.0, (1, 0): -1.0, (0, 1): -1.0, (0, 0): 1.0}
 
 
 def test_linearize_conic_keeps_v0():
@@ -45,8 +39,6 @@ def test_linearize_conic_keeps_v0():
     prog = assemble_relaxation(f, chain_family({(1,)}), Box.unit(1))
     assert prog.c[prog.meta["v0_col"]] == 5.0
     assert prog.c[prog.col_exponents.index((1,))] == 2.0
-    body = linearize(f)
-    assert body.constant == 5.0 and body.coeffs == {(1,): 2.0}
 
 
 def test_monomial_range_examples():
@@ -140,19 +132,23 @@ def test_minkowski_commutative_associative(A, B, C):
 @given(st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_linearize_substitution_matches_evaluate(seed):
+    # a 1x1 moment block [h x^(2b)] becomes a row; with v_alpha = x^alpha
+    # and v_0 = 1 the row's value is h(x) x^(2b)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     terms = {}
     for _ in range(int(rng.integers(1, 6))):
         alpha = tuple(int(k) for k in rng.integers(0, 4, n))
         terms[alpha] = float(rng.uniform(-2, 2))
-    f = Polynomial(n, terms)
+    h = Polynomial(n, terms)
+    b = tuple(int(k) for k in rng.integers(0, 3, n))
+    model = models.MomentModel(n)
+    models._moment_block(model, (b,), h, ())
+    (row,) = model.rows
     x = rng.uniform(-1.5, 1.5, n)
-    form = linearize(f)
-    assign = {a: float(np.prod(x ** np.array(a))) for a in form.coeffs}
-    direct = f.evaluate(x)
-    via_form = form.value(assign)
-    assert abs(direct - via_form) <= 1e-12 * (1.0 + abs(direct))
+    values = [c * Polynomial.monomial(a).evaluate(x) for a, c in row.coeffs.items()]
+    direct = h.evaluate(x) * Polynomial.monomial(exp_add(b, b)).evaluate(x)
+    assert abs(direct - sum(values)) <= 1e-12 * (1.0 + sum(map(abs, values)))
 
 
 def test_normalization_drops_noise_coefficients():
@@ -198,8 +194,3 @@ def test_box_refuses_nan_bounds_naming_the_coordinate(lower, upper):
 def test_degenerate_box_is_legal():
     b = Box([0.5, 1.0], [0.5, 2.0])
     assert monomial_range((2, 1), b) == Interval(0.25, 0.5)
-
-
-def test_linear_form_aux_and_dedup_key():
-    f1 = LinearForm(1.0, {(1, 0): 2.0}, {0: -1.0})
-    assert f1.value({(1, 0): 3.0}, [4.0]) == 1.0 + 6.0 - 4.0

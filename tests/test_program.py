@@ -1,12 +1,14 @@
 import copy
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from patternrelax.bench import family_for_method, gen_instance
 from patternrelax.io import export_instance_json, import_instance_json
-from patternrelax.patterns import h_family, make_sdsos
+from patternrelax.patterns import FAMILY_BUILDERS, PatternFamily, h_family, make_sdsos
 from patternrelax.polynomials import Box, Polynomial
 from patternrelax.program import (
     ConicProgram,
@@ -331,6 +333,51 @@ def test_instance_json_drops_noise_coefficients():
     assert f.support() == {(1,)}
 
 
+def _malform_instance(edit) -> str:
+    f = Polynomial(2, {(1, 1): 1.0, (2, 0): -0.25})
+    data = json.loads(export_instance_json(f, Box([-1, 0], [1, 2]), h_family(f.support())))
+    edit(data)
+    return json.dumps(data)
+
+
+def _set(path, value):
+    def edit(data):
+        *keys, last = path
+        for key in keys:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+# each value here loaded before as something else: 2.7 as the exponent 2,
+# true as the coefficient 1.0, "1" as the bound 1.0, 1.9 as the exponent 1,
+# and the shift (0.5, 0) loaded and failed inside assembly
+@pytest.mark.parametrize("edit", [
+    _set(("f", "terms", 0, 0), 2.7),
+    _set(("f", "terms", 0, 2), True),
+    _set(("box", "u", 0), "1"),
+    _set(("family", "patterns", 0, 1, 0), 1.9),
+    _set(("family", "meta", "shifts", 0), [0.5, 0]),
+], ids=["float_exponent", "boolean_coefficient", "string_bound", "float_family_exponent",
+        "float_shift"])
+def test_instance_json_takes_only_json_integers_and_numbers(edit):
+    with pytest.raises(ValueError, match="is not an? (integer|number)"):
+        import_instance_json(_malform_instance(edit))
+
+
+@pytest.mark.parametrize("method", [*sorted(FAMILY_BUILDERS), "sdsos"])
+def test_instance_json_round_trip_keeps_every_pattern(method):
+    # the families of every method, and circuit metadata, load as they were written
+    f = gen_instance("S(2,4)", 3).f
+    if method == "univariate-sparse":
+        f = Polynomial(1, {(3,): -2.0, (8,): 1.0})
+    fam = (PatternFamily([make_sdsos((1, 0), (0, 1))], 2) if method == "sdsos"
+           else family_for_method(method, f))
+    _, _, back, _ = import_instance_json(export_instance_json(f, Box.unit(f.n), fam))
+    assert [(p.exponents, p.kind, p.meta, p.shift) for p in back] == \
+        [(p.exponents, p.kind, p.meta, p.shift) for p in fam]
+
+
 def test_lift_point_on_lowered_circuit_program():
     from patternrelax.assemble import assemble_relaxation
     from patternrelax.patterns import PatternFamily
@@ -345,3 +392,17 @@ def test_lift_point_on_lowered_circuit_program():
         x = rng.uniform(-2, 2, 2)
         v = lowered.lift_point(x)
         assert lowered.max_violation(v) <= 1e-9
+
+
+def test_lift_point_sets_the_sqrt_nodes_of_a_circuit_tower():
+    # weights 5/8 and 3/8 give a tower with two sqrt nodes below its top
+    from patternrelax.assemble import assemble_relaxation
+    from patternrelax.patterns import PatternFamily, make_circuit
+
+    fam = PatternFamily([make_circuit((3,), [(0,), (8,)])], 1)
+    f = Polynomial(1, {(3,): -1.0, (8,): 1.0})
+    lowered = assemble_relaxation(f, fam, Box.nonneg_orthant(1)).lowered()
+    assert sum(kind == "sqrt" for _, kind, _ in lowered.tower_lift) == 2
+    rng = np.random.default_rng(5)
+    for x in rng.uniform(0.0, 3.0, size=(40, 1)):
+        assert lowered.max_violation(lowered.lift_point(x)) <= 1e-9
