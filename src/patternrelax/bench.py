@@ -331,7 +331,11 @@ def run_benchmark(cfg: BenchConfig) -> tuple:
 
 
 def summarize(records) -> list:
-    """Per-(family, method) median/quartiles of triv and mean wall time."""
+    """Per-(family, method) median/quartiles of triv and mean wall time.
+
+    solved counts the instances whose min and max solves both ended
+    optimal (those with a triv), out of the group's instances.
+    """
     groups: dict = {}
     for rec in records:
         groups.setdefault((rec.family, rec.method), []).append(rec)
@@ -347,6 +351,7 @@ def summarize(records) -> list:
             q1 = med = q3 = math.nan
         rows.append({
             "family": family, "method": method, "solved": len(tvals),
+            "instances": len({r.instance_id for r in recs}),
             "triv_q1": q1, "triv_median": med, "triv_q3": q3,
             "mean_time_s": float(times.mean()) if times.size else math.nan,
         })

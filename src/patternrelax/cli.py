@@ -96,7 +96,8 @@ def cmd_bench(args):
     Path(args.out).write_text(records_to_csv(records))
     print(f"wrote {args.out} ({len(records)} records)")
     for row in summary:
-        print("  {family:>12} {method:>16}  median triv {triv_median:.4f} "
+        print("  {family:>12} {method:>16}  solved {solved}/{instances}  "
+              "median triv {triv_median:.4f} "
               "(q1 {triv_q1:.4f}, q3 {triv_q3:.4f})  mean time {mean_time_s:.3f}s"
               .format(**row))
 

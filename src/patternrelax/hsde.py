@@ -8,7 +8,10 @@ static-regularization fallback plus iterative refinement.  Equalities and
 the linear cone rows enter the KKT system directly; only the PSD blocks are
 eliminated into their Schur complements.  The KKT matrix is filled into a
 sparsity pattern built once per solve and factored with splu, whatever its
-size.
+size.  The fill-reducing ordering is computed once per solve too: the first
+factorization's COLAMD perm_c relabels the rows and columns of every later
+matrix, with each column's rows in their original order, which gives the
+same bits as COLAMD each time (_KKTPattern).
 
 Each KKT solve is one refinement loop of at most six passes against the
 residual accumulated in long double.
@@ -237,10 +240,13 @@ class _StandardForm:
             k = np.searchsorted(bcols, G.indices[lo:hi])
             kind = _DenseBlock if m <= DENSE_BLOCK_MAX else _SparseBlock
             self.blocks.append(kind(m, bcols, entry, k, -G.data[lo:hi]))
-        ld = np.longdouble
         self.GT = self.G.T
-        self.A_ld, self.G_ld = sps.csr_array(self.A).astype(ld), self.G.astype(ld)
-        self.AT_ld, self.GT_ld = self.A_ld.T, self.G_ld.T
+        # A over G in long double, so that one CSR product gives A dx and
+        # G dx (each row is summed on its own, so the bits are those of two
+        # products); the transposes are views of its row slices
+        p = self.A.shape[0]
+        self.AG_ld = sps.vstack([sps.csr_array(self.A), G], format="csr").astype(np.longdouble)
+        self.AT_ld, self.GT_ld = self.AG_ld[:p].T, self.AG_ld[p:].T
         self.kkt_pattern = _KKTPattern(self)
 
     def _drop_dependent_equalities(self):
@@ -501,46 +507,106 @@ class _KKTPattern:
     transposes, plus the whole diagonal (for w2 and the shift fallback).  The
     pattern is built once per solve together with the slots of the blocks
     and of the diagonal in the CSC data array, so an iteration only fills in
-    values.
+    values, into the matrices M (the KKT matrix) and Ms (its equilibration),
+    which the pattern holds for the whole solve.
+
+    The fill-reducing ordering depends on the pattern alone, so it is also
+    computed once per solve: the first factorization orders the columns
+    with COLAMD, as splu does by default, and the pattern keeps that
+    perm_c.  Each later factorization gathers Ms into P, the same matrix
+    with rows and columns relabelled by perm_c, and factors P in its natural
+    order.  Its factors, pivots and solves are the same bits as those of
+    splu with COLAMD on Ms, because of two properties of P:
+
+    - rows and columns are relabelled by the same permutation, so SuperLU's
+      preferred diagonal pivot is still the true diagonal;
+    - each column keeps its rows in their original order (P is marked
+      canonical, so splu does not sort them), so pivot ties break as they
+      do on Ms.
     """
 
     def __init__(self, sf: _StandardForm):
         n, p = sf.n, sf.A.shape[0]
         N = n + p + sf.l
-        # coordinates of every contribution: diagonal, blocks, then the fixed
-        # A and Gl entries below H and their transposes
+        # every contribution as the key column * N + row of its coordinate:
+        # the diagonal, each block's columns x columns, then the fixed A and Gl
+        # entries below H and their transposes.  A block's keys run column by
+        # column, so they ascend, and the search for their slots below walks
+        # the stored keys in order instead of jumping across them
         Gl = sf.G[: sf.l].tocoo()
         ai, aj = np.nonzero(sf.A)
-        blk = [np.meshgrid(b.cols, b.cols, indexing="ij") for b in sf.blocks]
         lower_r = np.concatenate([n + ai, n + p + Gl.row])
         lower_c = np.concatenate([aj, Gl.col])
-        diag = np.arange(N)
-        rows = np.concatenate([diag, *(i.ravel() for i, _ in blk), lower_r, lower_c])
-        cols = np.concatenate([diag, *(j.ravel() for _, j in blk), lower_c, lower_r])
-        keys, slot = np.unique(cols * N + rows, return_inverse=True)
-        self.indices = (keys % N).astype(np.int32)
-        self.col = keys // N  # column of each stored entry
+        blk = [(b.cols[:, None] * N + b.cols).ravel() for b in sf.blocks]
+        keys = np.concatenate([np.arange(N) * (N + 1), *blk,
+                               lower_c * N + lower_r, lower_r * N + lower_c])
+        # the stored entries: the distinct keys, column by column with sorted
+        # rows (np.unique with return_inverse would argsort all the keys,
+        # slower than this sort and search)
+        srt = np.sort(keys)
+        stored = srt[np.concatenate([[True], srt[1:] != srt[:-1]])]
+        slot = np.searchsorted(stored, keys)  # where each contribution goes in the data
+        self.indices = (stored % N).astype(np.int32)
+        self.col = stored // N  # column of each stored entry
         self.indptr = np.searchsorted(self.col, np.arange(N + 1)).astype(np.int32)
         self.shape = (N, N)
-        # where each contribution goes in the data array
         self.diag = slot[:N]
         self.lin_diag = self.diag[n + p:]
-        k = N + sum(i.size for i, _ in blk)
-        self.hslots = slot[N:k]  # each block's columns x columns, row by row
-        self.base = np.zeros(len(keys))  # the fixed A and Gl values
-        self.base[slot[k:]] = np.concatenate([sf.A[ai, aj], Gl.data] * 2)
+        # each block's columns x columns, row by row as its Hb is raveled
+        ends = np.cumsum([N] + [k.size for k in blk])
+        self.hslots = np.concatenate([np.zeros(0, np.intp)] + [
+            slot[a:e].reshape(b.cols.size, -1).T.ravel()
+            for a, e, b in zip(ends, ends[1:], sf.blocks)])
+        self.base = np.zeros(len(stored))  # the fixed A and Gl values
+        self.base[slot[ends[-1]:]] = np.concatenate([sf.A[ai, aj], Gl.data] * 2)
+        self.M, self.Ms = (sps.csc_array((np.zeros(len(stored)), self.indices, self.indptr),
+                                         shape=self.shape) for _ in range(2))
+        # the ordering and the permuted matrix, from the first factorization
+        self.perm = self.iperm = self.gather = self.P = None
 
     def matrix(self, w2: np.ndarray, Hbs: list) -> sps.csc_array:
         """The KKT matrix for the scaling W'W (diagonal w2 on the linear rows)
-        and the Schur complements Hb of the blocks, in order."""
-        data = self.base.copy()
+        and the Schur complements Hb of the blocks, in order: M, refilled."""
+        data = self.M.data
+        data[:] = self.base
         if Hbs:
             # one pass that adds the blocks' terms slot by slot in block
             # order, the sums of data[slots] += Hb block by block
             data += np.bincount(self.hslots, np.concatenate([Hb.ravel() for Hb in Hbs]),
                                 len(data))
         data[self.lin_diag] = -w2
-        return sps.csc_array((data, self.indices, self.indptr), shape=self.shape)
+        return self.M
+
+    def factor(self, Ms: sps.csc_array):
+        """The LU of Ms, a matrix on this pattern, and a solve function of it.
+
+        splu raises RuntimeError at an exactly zero pivot.
+        """
+        if self.perm is None:
+            lu = spla.splu(Ms)
+            self._keep_ordering(lu.perm_c)
+            return lu, lu.solve
+        np.take(Ms.data, self.gather, out=self.P.data)
+        lu = spla.splu(self.P, permc_spec="NATURAL")
+        perm, iperm = self.perm, self.iperm
+        return lu, lambda b: lu.solve(b[iperm])[perm]
+
+    def _keep_ordering(self, perm_c: np.ndarray):
+        """Keep the column ordering perm_c (column j of Ms goes to place
+        perm_c[j]) and lay out P, the matrix relabelled by it."""
+        # a copy: perm_c is a view whose base is the SuperLU object, which it
+        # would keep alive for the whole solve
+        self.perm = np.array(perm_c)
+        self.iperm = np.argsort(self.perm)
+        # column k of P is column iperm[k] of Ms, its rows in their order
+        counts = np.diff(self.indptr)[self.iperm]
+        indptr = np.zeros(len(counts) + 1, np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        self.gather = (np.repeat(self.indptr[self.iperm] - indptr[:-1], counts)
+                       + np.arange(len(self.indices)))
+        self.P = sps.csc_array((np.empty(len(self.gather)), self.perm[self.indices[self.gather]],
+                                indptr), shape=self.shape)
+        self.P.has_canonical_format = True
 
 
 class _KKT:
@@ -553,8 +619,10 @@ class _KKT:
     with -w2 on their diagonal, as in ECOS and CVXOPT's ldl KKT solver,
     instead of entering H as Gl'(W'W)^{-1}Gl, which squares their scaling.
     The matrix is filled into the solve's fixed sparsity pattern
-    (_KKTPattern), equilibrated symmetrically and factored with splu; a
-    (near-)singular one is factored again with a tiny quasidefinite shift.
+    (_KKTPattern), equilibrated symmetrically and factored by the pattern
+    with its stored ordering; a (near-)singular one is factored again with a
+    tiny quasidefinite shift.  M and Ms are the pattern's matrices, refilled
+    by the next _KKT of the solve.
     """
 
     REG = 1e-10
@@ -569,9 +637,9 @@ class _KKT:
         # symmetric diagonal equilibration before factorizing
         d = np.sqrt(np.maximum(np.maximum.reduceat(np.abs(M.data), M.indptr[:-1]), 1e-300))
         self.d = 1.0 / d
-        self.M = M
-        self.Ms = sps.csc_array((M.data * self.d[M.indices] * self.d[pattern.col],
-                                 M.indices, M.indptr), shape=M.shape)
+        self.M, self.Ms = M, pattern.Ms
+        np.multiply(M.data, self.d[M.indices], out=self.Ms.data)
+        self.Ms.data *= self.d[pattern.col]
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
@@ -589,11 +657,11 @@ class _KKT:
     def _factor(self, Ms):
         """A solve function of the LU of Ms, its pivots, and its factor arrays."""
         try:
-            lu = spla.splu(Ms)
+            lu, solve = self.sf.kkt_pattern.factor(Ms)
         except RuntimeError as exc:  # splu stops at an exactly zero pivot
             raise np.linalg.LinAlgError("singular KKT matrix") from exc
-        L, U = lu.L, lu.U  # each access builds a new matrix
-        return lu.solve, U.diagonal(), (L.data, U.data)
+        L, U = lu.L, lu.U  # built at the first access, then cached by scipy
+        return solve, U.diagonal(), (L.data, U.data)
 
     def _shifted(self):
         """The equilibrated matrix with a tiny quasidefinite shift."""
@@ -633,12 +701,14 @@ class _KKT:
 
         Near convergence dz is huge while the target residual is tiny, so
         double-precision products would floor the attainable dual accuracy.
+        u, v and w may be long double already (solve3 converts them once).
         """
-        sf, ld = self.sf, np.longdouble
-        dxl, dzl = dx.astype(ld), dz.astype(ld)
-        r1 = (u.astype(ld) - (sf.AT_ld @ dy.astype(ld) + sf.GT_ld @ dzl)).astype(float)
-        r2 = (v.astype(ld) - sf.A_ld @ dxl).astype(float)
-        r3 = (w.astype(ld) - sf.G_ld @ dxl + self.scal.WtW_apply_ld(dzl)).astype(float)
+        sf, ld, p = self.sf, np.longdouble, self.p
+        dzl = dz.astype(ld)
+        AGdx = sf.AG_ld @ dx.astype(ld)
+        r1 = (u - (sf.AT_ld @ dy.astype(ld) + sf.GT_ld @ dzl)).astype(float)
+        r2 = (v - AGdx[:p]).astype(float)
+        r3 = (w - AGdx[p:] + self.scal.WtW_apply_ld(dzl)).astype(float)
         return r1, r2, r3
 
     def solve3(self, u: np.ndarray, v: np.ndarray, w: np.ndarray):
@@ -653,9 +723,11 @@ class _KKT:
         tol = 1e-13 * max(1.0, _inf_norm(u), _inf_norm(v))
         passes = 6
         best = None
+        ld = np.longdouble
+        u_ld, v_ld, w_ld = u.astype(ld), v.astype(ld), w.astype(ld)
         dx, dy, dz = self._raw_solve(u, v, w)
         for k in range(passes):
-            r1, r2, r3 = self._full_residual(u, v, w, dx, dy, dz)
+            r1, r2, r3 = self._full_residual(u_ld, v_ld, w_ld, dx, dy, dz)
             err = max(_inf_norm(r1), _inf_norm(r2), _inf_norm(r3))
             if best is None or err < best[0]:
                 best = (err, dx, dy, dz)

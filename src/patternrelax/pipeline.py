@@ -28,7 +28,12 @@ class Relaxation:
 
     @property
     def bound(self) -> float:
-        """A lower bound on min f, or an upper bound on max f."""
+        """The solver's primal objective in the solve's sense: approximately a
+        lower bound on min f, or an upper bound on max f.
+
+        It is a bound only up to the solver's tolerances; certify() checks
+        the certificate's coefficients within COEFF_TOL, not exactly.
+        """
         primal = self.result.primal
         return primal if self.program.meta["sense"] == "min" else -primal
 

@@ -164,6 +164,7 @@ def test_run_benchmark_records_and_determinism():
     for row in summary:
         assert 0.0 <= row["triv_median"] <= 1.0 + 1e-6
         assert row["mean_time_s"] >= 0.0
+        assert row["solved"] == row["instances"] == 3
 
 
 def test_run_benchmark_empty_methods():
@@ -189,6 +190,7 @@ def test_benchmark_failure_recorded_not_raised():
     assert len(records) == 2
     assert all(r.status.startswith("error:") for r in records)
     assert all(math.isnan(r.value) for r in records)
+    assert [(row["solved"], row["instances"]) for row in summary] == [(0, 1)]
 
 
 def test_assembly_failure_recorded_not_raised(monkeypatch):

@@ -220,6 +220,16 @@ def test_cli_max_sense_certificate_round_trip(tmp_path, capsys):
     assert rel.certify()[1].passed
 
 
+def test_cli_bench_prints_solved_count(tmp_path, capsys):
+    # a method that refuses the instance shows as solved 0/1, not only as a
+    # NaN median
+    cfg, csv_out = tmp_path / "bench.json", tmp_path / "results.csv"
+    cfg.write_text(json.dumps({"families": ["A6"], "methods": ["T"], "samples": 1}))
+    assert main(["bench", "--config", str(cfg), "--out", str(csv_out)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].split()[:4] == ["A6", "T", "solved", "0/1"]
+
+
 def test_cli_rejects_unknown_method(tmp_path):
     inst = tmp_path / "inst.json"
     main(["gen", "--tag", "Aex", "--seed", "1", "--out", str(inst)])

@@ -7,11 +7,12 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import family_for_method, gen_instance
-from patternrelax.hsde import (_KKT, DENSE_BLOCK_MAX, _DenseBlock, _jordan, _matmul_ld, _Scaling,
-                               _SparseBlock, _StandardForm)
+from patternrelax.hsde import (_KKT, DENSE_BLOCK_MAX, _DenseBlock, _jordan, _KKTPattern, _matmul_ld,
+                               _Scaling, _SparseBlock, _StandardForm)
 from patternrelax.ipm import SolveResult, SolverConfig, solve
 from patternrelax.pipeline import solve_relaxation
 from patternrelax.program import ConicProgram
@@ -604,6 +605,86 @@ def test_kkt_matrix_matches_dense_formula(tag, method):
                     [Gl, np.zeros((l, p)), -np.diag(scal.w2)]])
     assert sps.issparse(kkt.M)
     assert np.max(np.abs(kkt.M.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _pattern_by_unique(sf):
+    """The KKT pattern's arrays as np.unique over every coordinate gives them."""
+    n, p = sf.n, sf.A.shape[0]
+    N = n + p + sf.l
+    Gl = sf.G[: sf.l].tocoo()
+    ai, aj = np.nonzero(sf.A)
+    blk = [np.meshgrid(b.cols, b.cols, indexing="ij") for b in sf.blocks]
+    lower_r = np.concatenate([n + ai, n + p + Gl.row])
+    lower_c = np.concatenate([aj, Gl.col])
+    diag = np.arange(N)
+    rows = np.concatenate([diag, *(i.ravel() for i, _ in blk), lower_r, lower_c])
+    cols = np.concatenate([diag, *(j.ravel() for _, j in blk), lower_c, lower_r])
+    keys, slot = np.unique(cols * N + rows, return_inverse=True)
+    col = keys // N
+    k = N + sum(i.size for i, _ in blk)
+    base = np.zeros(len(keys))
+    base[slot[k:]] = np.concatenate([sf.A[ai, aj], Gl.data] * 2)
+    return {"indices": (keys % N).astype(np.int32), "col": col,
+            "indptr": np.searchsorted(col, np.arange(N + 1)).astype(np.int32),
+            "diag": slot[:N], "hslots": slot[N:k], "base": base}
+
+
+@pytest.mark.parametrize("tag,method", [("dense(2,6)", "C"), ("A6", "M"),
+                                        ("dense(3,8)", "tssos-sos"), ("S(2,4)", "T")],
+                         ids=["dense26_C", "A6_M", "dense38_tssos", "S24_T"])
+def test_kkt_pattern_matches_unique_build(tag, method):
+    # the pattern's stored entries and slots, found by one sort of the
+    # coordinate keys and a search, are those of np.unique with its inverse
+    sf = _StandardForm(_lowered(tag, method))
+    for name, want in _pattern_by_unique(sf).items():
+        got = getattr(sf.kkt_pattern, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def _superlu_bases(arr):
+    """The SuperLU objects among the bases of arr's chain of views."""
+    out = []
+    while arr is not None:
+        if isinstance(arr, spla.SuperLU):
+            out.append(arr)
+        arr = getattr(arr, "base", None)
+    return out
+
+
+@pytest.mark.parametrize("tag,method", [("A6", "M"), ("dense(2,6)", "C"), ("dense(3,4)", "H"),
+                                        ("dense(3,8)", "tssos-sos")],
+                         ids=["A6_M", "dense26_C", "dense34_H", "dense38_tssos"])
+def test_stored_ordering_factors_bit_for_bit(monkeypatch, tag, method):
+    # the pattern keeps the COLAMD ordering of the first factorization and
+    # factors later matrices, relabelled by it, in their natural order; on
+    # the equilibrated KKT matrices of iterations 2-4 the solves must be the
+    # bits of a fresh splu with COLAMD.  This relies on SuperLU's pivot tie
+    # order and on splu running in symmetric mode for "NATURAL", so it
+    # guards the scipy range that pyproject.toml allows
+    captured = []
+    factor = _KKTPattern.factor
+
+    def recording(self, Ms):
+        captured.append((self, Ms.copy()))
+        return factor(self, Ms)
+
+    monkeypatch.setattr(_KKTPattern, "factor", recording)
+    inst = gen_instance(tag, 1)
+    solve_relaxation(inst.f, family_for_method(method, inst.f), inst.box, "min")
+    pattern = captured[0][0]
+    assert len(captured) >= 4 and all(pat is pattern for pat, _ in captured)
+    # the ordering is a copy: a view of perm_c would keep the first
+    # factorization alive for the whole solve
+    for arr in (pattern.perm, pattern.iperm, pattern.gather, pattern.P.data):
+        assert not _superlu_bases(arr)
+    rng = np.random.default_rng(5)
+    for _, Ms in captured[1:4]:
+        fresh = spla.splu(Ms)
+        assert np.array_equal(fresh.perm_c, pattern.perm)
+        lu, solve = pattern.factor(Ms)
+        for b in (rng.standard_normal(Ms.shape[0]), np.ones(Ms.shape[0])):
+            assert np.array_equal(solve(b), fresh.solve(b))
+        assert np.array_equal(lu.U.diagonal(), fresh.U.diagonal())
 
 
 def _lowered(tag, method):
