@@ -1,12 +1,15 @@
 import hashlib
+import json
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import STRUCTURED_SETS, brute_force_min, family_for_method, gen_instance
+from patternrelax.io import export_instance_json, import_instance_json
 from patternrelax.models import BuilderError, ModelPolicy, model_for_pattern
 from patternrelax.patterns import (FAMILY_BUILDERS, PatternError, PatternFamily, PatternTooLarge,
                                    chain_family, make_sdsos, multilinear_family,
@@ -169,6 +172,9 @@ PINNED_SDPA = [
     # three-coordinate patterns fall back to pairwise McCormick rows
     ("dense(3,4)", 2, "M", ModelPolicy(vertex_cap=2),
      "dcb88f4e4a553c6c068002b61a81262331df863dd7fcda65390a8b831d62733d"),
+    # H cubes on 7 coordinates, above the default vertex cap: pairwise McCormick
+    ("dense(7,2)", 1, "H", None,
+     "92d5ff17debf358b0ef3583ec65ad813653619a3261979fcd5eea857c86b1082"),
     # shifted chains, whose bound rows on the shift monomial were emitted twice
     ("S(3,6)", 1, "S", None,
      "075d532d6bdfc9a2186a7aac64a5201a146eb6c6b3ada80ce66d4f008acda75e"),
@@ -228,6 +234,30 @@ def test_gmc_tower_sdpa_is_pinned(lambdas, digest):
     prog = ConicProgram(1 + k)
     prog.gmcs.append(GMCData(0, tuple(range(1, k + 1)), tuple(lambdas), "even"))
     assert_pinned_and_reparsed(export_sdpa(prog.lowered()), digest)
+
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("workload", ["lp-a6", "chain-c26", "relax-d64"])
+def test_benchmark_programs_match_their_recorded_digests(workload):
+    # every job recorded for a benchmark workload, run as its relax path
+    # (instance JSON round trip, family, assemble with the default policy,
+    # lower, SDPA export), gives the SDPA text whose SHA-256 the benchmark's
+    # gate compares; a change to one of these programs fails here first
+    rec = json.loads((REFERENCE_DIR / f"{workload}.json").read_text())
+    changed = []
+    for key, job in rec["jobs"].items():
+        inst_id, sense = key.split(":")
+        inst = gen_instance(rec["tag"], int(inst_id.split("#")[1]))
+        f, box, _, _ = import_instance_json(export_instance_json(inst.f, inst.box))
+        prog = assemble_relaxation(f, family_for_method(rec["method"], f), box, ModelPolicy(),
+                                   sense)
+        text = export_sdpa(prog.lowered())
+        if hashlib.sha256(text.encode()).hexdigest() != job["sdpa_sha256"]:
+            changed.append(key)
+    assert len(rec["jobs"]) >= 80
+    assert changed == []
 
 
 SWEEP_TAGS = sorted(STRUCTURED_SETS) + ["dense(2,6)", "dense(3,4)", "S(3,6)"]
