@@ -122,6 +122,7 @@ def assemble_relaxation(
             )
 
     # trivial monomial bounds on the objective support
+    # (a zero bound's ±0.0 v_0 term keeps some duplicate rows; dropping it cost two solves net)
     for alpha in sorted(fobj.support()):
         if alpha == zero:
             continue

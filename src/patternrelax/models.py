@@ -1,9 +1,9 @@
 """Per-pattern convex models on shared monomial variables.
 
 model_for_pattern routes each pattern to one builder: box-vertex mixtures or
-McCormick rows for multilinear patterns, moment and localizer LMIs for
-chains and submonoids, shifted (homogenized) models, sparse SOS moment
-blocks, and geometric-mean-cone memberships for circuits.  Every builder
+bound-factor product rows (McCormick's) for multilinear patterns, moment and
+localizer LMIs for chains and submonoids, shifted (homogenized) models,
+sparse SOS moment blocks, and geometric-mean-cone memberships for circuits.  Every builder
 emits a MomentModel over monomial variables v_alpha: linear rows (which
 may use model-local auxiliary scalars) and LMI blocks, both in the
 program's entry format with exponents for columns and the zero exponent for
@@ -276,37 +276,42 @@ def build_multilinear_model(P: Pattern, box: Box, tables: dict | None = None) ->
     return model
 
 
-def _affine(coeffs: dict, zero: Exponent, constant: float) -> dict:
-    """coeffs without those of magnitude at most COEFF_DROP_TOL, then v_0's
-    term if constant is nonzero: a bound's constant is no noise however small,
-    and without it an upper-bound row could cut off feasible points."""
-    row = {a: c for a, c in coeffs.items() if abs(c) > COEFF_DROP_TOL}
-    if constant:
-        row[zero] = constant
-    return row
+def add_bound_factor_rows(model: MomentModel, gammas: tuple, box: Box):
+    """Add the rows L(prod_i f_i) >= 0, one for each choice of one finite bound
+    factor f_i in {x^gamma_i - lo_i, hi_i - x^gamma_i} of each gamma_i.
+
+    The gammas share no variable, so each product is multilinear in the
+    v_gamma: the RLT rows of Sherali and Adams, McCormick's for two factors.
+    Each factor is s * y + c with s = +-1, multiplied into the terms one at a
+    time from v_0's 1.0 in the order of the gammas, which fixes the rounding.
+    Coefficients of magnitude at most COEFF_DROP_TOL are dropped, but v_0's
+    is kept if nonzero: a bound's constant is no noise however small, and
+    without it an upper-bound row could cut off feasible points.
+    """
+    zero = zero_exponent(model.n)
+    choices = []
+    for g in gammas:
+        rng = monomial_range(g, box)
+        choices.append([(s, c, (name, g)) for s, c, name in (
+            (1.0, -rng.lo, "mon_minus_lo"), (-1.0, rng.hi, "up_minus_mon")) if math.isfinite(c)])
+    for choice in itertools.product(*choices):
+        terms = {zero: 1.0}
+        for g, (s, c, _) in zip(gammas, choice):
+            terms = {key: v for a, t in terms.items()
+                     for key, v in ((exp_add(a, g), t * s), (a, t * c))}
+        model.add_row({a: c for a, c in terms.items()
+                       if abs(c) > COEFF_DROP_TOL or (c and a == zero)},
+                      factors=[factor for _, _, factor in choice])
 
 
 def build_mccormick_model(P: Pattern, box: Box) -> MomentModel:
     """The four bound-factor products for a two-coordinate square, in v."""
     base = _pattern_base(P)
-    supp, ranges = _coordinate_ranges(base, box)
+    supp, _ = _coordinate_ranges(base, box)
     if len(supp) != 2:
         raise BuilderError("McCormick model needs exactly two active coordinates")
-    i, j = supp
-    gi = unit_exponent(P.n, i, base[i])
-    gj = unit_exponent(P.n, j, base[j])
-    gij = exp_add(gi, gj)
-    (li, ui), (lj, uj) = ranges
     model = MomentModel(P.n)
-    lo_i, up_i = ("mon_minus_lo", gi), ("up_minus_mon", gi)
-    lo_j, up_j = ("mon_minus_lo", gj), ("up_minus_mon", gj)
-    zero = zero_exponent(P.n)
-    # (y_i - l_i)(y_j - l_j) >= 0 and the three sign variants, expanded; a
-    # zero bound gives a zero coefficient, which is dropped
-    model.add_row(_affine({gij: 1.0, gi: -lj, gj: -li}, zero, li * lj), factors=(lo_i, lo_j))
-    model.add_row(_affine({gij: -1.0, gi: uj, gj: li}, zero, -li * uj), factors=(lo_i, up_j))
-    model.add_row(_affine({gij: -1.0, gi: lj, gj: ui}, zero, -ui * lj), factors=(up_i, lo_j))
-    model.add_row(_affine({gij: 1.0, gi: -uj, gj: -ui}, zero, ui * uj), factors=(up_i, up_j))
+    add_bound_factor_rows(model, tuple(unit_exponent(P.n, i, base[i]) for i in supp), box)
     return model
 
 
@@ -413,7 +418,7 @@ def build_shifted_model(eta: Exponent, base: MomentModel, box: Box) -> MomentMod
         entries = {(exp_add(a, eta), i, j): c for (a, i, j), c in block.entries.items()}
         model.add_lmi(block.size, entries, basis=block.basis,
                       multiplier_factors=block.multiplier_factors + (("monomial", eta),))
-    _bounds_model(model, eta, box)
+    add_bound_factor_rows(model, (eta,), box)
     return model
 
 
@@ -453,45 +458,32 @@ def build_circuit_model(P: Pattern, domain: str = "R_plus") -> MomentModel:
 
 @dataclass
 class ModelPolicy:
-    """Per-pattern-kind choice of moment-body model."""
+    """Per-pattern-kind choice of moment-body model.
 
-    multilinear: str = "vertex"  # "vertex" or "mccormick"
-    vertex_cap: int = 6  # pairwise McCormick fallback above this width
+    A multilinear pattern on k coordinates gets the vertex model when k == 1
+    or k <= vertex_cap; otherwise its bound-factor product rows: McCormick's
+    four for k == 2, the four of each coordinate pair (pairwise McCormick)
+    for k >= 3.  vertex_cap=1 thus gives McCormick for every two-coordinate
+    pattern.
+    """
+
+    vertex_cap: int = 6
 
     def __post_init__(self):
-        if self.multilinear not in ("vertex", "mccormick"):
-            raise ValueError("multilinear policy must be 'vertex' or 'mccormick'")
         if self.vertex_cap > VERTEX_HARD_CAP:
             raise ValueError(f"vertex cap above the hard cap {VERTEX_HARD_CAP}")
 
 
-def _bounds_model(model: MomentModel, alpha: Exponent, box: Box):
-    rng = monomial_range(alpha, box)
-    zero = zero_exponent(model.n)
-    if math.isfinite(rng.lo):
-        model.add_row(_affine({alpha: 1.0}, zero, -rng.lo), factors=(("mon_minus_lo", alpha),))
-    if math.isfinite(rng.hi):
-        model.add_row(_affine({alpha: -1.0}, zero, rng.hi), factors=(("up_minus_mon", alpha),))
-
-
 def _pairwise_mccormick(P: Pattern, box: Box) -> MomentModel:
+    """McCormick rows of every coordinate pair, then each exponent's bound rows."""
     base = _pattern_base(P)
-    supp = sorted(exp_support(base))
+    supp, _ = _coordinate_ranges(base, box)
     model = MomentModel(P.n)
-    for i, j in itertools.combinations(supp, 2):
-        sub = Pattern(
-            frozenset({zero_exponent(P.n), unit_exponent(P.n, i, base[i]),
-                       unit_exponent(P.n, j, base[j]),
-                       exp_add(unit_exponent(P.n, i, base[i]), unit_exponent(P.n, j, base[j]))}),
-            kind="multilinear",
-        )
-        # a McCormick model has no auxiliaries and no piece
-        mc = build_mccormick_model(sub, box)
-        model.variables |= mc.variables
-        model.rows += mc.rows
+    for pair in itertools.combinations(supp, 2):
+        add_bound_factor_rows(model, tuple(unit_exponent(P.n, i, base[i]) for i in pair), box)
     for alpha in sorted(P.exponents):
         if sum(alpha):
-            _bounds_model(model, alpha, box)
+            add_bound_factor_rows(model, (alpha,), box)
     return model
 
 
@@ -537,28 +529,20 @@ def model_for_pattern(P: Pattern, box: Box, policy: ModelPolicy) -> MomentModel:
         k = len(exp_support(base))
         if k == 0:
             return MomentModel(P.n)
-        if k == 1 or (policy.multilinear == "vertex" and k <= policy.vertex_cap):
+        if k == 1 or k <= policy.vertex_cap:
             return build_multilinear_model(P, box, _vertex_tables.get())
         if k == 2:
             return build_mccormick_model(P, box)
         return _pairwise_mccormick(P, box)
     if kind == "chain":
-        gamma = P.meta["gamma"]
-        steps = P.meta["steps"]
-        return build_lasserre_model(np.array(gamma).reshape(-1, 1),
-                                    math.ceil(steps / 2), box)
+        return build_lasserre_model(P.meta["gamma"], math.ceil(P.meta["steps"] / 2), box)
     if kind == "shifted_chain":
-        axis = P.meta["axis"]
         steps = P.meta["steps"]
-        eta = P.shift
         if steps == 0:
             base = MomentModel(P.n)
         else:
-            base = build_lasserre_model(
-                np.array(unit_exponent(P.n, axis)).reshape(-1, 1), steps // 2, box)
-        if eta is None or sum(eta) == 0:
-            return base
-        return build_shifted_model(eta, base, box)
+            base = build_lasserre_model(unit_exponent(P.n, P.meta["axis"]), steps // 2, box)
+        return build_shifted_model(P.shift or zero_exponent(P.n), base, box)
     if kind == "submonoid":
         gamma = P.meta.get("gamma")
         d = P.meta.get("d")
@@ -589,8 +573,7 @@ def _generic_model(P: Pattern, box: Box, policy: ModelPolicy) -> MomentModel:
     col = _collinear_direction(P)
     if col is not None:
         gamma, top = col
-        return build_lasserre_model(np.array(gamma).reshape(-1, 1),
-                                    math.ceil(top / 2), box)
+        return build_lasserre_model(gamma, math.ceil(top / 2), box)
     base = _pattern_base(P)
     if all(a[i] in (0, base[i]) for a in P.exponents for i in range(P.n)):
         return model_for_pattern(
@@ -604,5 +587,5 @@ def _generic_model(P: Pattern, box: Box, policy: ModelPolicy) -> MomentModel:
     model = MomentModel(P.n)
     for alpha in sorted(P.exponents):
         if sum(alpha):
-            _bounds_model(model, alpha, box)
+            add_bound_factor_rows(model, (alpha,), box)
     return model

@@ -176,7 +176,7 @@ def test_criterion_4_exactness_cases():
                            (0, 1): float(rng.uniform(-1, 1))})
         fam = multilinear_family(f.support())
         result = solve_with_family(f, fam, Box.unit(2),
-                                   policy=ModelPolicy(multilinear="mccormick"))
+                                   policy=ModelPolicy(vertex_cap=1))
         assert result.status == "optimal"
         oracle = brute_force_min(f, Box.unit(2)).value
         worst_b = max(worst_b, abs(result.primal - oracle))

@@ -53,8 +53,8 @@ def test_mccormick_equals_vertex_on_unit_square():
     fam = multilinear_family({(1, 1)})
     for _ in range(50):
         f = random_poly(rng, 2, support)
-        v_vertex = value_of(f, fam, box, ModelPolicy(multilinear="vertex"))
-        v_mcc = value_of(f, fam, box, ModelPolicy(multilinear="mccormick"))
+        v_vertex = value_of(f, fam, box, ModelPolicy())
+        v_mcc = value_of(f, fam, box, ModelPolicy(vertex_cap=1))
         assert abs(v_vertex - v_mcc) <= 1e-7 * (1.0 + abs(v_vertex))
 
 
@@ -107,7 +107,7 @@ def test_duplicate_rows_are_merged():
     f = Polynomial(2, {(1, 1): 1.0})
     fam = PatternFamily(
         multilinear_family({(1, 1)}).patterns * 2, 2)  # same pattern twice
-    policy = ModelPolicy(multilinear="mccormick")
+    policy = ModelPolicy(vertex_cap=1)
     prog = assemble_relaxation(f, fam, Box.unit(2), policy)
     keys = set()
     for row in prog.ineqs:

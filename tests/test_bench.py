@@ -178,7 +178,7 @@ def test_run_benchmark_empty_methods():
 def test_bench_config_from_json():
     cfg = BenchConfig.from_json_dict(json.loads(
         '{"families": ["A5"], "methods": ["C"], "samples": 2, "base_seed": 3,'
-        ' "policy": {"multilinear": "vertex"}, "solver": {"max_iter": 50}}'))
+        ' "policy": {"vertex_cap": 6}, "solver": {"max_iter": 50}}'))
     assert cfg.samples == 2 and cfg.solver.max_iter == 50
     with pytest.raises(ValueError):
         BenchConfig.from_json_dict({"methods": []})

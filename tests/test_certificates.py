@@ -204,7 +204,7 @@ def test_round_trip_mccormick_certificate():
     fam = multilinear_family(f.support())
     from patternrelax.models import ModelPolicy
 
-    rel = solve_relaxation(f, fam, Box.unit(2), policy=ModelPolicy(multilinear="mccormick"))
+    rel = solve_relaxation(f, fam, Box.unit(2), policy=ModelPolicy(vertex_cap=1))
     cert = extract_certificate(rel.program, rel.result)
     assert abs(cert.lam - rel.result.dual) <= 1e-8
     assert abs(cert.lam) <= 1e-7

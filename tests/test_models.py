@@ -22,6 +22,7 @@ from patternrelax.models import (
     build_shifted_model,
     model_for_pattern,
 )
+from patternrelax.models import MomentModel, _coordinate_ranges, _pattern_base
 from patternrelax.patterns import (
     Pattern,
     PatternFamily,
@@ -37,7 +38,8 @@ from patternrelax.patterns import (
     univariate_sparse_family,
 )
 from patternrelax.pipeline import solve_relaxation
-from patternrelax.polynomials import COEFF_DROP_TOL, Box, Polynomial, exp_support
+from patternrelax.polynomials import (COEFF_DROP_TOL, Box, Exponent, Polynomial, exp_add,
+                                      exp_support, monomial_range, unit_exponent, zero_exponent)
 from patternrelax.program import Piece
 
 
@@ -95,6 +97,149 @@ def test_mccormick_degenerate_interval_collapses():
         if set(c) == {(1, 1), (0, 1)}:
             vals.append((c[(1, 1)], c[(0, 1)]))
     assert len(vals) >= 2
+
+
+# Reference copies of the hand-expanded bound-factor rows that
+# models.add_bound_factor_rows replaces; the writer must give the same rows
+# bit for bit. Only their names carry a _reference prefix.
+
+
+def _reference_affine(coeffs: dict, zero: Exponent, constant: float) -> dict:
+    """coeffs without those of magnitude at most COEFF_DROP_TOL, then v_0's
+    term if constant is nonzero: a bound's constant is no noise however small,
+    and without it an upper-bound row could cut off feasible points."""
+    row = {a: c for a, c in coeffs.items() if abs(c) > COEFF_DROP_TOL}
+    if constant:
+        row[zero] = constant
+    return row
+
+
+def _reference_build_mccormick_model(P: Pattern, box: Box) -> MomentModel:
+    """The four bound-factor products for a two-coordinate square, in v."""
+    base = _pattern_base(P)
+    supp, ranges = _coordinate_ranges(base, box)
+    if len(supp) != 2:
+        raise BuilderError("McCormick model needs exactly two active coordinates")
+    i, j = supp
+    gi = unit_exponent(P.n, i, base[i])
+    gj = unit_exponent(P.n, j, base[j])
+    gij = exp_add(gi, gj)
+    (li, ui), (lj, uj) = ranges
+    model = MomentModel(P.n)
+    lo_i, up_i = ("mon_minus_lo", gi), ("up_minus_mon", gi)
+    lo_j, up_j = ("mon_minus_lo", gj), ("up_minus_mon", gj)
+    zero = zero_exponent(P.n)
+    # (y_i - l_i)(y_j - l_j) >= 0 and the three sign variants, expanded; a
+    # zero bound gives a zero coefficient, which is dropped
+    model.add_row(_reference_affine({gij: 1.0, gi: -lj, gj: -li}, zero, li * lj),
+                  factors=(lo_i, lo_j))
+    model.add_row(_reference_affine({gij: -1.0, gi: uj, gj: li}, zero, -li * uj),
+                  factors=(lo_i, up_j))
+    model.add_row(_reference_affine({gij: -1.0, gi: lj, gj: ui}, zero, -ui * lj),
+                  factors=(up_i, lo_j))
+    model.add_row(_reference_affine({gij: 1.0, gi: -uj, gj: -ui}, zero, ui * uj),
+                  factors=(up_i, up_j))
+    return model
+
+
+def _reference_bounds_model(model: MomentModel, alpha: Exponent, box: Box):
+    rng = monomial_range(alpha, box)
+    zero = zero_exponent(model.n)
+    if math.isfinite(rng.lo):
+        model.add_row(_reference_affine({alpha: 1.0}, zero, -rng.lo),
+                      factors=(("mon_minus_lo", alpha),))
+    if math.isfinite(rng.hi):
+        model.add_row(_reference_affine({alpha: -1.0}, zero, rng.hi),
+                      factors=(("up_minus_mon", alpha),))
+
+
+def _reference_pairwise_mccormick(P: Pattern, box: Box) -> MomentModel:
+    base = _pattern_base(P)
+    supp = sorted(exp_support(base))
+    model = MomentModel(P.n)
+    for i, j in itertools.combinations(supp, 2):
+        sub = Pattern(
+            frozenset({zero_exponent(P.n), unit_exponent(P.n, i, base[i]),
+                       unit_exponent(P.n, j, base[j]),
+                       exp_add(unit_exponent(P.n, i, base[i]), unit_exponent(P.n, j, base[j]))}),
+            kind="multilinear",
+        )
+        # a McCormick model has no auxiliaries and no piece
+        mc = _reference_build_mccormick_model(sub, box)
+        model.variables |= mc.variables
+        model.rows += mc.rows
+    for alpha in sorted(P.exponents):
+        if sum(alpha):
+            _reference_bounds_model(model, alpha, box)
+    return model
+
+
+def _row_bits(model):
+    """Each row's sense, factors and (exponent, coefficient bits) in key order,
+    so that the sign of a zero counts, and the model's variables."""
+    return model.variables, [
+        (r.sense, r.factors, r.aux, [(a, struct.pack("<d", c)) for a, c in r.coeffs.items()])
+        for r in model.rows]
+
+
+# bound values with signed zeros, negative ends and 1e-9, whose products
+# (1e-18) fall below COEFF_DROP_TOL; 1e-15 is dropped as a coefficient
+BOUND_ENDS = (-2.5, -1.0, -0.3, -1e-9, -0.0, 0.0, 1e-15, 1e-9, 0.7, 1.0, 2.0)
+
+
+def _random_box(rng, n, ends=BOUND_ENDS):
+    """Each coordinate [a, b] for two ends drawn from ends, a point range one
+    time in four."""
+    lower, upper = [], []
+    for _ in range(n):
+        a, b = (float(v) for v in rng.choice(ends, size=2))
+        if rng.integers(4) == 0:
+            b = a
+        lo, hi = (a, b) if a <= b else (b, a)  # -0.0 <= 0.0 keeps both signs
+        lower.append(lo)
+        upper.append(hi)
+    return Box(lower, upper)
+
+
+def test_bound_factor_rows_match_the_hand_expanded_rows():
+    rng = np.random.default_rng(27)
+    tiny = Box([1e-9, 1e-9, -1e-9], [1.0, 2.0, 1e-9])  # constants 1e-18 must stay
+    boxes = [tiny] + [_random_box(rng, 3) for _ in range(300)]
+    for box in boxes:
+        base = tuple(int(k) for k in rng.integers(1, 4, size=3))
+        for pair in itertools.combinations(range(3), 2):
+            square = {tuple(base[i] if i in s else 0 for i in range(3))
+                      for s in itertools.chain.from_iterable(
+                          itertools.combinations(pair, r) for r in range(3))}
+            P = Pattern(frozenset(square), kind="multilinear")
+            assert (_row_bits(build_mccormick_model(P, box))
+                    == _row_bits(_reference_build_mccormick_model(P, box)))
+        cube = multilinear_family({base}).patterns[0]
+        assert (_row_bits(models._pairwise_mccormick(cube, box))
+                == _row_bits(_reference_pairwise_mccormick(cube, box)))
+    # 1e-18 is kept as v_0's coefficient, with the writer's own product order
+    rows = build_mccormick_model(multilinear_family({(1, 1, 0)}).patterns[0], tiny).rows
+    assert rows[0].coeffs[(0, 0, 0)] == 1e-9 * 1e-9 < COEFF_DROP_TOL
+
+
+def test_one_bound_factor_matches_the_bounds_rows():
+    rng = np.random.default_rng(28)
+    ends = BOUND_ENDS + (-math.inf, math.inf)
+    for _ in range(300):
+        box = _random_box(rng, 3, ends)
+        alpha = tuple(int(k) for k in rng.integers(0, 4, size=3))
+        new, ref = MomentModel(3), MomentModel(3)
+        models.add_bound_factor_rows(new, (alpha,), box)
+        _reference_bounds_model(ref, alpha, box)
+        assert _row_bits(new) == _row_bits(ref)
+
+
+def test_bound_factor_products_refuse_unbounded_coordinates():
+    P = multilinear_family({(1, 1, 1)}).patterns[0]
+    box = Box([0.0, -math.inf, 0.0], [1.0, 1.0, 1.0])
+    for build in (models._pairwise_mccormick, _reference_pairwise_mccormick):
+        with pytest.raises(BuilderError, match="finite bounds"):
+            build(P, box)
 
 
 def test_multilinear_vertex_worked_example():
@@ -386,15 +531,13 @@ def test_generic_routes_are_feasible_and_sound(route):
 
 @pytest.mark.parametrize("policy,k,expected", [
     ({}, 1, "vertex"), ({}, 2, "vertex"), ({}, 6, "vertex"), ({}, 7, "pairwise"),
-    ({"multilinear": "mccormick"}, 1, "vertex"),
-    ({"multilinear": "mccormick"}, 2, "mccormick"),
-    ({"multilinear": "mccormick"}, 3, "pairwise"),
-    ({"vertex_cap": 2}, 2, "vertex"), ({"vertex_cap": 2}, 3, "pairwise"),
     ({"vertex_cap": 1}, 1, "vertex"), ({"vertex_cap": 1}, 2, "mccormick"),
+    ({"vertex_cap": 1}, 3, "pairwise"),
+    ({"vertex_cap": 2}, 2, "vertex"), ({"vertex_cap": 2}, 3, "pairwise"),
 ])
 def test_multilinear_pattern_routing(monkeypatch, policy, k, expected):
-    # vertex model for k = 1, or for k <= vertex_cap under "vertex";
-    # otherwise McCormick for k = 2 and pairwise McCormick for k >= 3
+    # vertex model for k = 1 or k <= vertex_cap; otherwise McCormick for
+    # k = 2 and pairwise McCormick for k >= 3
     for name, builder in (("build_multilinear_model", "vertex"),
                           ("build_mccormick_model", "mccormick"),
                           ("_pairwise_mccormick", "pairwise")):
