@@ -13,8 +13,11 @@ from patternrelax.bench import brute_force_min, family_for_method
 from patternrelax.models import (
     BuilderError,
     ModelPolicy,
+    MomentModel,
     PatternTooWide,
     SupportOverlap,
+    _coordinate_ranges,
+    _pattern_base,
     build_circuit_model,
     build_lasserre_model,
     build_mccormick_model,
@@ -22,7 +25,6 @@ from patternrelax.models import (
     build_shifted_model,
     model_for_pattern,
 )
-from patternrelax.models import MomentModel, _coordinate_ranges, _pattern_base
 from patternrelax.patterns import (
     Pattern,
     PatternFamily,
@@ -208,10 +210,8 @@ def test_bound_factor_rows_match_the_hand_expanded_rows():
     for box in boxes:
         base = tuple(int(k) for k in rng.integers(1, 4, size=3))
         for pair in itertools.combinations(range(3), 2):
-            square = {tuple(base[i] if i in s else 0 for i in range(3))
-                      for s in itertools.chain.from_iterable(
-                          itertools.combinations(pair, r) for r in range(3))}
-            P = Pattern(frozenset(square), kind="multilinear")
+            corner = tuple(base[i] if i in pair else 0 for i in range(3))
+            P = multilinear_family({corner}).patterns[0]
             assert (_row_bits(build_mccormick_model(P, box))
                     == _row_bits(_reference_build_mccormick_model(P, box)))
         cube = multilinear_family({base}).patterns[0]
