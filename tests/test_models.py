@@ -534,6 +534,7 @@ def test_generic_routes_are_feasible_and_sound(route):
     ({"vertex_cap": 1}, 1, "vertex"), ({"vertex_cap": 1}, 2, "mccormick"),
     ({"vertex_cap": 1}, 3, "pairwise"),
     ({"vertex_cap": 2}, 2, "vertex"), ({"vertex_cap": 2}, 3, "pairwise"),
+    ({"vertex_cap": 0}, 1, "vertex"), ({"vertex_cap": 0}, 2, "mccormick"),
 ])
 def test_multilinear_pattern_routing(monkeypatch, policy, k, expected):
     # vertex model for k = 1 or k <= vertex_cap; otherwise McCormick for
