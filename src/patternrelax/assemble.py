@@ -54,7 +54,7 @@ def assemble_relaxation(
     aux_cols = list(itertools.accumulate((m.aux_count for m in models), initial=n_mono))
     ncols = aux_cols.pop()
     prog = ConicProgram(ncols, list(monomials) + [None] * (ncols - n_mono))
-    prog.meta.update({"box": box, "sense": sense, "minimized": fobj, "v0_col": col_of[zero]})
+    prog.meta.update({"box": box, "sense": sense, "minimized": fobj})
     prog.aux_lifts = [(aux_col, m.aux_lift) for m, aux_col in zip(models, aux_cols)
                       if m.aux_count]
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .polynomials import (Box, Polynomial, _integer, _number, exp_add, exp_support,
+from .polynomials import (Box, Polynomial, _exponent, _integer, _number, exp_add, exp_support,
                           factor_min_on_box, monomial_range, product_of_factors,
                           unit_exponent)
 
@@ -110,11 +110,10 @@ def _number_array(v) -> np.ndarray:
 # the table is stored as is. The decoders take numbers and integers only where
 # JSON has them
 _FACTORS = (lambda v: [[f[0], list(f[1])] for f in v],
-            lambda v: tuple((f[0], tuple(map(_integer, f[1]))) for f in v))
-_EXPONENT_LIST = (lambda v: [list(e) for e in v],
-                  lambda v: tuple(tuple(map(_integer, e)) for e in v))
+            lambda v: tuple((f[0], _exponent(f[1])) for f in v))
+_EXPONENT_LIST = (lambda v: [list(e) for e in v], lambda v: tuple(map(_exponent, v)))
 _OPTIONAL_EXPONENT = (lambda v: list(v) if v is not None else None,
-                      lambda v: tuple(map(_integer, v)) if v is not None else None)
+                      lambda v: _exponent(v) if v is not None else None)
 _FIELD_CODECS = {
     "factors": _FACTORS,
     "multiplier_factors": _FACTORS,
@@ -128,7 +127,7 @@ _FIELD_CODECS = {
     "support": (list, lambda v: tuple(map(_integer, v))),
     "gram": (lambda v: np.asarray(v).tolist(), _number_array),
     "poly": (lambda v: [list(a) + [c] for a, c in sorted(v.items())],
-             lambda v: {tuple(map(_integer, row[:-1])): _number(row[-1]) for row in v}),
+             lambda v: {_exponent(row[:-1]): _number(row[-1]) for row in v}),
     "lambdas": (list, lambda v: tuple(map(_number, v))),
     "weight": (lambda v: v, _number),
 }
@@ -340,9 +339,10 @@ def _vertex_piece(data: dict, n: int, box: Box) -> Polynomial:
 def _circuit_piece(data: dict, n: int, box: Box) -> Polynomial:
     """A polynomial on one circuit's exponents that passes the AGE/SONC test.
 
-    With an even inner exponent (or on the nonnegative orthant) the test is
-    f_beta + prod (f_gamma/lambda)^lambda >= -CIRCUIT_SLACK_TOL; with an odd
-    inner exponent on the full space it is the same with -|f_beta|.
+    The box's lower bounds decide the sign rule: outer exponents must be even
+    where x can be negative, and the inner one counts as even where x >= 0.
+    The test is f_beta + prod (f_gamma/lambda)^lambda >= -CIRCUIT_SLACK_TOL
+    for an even inner exponent and the same with -|f_beta| for an odd one.
     """
     terms, beta, gammas, lambdas = _fields(data, "poly", "beta", "gammas", "lambdas")
     if len(beta) != n or any(len(g) != n for g in gammas) or len(lambdas) != len(gammas):
@@ -363,7 +363,9 @@ def _circuit_piece(data: dict, n: int, box: Box) -> Polynomial:
     poly = Polynomial(n, kept)
     fbeta = poly.coefficient(tuple(beta))
     fg = [poly.coefficient(tuple(g)) for g in gammas]
-    even = all(e % 2 == 0 for e in beta) or data.get("domain", "R_full") == "R_plus"
+    if not box.nonnegative and any(e % 2 for g in gammas for e in g):
+        raise CertificateError("odd outer circuit exponent where x can be negative")
+    even = box.nonnegative or all(e % 2 == 0 for e in beta)
     # outer coefficients must be positive unless the inner term vanishes
     if any(v <= 0.0 for v in fg) and not (
             even and abs(fbeta) <= CIRCUIT_SLACK_TOL

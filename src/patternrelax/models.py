@@ -422,33 +422,27 @@ def build_shifted_model(eta: Exponent, base: MomentModel, box: Box) -> MomentMod
     return model
 
 
-def build_circuit_model(P: Pattern, domain: str = "R_plus") -> MomentModel:
-    """Geometric-mean-cone membership for a simplicial circuit."""
+def build_circuit_model(P: Pattern, box: Box) -> MomentModel:
+    """Geometric-mean-cone membership for a simplicial circuit, on any box.
+
+    The box's lower bounds decide the sign rule: the outer exponents must be
+    even where x can be negative, and the inner one counts as even where x >= 0.
+    """
     if P.kind not in ("circuit", "sdsos"):
         raise BuilderError("pattern has no circuit metadata")
-    if domain not in ("R_plus", "R_full"):
-        raise BuilderError(f"unknown circuit domain {domain!r}")
     beta = P.meta["beta"]
     gammas = P.meta["gammas"]
     lambdas = P.meta["lambdas"]
-    if domain == "R_full":
-        for g in gammas:
-            if any(e % 2 for e in g):
-                raise BuilderError("full-space circuits need even outer exponents")
-        even = all(e % 2 == 0 for e in beta)
-    else:
-        even = True
+    if not box.nonnegative and any(e % 2 for g in gammas for e in g):
+        raise BuilderError("outer circuit exponents must be even where x can be negative")
+    even = box.nonnegative or all(e % 2 == 0 for e in beta)
     model = MomentModel(P.n)
     for g in gammas:
         model.add_row({g: 1.0}, factors=(("monomial", g),))
     if even:
         model.add_row({beta: 1.0}, factors=(("monomial", beta),))
     model.add_gmc(beta, gammas, lambdas, "even" if even else "odd")
-    model.piece = Piece(
-        "circuit",
-        {"beta": beta, "gammas": gammas, "lambdas": lambdas,
-         "sign_mode": "even" if even else "odd", "domain": domain},
-    )
+    model.piece = Piece("circuit", {"beta": beta, "gammas": gammas, "lambdas": lambdas})
     return model
 
 
@@ -550,13 +544,7 @@ def model_for_pattern(P: Pattern, box: Box, policy: ModelPolicy) -> MomentModel:
             return build_lasserre_model(np.array(gamma, dtype=int).T, d, box)
         return _generic_model(P, box, policy)
     if kind in ("circuit", "sdsos"):
-        if box.lower == tuple([0.0] * P.n) and not any(map(math.isfinite, box.upper)):
-            domain = "R_plus"
-        elif not any(map(math.isfinite, box.lower + box.upper)):
-            domain = "R_full"
-        else:
-            raise BuilderError("circuit patterns apply on R_+^n or R^n domains")
-        return build_circuit_model(P, domain)
+        return build_circuit_model(P, box)
     if kind == "sos_block":
         eta = P.shift if P.shift is not None else zero_exponent(P.n)
         # the block's certificate multiplier is x^eta, so it must be >= 0

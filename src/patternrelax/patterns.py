@@ -21,6 +21,7 @@ import numpy as np
 from .polynomials import (
     Exponent,
     Polynomial,
+    _exponent,
     _integer,
     _number,
     as_exponent,
@@ -180,11 +181,6 @@ def _meta_to_json(meta: dict) -> dict:
         else:
             out[k] = v
     return out
-
-
-def _exponent(v) -> Exponent:
-    """An exponent read from JSON: integers only."""
-    return tuple(map(_integer, v))
 
 
 def _meta_from_json(meta: dict) -> dict:

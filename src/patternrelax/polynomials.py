@@ -42,6 +42,11 @@ def _integer(v) -> int:
     return v
 
 
+def _exponent(v) -> Exponent:
+    """An exponent read from JSON: nonnegative integers only."""
+    return as_exponent(map(_integer, v))
+
+
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -153,6 +158,11 @@ class Box:
     def bounded(self) -> bool:
         return all(math.isfinite(v) for v in self.lower + self.upper)
 
+    @property
+    def nonnegative(self) -> bool:
+        """x >= 0 on the box: every lower bound is >= 0."""
+        return all(l >= 0.0 for l in self.lower)
+
     def sample(self, rng, count: int):
         """Uniform samples; infinite sides are truncated to +-10 for sampling."""
         lo = [max(l, -10.0) for l in self.lower]
@@ -186,6 +196,8 @@ def power_range(l: float, u: float, k: int) -> tuple:
     This is monomial_range of the unit exponent k * e_i on a box with [l, u]
     as coordinate i.
     """
+    if k < 0:
+        raise ValueError(f"negative power {k}")
     lk, uk = _ipow(l, k), _ipow(u, k)
     if k % 2 == 1:
         return lk or 0.0, uk or 0.0
@@ -355,7 +367,7 @@ class Polynomial:
         for row in data["terms"]:
             if len(row) != n + 1:
                 raise ValueError(f"polynomial JSON term row {row} must have {n + 1} entries")
-            alpha = as_exponent(map(_integer, row[:n]))
+            alpha = _exponent(row[:n])
             terms[alpha] = terms.get(alpha, 0.0) + _number(row[n])
         return cls(n, terms)
 

@@ -299,8 +299,7 @@ def test_criterion_8_circuit_checks():
     ok = True
     for inner, passes in ((-2.0, True), (-(2.0 + 1e-6), False)):
         f = Polynomial(1, {(4,): 1.0, (2,): inner, (0,): 1.0})
-        piece = CertificatePiece("circuit", {**circuit, "domain": "R_full",
-                                             "poly": dict(f.terms)})
+        piece = CertificatePiece("circuit", {**circuit, "poly": dict(f.terms)})
         rep = verify_certificate(Certificate(0.0, "circuit", [piece]), f, Box.full_space(1))
         ok &= rep.passed == passes
     # SDSOS membership: accept monomial lifts, reject inflated midpoints

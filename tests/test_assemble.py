@@ -129,7 +129,7 @@ def test_every_piece_owns_a_constraint(tag, method):
 def test_v0_pinned_and_homogeneous_rows():
     f = Polynomial(1, {(2,): 1.0, (1,): -1.0})
     prog = assemble_relaxation(f, chain_family({(2,)}), Box.unit(1))
-    assert prog.eqs[0].coeff == {prog.meta["v0_col"]: 1.0}
+    assert prog.eqs[0].coeff == {prog.col_exponents.index((0,)): 1.0}
     assert prog.eqs[0].rhs == 1.0
     for row in prog.ineqs:
         assert row.rhs == 0.0

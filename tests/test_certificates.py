@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from patternrelax.bench import brute_force_min
 from patternrelax.certificates import (
     Certificate,
     CertificateError,
@@ -35,10 +36,10 @@ def _handelman_certificate(lam, products):
 
 
 def _circuit_certificate(f, pat):
-    """f itself as one circuit piece of the pattern on R^n, a certificate of f - 0."""
+    """f itself as one circuit piece of the pattern, a certificate of f - 0."""
     data = {k: pat.meta[k] for k in ("beta", "gammas", "lambdas")}
     return Certificate(0.0, "circuit", [CertificatePiece(
-        "circuit", {**data, "domain": "R_full", "poly": dict(f.terms)})])
+        "circuit", {**data, "poly": dict(f.terms)})])
 
 
 def test_verify_sos_examples():
@@ -119,6 +120,42 @@ def test_verify_circuit_odd_case():
     assert not verify_certificate(_circuit_certificate(f, pat), f, box).passed
 
 
+# 1 + 3x + x^2 is -1.25 at x = -1.5; the AM-GM test with the inner term
+# counted as even proves it only where x >= 0
+_QUADRATIC = (Polynomial(1, {(0,): 1.0, (1,): 3.0, (2,): 1.0}), make_circuit((1,), [(0,), (2,)]))
+# x + x^3 is -2 at x = -1: odd outer exponents prove nothing where x < 0
+_ODD_OUTER = (Polynomial(1, {(1,): 1.0, (3,): 1.0}), make_circuit((2,), [(1,), (3,)]))
+
+
+@pytest.mark.parametrize("f, pat, box, passes", [
+    (*_QUADRATIC, Box.full_space(1), False),
+    (*_QUADRATIC, Box([-3.0], [3.0]), False),
+    (*_QUADRATIC, Box.nonneg_orthant(1), True),
+    (*_ODD_OUTER, Box([-1.0], [1.0]), False),
+    (*_ODD_OUTER, Box.unit(1), True),
+], ids=["quadratic_full_space", "quadratic_on_pm3", "quadratic_orthant",
+        "odd_outer_on_pm1", "odd_outer_on_unit"])
+def test_circuit_sign_rule_comes_from_the_box(f, pat, box, passes):
+    # the piece claims the nonnegative orthant; the verifier reads the box instead
+    cert = _circuit_certificate(f, pat)
+    cert.pieces[0].data["domain"] = "R_plus"
+    assert verify_certificate(cert, f, box).passed == passes
+
+
+@pytest.mark.parametrize("box", [
+    Box.full_space(2), Box.nonneg_orthant(2), Box([-1.0, -1.0], [1.0, 1.0]),
+    Box([0.0, 0.0], [2.0, 2.0])], ids=["full_space", "orthant", "pm1", "zero_to_two"])
+def test_sdsos_circuit_certifies_on_any_box(box):
+    f = Polynomial(2, {(2, 0): 1.0, (1, 1): -1.5, (0, 2): 1.0})
+    rel = solve_relaxation(f, PatternFamily([make_sdsos((1, 0), (0, 1))], 2), box)
+    assert rel.result.status == "optimal"
+    cert, report = rel.certify()
+    assert cert.kind == "circuit" and report.passed, report.problems
+    if box.bounded:
+        fmin = brute_force_min(f, box).value
+        assert rel.bound <= fmin + 1e-6 * (1.0 + abs(fmin))
+
+
 @pytest.mark.parametrize("factor, box, problem", [
     # 1 * x is f = x exactly, but the factor x is negative on [-1, 1]
     (("monomial", (1,)), Box([-1.0], [1.0]), "factor ('monomial', (1,)) is not nonnegative"),
@@ -176,8 +213,7 @@ def test_circuit_weights_must_be_barycentric():
     # x^4 - 2.05 x^2 + 1 dips below 0 near x^2 = 1.025; weights 1/e, 1/e
     # (not barycentric: they sum to 0.74) would pass the circuit test
     f = Polynomial(1, {(4,): 1.0, (2,): -2.05, (0,): 1.0})
-    data = {"beta": (2,), "gammas": ((0,), (4,)), "sign_mode": "even", "domain": "R_full",
-            "poly": dict(f.terms)}
+    data = {"beta": (2,), "gammas": ((0,), (4,)), "poly": dict(f.terms)}
     for lambdas in [(math.exp(-1), math.exp(-1)), (0.5, 0.5)]:
         cert = Certificate(0.0, "circuit",
                            [CertificatePiece("circuit", {**data, "lambdas": lambdas})])

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -236,3 +239,39 @@ def test_cli_rejects_unknown_method(tmp_path):
     with pytest.raises(ValueError):
         main(["solve", "--instance", str(inst), "--method", "nope",
               "--sense", "min"])
+
+
+# f = x on [0, 1], with one negative exponent in the family or the certificate
+_X_ON_UNIT = {"f": {"n": 1, "terms": [[1, 1.0]]}, "box": {"l": [0.0], "u": [1.0]}}
+_CHAIN_WITH_NEGATIVE_GAMMA = {"kind": "custom", "patterns": [[[0], [1], [2]]], "meta": {
+    "dimension": 1, "pattern_kinds": ["chain"], "pattern_meta": [{"gamma": [-1], "steps": 2}]}}
+_LINEAR_WITH_NEGATIVE_FACTOR = {"kind": "linear", "factors": [["mon_minus_lo", [-1]]],
+                                "weight": 1.0}
+_VERTEX_WITH_NEGATIVE_BASE = {"kind": "vertex", "poly": [[1, 1.0]], "base_alpha": [-2],
+                              "support": [0], "vertices": [[0.0], [1.0]]}
+
+
+@pytest.mark.parametrize("family, piece, command, out", [
+    (None, _LINEAR_WITH_NEGATIVE_FACTOR, ["verify", "--certificate", "cert.json"],
+     "FAIL (malformed certificate)"),
+    (None, _VERTEX_WITH_NEGATIVE_BASE, ["verify", "--certificate", "cert.json"],
+     "FAIL (malformed certificate)"),
+    (_CHAIN_WITH_NEGATIVE_GAMMA, None,
+     ["relax", "--method", "custom", "--export-sdpa", "prog.dat-s"],
+     "FAIL (malformed instance)"),
+], ids=["verify_linear_factor", "verify_vertex_base", "relax_chain_gamma"])
+def test_negative_exponent_fails_without_hanging(tmp_path, family, piece, command, out):
+    # monomial_range loops forever on a negative exponent that gets past the
+    # decoders, so the CLI runs in its own interpreter under a timeout
+    Path(tmp_path, "inst.json").write_text(json.dumps({**_X_ON_UNIT, "family": family}))
+    Path(tmp_path, "cert.json").write_text(json.dumps(
+        {"lambda": 0.0, "kind": "mixed", "blocks": [piece]}))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "patternrelax.cli", *command,
+                           "--instance", "inst.json"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.startswith(out), proc.stdout

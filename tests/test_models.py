@@ -398,7 +398,7 @@ def test_shifted_model_rejects_pieces_gmcs_and_auxiliaries():
     square = Pattern(frozenset({(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)}),
                      kind="multilinear")
     circuit = make_sdsos((1, 0, 0), (0, 1, 0))
-    for base in (build_multilinear_model(square, box), build_circuit_model(circuit)):
+    for base in (build_multilinear_model(square, box), build_circuit_model(circuit, box)):
         with pytest.raises(BuilderError, match="can be shifted"):
             build_shifted_model((0, 0, 1), base, box)
 
@@ -416,15 +416,15 @@ def test_sos_block_shift_must_be_nonnegative_on_the_box():
 
 def test_circuit_model_even_odd():
     pat = make_sdsos((1, 0), (0, 0))  # beta = (1,0), gammas (2,0),(0,0)
-    m = build_circuit_model(pat, "R_full")
+    m = build_circuit_model(pat, Box.full_space(2))
     assert m.gmcs[0].sign_mode == "odd"
     pat = make_sdsos((1, 0), (0, 1))
-    m = build_circuit_model(pat, "R_full")
+    m = build_circuit_model(pat, Box.full_space(2))
     assert m.gmcs[0].sign_mode == "odd"
-    m = build_circuit_model(pat, "R_plus")
+    m = build_circuit_model(pat, Box.nonneg_orthant(2))
     assert m.gmcs[0].sign_mode == "even"
     even = make_sdsos((2, 0), (0, 2))  # beta (2,2) even
-    m = build_circuit_model(even, "R_full")
+    m = build_circuit_model(even, Box.full_space(2))
     assert m.gmcs[0].sign_mode == "even"
 
 
@@ -436,9 +436,9 @@ def test_circuit_model_requires_even_gammas_on_full_space():
     odd = Pattern(frozenset({(1,), (2,), (3,)}), kind="circuit",
                   meta={"beta": (2,), "gammas": ((1,), (3,)),
                         "lambdas": (0.5, 0.5)})
-    build_circuit_model(odd, "R_plus")
+    build_circuit_model(odd, Box.nonneg_orthant(1))
     with pytest.raises(BuilderError):
-        build_circuit_model(odd, "R_full")
+        build_circuit_model(odd, Box.full_space(1))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +568,7 @@ def test_merge_of_many_vertex_models_lifts_without_recursion():
 
 def test_model_dump_mentions_all_constraint_kinds():
     pat = make_sdsos((1, 0), (0, 1))
-    m = build_circuit_model(pat, "R_full")
+    m = build_circuit_model(pat, Box.full_space(2))
     text = m.dump()
     assert "gmc" in text and "row" in text
     m2 = build_lasserre_model(np.array([[1]]), 1, Box.unit(1))

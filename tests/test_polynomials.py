@@ -37,7 +37,7 @@ def test_linearize_conic_keeps_v0():
     # the conic program keeps the objective's constant as v_0's cost
     f = Polynomial(1, {(0,): 5.0, (1,): 2.0})
     prog = assemble_relaxation(f, chain_family({(1,)}), Box.unit(1))
-    assert prog.c[prog.meta["v0_col"]] == 5.0
+    assert prog.c[prog.col_exponents.index((0,))] == 5.0
     assert prog.c[prog.col_exponents.index((1,))] == 2.0
 
 
@@ -53,6 +53,12 @@ def test_monomial_range_degenerate_and_infinite():
     assert r.lo == 0.0 and math.isinf(r.hi)
     r = monomial_range((3,), Box([-math.inf], [math.inf]))
     assert math.isinf(r.lo) and math.isinf(r.hi)
+
+
+def test_monomial_range_refuses_a_negative_exponent():
+    # x**-1 by repeated squaring would never end
+    with pytest.raises(ValueError, match="negative power"):
+        monomial_range((-1,), Box.unit(1))
 
 
 def test_monomial_range_sampling_property():
