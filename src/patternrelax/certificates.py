@@ -339,8 +339,10 @@ def _vertex_piece(data: dict, n: int, box: Box) -> Polynomial:
 def _circuit_piece(data: dict, n: int, box: Box) -> Polynomial:
     """A polynomial on one circuit's exponents that passes the AGE/SONC test.
 
-    The box's lower bounds decide the sign rule: outer exponents must be even
-    where x can be negative, and the inner one counts as even where x >= 0.
+    The box's lower bounds decide the sign rule, coordinate by coordinate: an
+    outer exponent must be even in each coordinate whose lower bound is below
+    0, and the inner one counts as even where each of its odd coordinates has
+    a lower bound >= 0.
     The test is f_beta + prod (f_gamma/lambda)^lambda >= -CIRCUIT_SLACK_TOL
     for an even inner exponent and the same with -|f_beta| for an odd one.
     """
@@ -363,9 +365,9 @@ def _circuit_piece(data: dict, n: int, box: Box) -> Polynomial:
     poly = Polynomial(n, kept)
     fbeta = poly.coefficient(tuple(beta))
     fg = [poly.coefficient(tuple(g)) for g in gammas]
-    if not box.nonnegative and any(e % 2 for g in gammas for e in g):
+    if any(e % 2 and lo < 0.0 for g in gammas for e, lo in zip(g, box.lower)):
         raise CertificateError("odd outer circuit exponent where x can be negative")
-    even = box.nonnegative or all(e % 2 == 0 for e in beta)
+    even = all(e % 2 == 0 or lo >= 0.0 for e, lo in zip(beta, box.lower))
     # outer coefficients must be positive unless the inner term vanishes
     if any(v <= 0.0 for v in fg) and not (
             even and abs(fbeta) <= CIRCUIT_SLACK_TOL

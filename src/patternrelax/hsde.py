@@ -16,11 +16,18 @@ same bits as COLAMD each time (_KKTPattern).
 Each KKT solve is one refinement loop of at most six passes against the
 residual accumulated in long double.
 
+There is no presolve.  Dependent equality rows make the KKT matrix
+singular, and the shift fallback absorbs them, as ECOS's static
+regularization does; refinement against the unshifted residual recovers the
+step.  Inconsistent equalities end in the embedding's infeasibility
+certificate; only an empty row, 0 = b with b != 0, is refused before the
+first iteration (ipm.solve).
+
 Cone vectors (s, z, h and every direction) are flat float64 arrays: the
-orthant entries, then each PSD block's entries row by row (_Cone), and G is
-one CSR matrix, as in the standard form of CVXOPT and ECOS.  Each block's
-coefficients are read off G's rows; a block above DENSE_BLOCK_MAX holds
-them as sparse triples and forms its Schur complement from them, as
+orthant entries, then each PSD block's entries row by row (_Cone), and A
+and G are CSR matrices, as in the standard form of CVXOPT and ECOS.  Each
+block's coefficients are read off G's rows; a block above DENSE_BLOCK_MAX
+holds them as sparse triples and forms its Schur complement from them, as
 Fujisawa, Kojima and Nakata do for sparse SDP data.  The blocks of
 one size are processed as one (k, m, m) stack: the scaling (_Scaling) and the
 Jordan product do one numpy call per distinct block size, not a Python loop
@@ -34,7 +41,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
@@ -157,22 +163,35 @@ def _matmul_ld(A, B):
     return A @ B if A.shape[-1] <= DENSE_BLOCK_MAX else _sliced_ld(A, B)
 
 
-class InconsistentEqualities(Exception):
-    """Raised by presolve when the equality system has no solution."""
+def _csr(rows, cols, vals, shape) -> sps.csr_array:
+    """The matrix with these (row, column, value) triples, explicit zeros dropped."""
+    keep = vals != 0.0
+    return sps.coo_array((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+
+
+def _row_triples(rows) -> tuple:
+    """The (row, column, value) triples of rows' coefficient dicts, row by row."""
+    nnz = [len(row.coeff) for row in rows]
+    return (np.repeat(np.arange(len(rows)), nnz),
+            np.fromiter((j for row in rows for j in row.coeff), int, sum(nnz)),
+            np.fromiter((v for row in rows for v in row.coeff.values()), float, sum(nnz)))
 
 
 class _StandardForm:
     """Array view of a lowered ConicProgram, equilibrated for the solver.
 
-    Presolve drops linearly dependent equality rows (rejecting inconsistent
-    systems outright).  Columns, rows (a PSD block's rows share one scalar,
-    to preserve the cone), and the objective are rescaled to O(1); the solver
-    works on the scaled data and the recovery vectors map solutions and
-    duals back.  G is one CSR matrix, built from its nonzeros in one pass:
-    the linear rows, then -vec(F_j) for each PSD block F(x) = C + sum_j x_j F_j.
-    After the scaling each block's nonzero F_j entries are read straight off
-    G's rows into a _DenseBlock (m <= DENSE_BLOCK_MAX) or a _SparseBlock,
-    which form its Schur complement.
+    A and G are CSR matrices, each built from its nonzeros in one pass: A
+    from the equality rows, G from the linear rows, then -vec(F_j) for each
+    PSD block F(x) = C + sum_j x_j F_j.  There is no presolve: dependent
+    equality rows stay in A, where they make the KKT matrix singular and
+    the static shift (_KKT.REG) absorbs them, and inconsistent ones are
+    reported by the embedding's infeasibility certificate.  Columns, rows (a
+    PSD block's rows share one scalar, to preserve the cone), and the
+    objective are rescaled to O(1); the solver works on the scaled data and
+    the recovery vectors map solutions and duals back.  After the scaling
+    each block's nonzero F_j entries are read straight off G's rows into a
+    _DenseBlock (m <= DENSE_BLOCK_MAX) or a _SparseBlock, which form its
+    Schur complement.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -182,28 +201,18 @@ class _StandardForm:
         if n == 0:
             raise ValueError("program has no variables")
         self.n = n
-        self.A = np.zeros((len(prog.eqs), n))
-        self.b = np.zeros(len(prog.eqs))
-        for i, row in enumerate(prog.eqs):
-            for j, cval in row.coeff.items():
-                self.A[i, j] = cval
-            self.b[i] = row.rhs
-        self.eq_total = len(prog.eqs)
-        self.eq_keep = list(range(self.eq_total))
-        self._drop_dependent_equalities()
+        self.A = _csr(*_row_triples(prog.eqs), (len(prog.eqs), n))
+        self.b = np.array([row.rhs for row in prog.eqs], dtype=float)
         self.l = len(prog.ineqs)
         self.cone = _Cone(self.l, [blk.size for blk in prog.blocks])
         self.nu = self.l + sum(self.cone.sizes)
         if self.nu == 0:
             raise ValueError("program has no cone constraints")
-        # G's nonzeros as (row, column, value) triples, made into CSR in one
-        # pass: linear rows a'x >= rhs become slacks s = a'x - rhs, i.e.
-        # G = -a, h = -rhs; then -vec(F_j) of each block, row by row
-        nnz = [len(row.coeff) for row in prog.ineqs]
-        rows = [np.repeat(np.arange(self.l), nnz)]
-        cols = [np.fromiter((j for row in prog.ineqs for j in row.coeff), int, sum(nnz))]
-        vals = [np.fromiter((-v for row in prog.ineqs for v in row.coeff.values()), float,
-                            sum(nnz))]
+        # G's nonzeros as (row, column, value) triples: linear rows a'x >= rhs
+        # become slacks s = a'x - rhs, i.e. G = -a, h = -rhs; then -vec(F_j)
+        # of each block, row by row
+        r, c, v = _row_triples(prog.ineqs)
+        rows, cols, vals = [r], [c], [-v]
         h = [-np.array([row.rhs for row in prog.ineqs], dtype=float)]
         block_cols = []
         for blk, o in zip(prog.blocks, self.cone.offsets):
@@ -220,10 +229,8 @@ class _StandardForm:
                 hb[a, b] = hb[b, a] = c
             h.append(hb.ravel())
             block_cols.append(np.unique(col))
-        rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
-        keep = vals != 0.0
-        self.G = sps.coo_array((vals[keep], (rows[keep], cols[keep])),
-                               shape=(self.cone.offsets[-1], n)).tocsr()
+        self.G = _csr(*(np.concatenate(v) for v in (rows, cols, vals)),
+                      (self.cone.offsets[-1], n))
         self.h = np.concatenate(h)
         self.c = np.asarray(prog.c, float).copy()
         self._equilibrate()
@@ -240,57 +247,34 @@ class _StandardForm:
             k = np.searchsorted(bcols, G.indices[lo:hi])
             kind = _DenseBlock if m <= DENSE_BLOCK_MAX else _SparseBlock
             self.blocks.append(kind(m, bcols, entry, k, -G.data[lo:hi]))
-        self.GT = self.G.T
+        self.AT, self.GT = self.A.T, self.G.T
         # A over G in long double, so that one CSR product gives A dx and
         # G dx (each row is summed on its own, so the bits are those of two
         # products); the transposes are views of its row slices
         p = self.A.shape[0]
-        self.AG_ld = sps.vstack([sps.csr_array(self.A), G], format="csr").astype(np.longdouble)
+        self.AG_ld = sps.vstack([self.A, G], format="csr").astype(np.longdouble)
         self.AT_ld, self.GT_ld = self.AG_ld[:p].T, self.AG_ld[p:].T
         self.kkt_pattern = _KKTPattern(self)
 
-    def _drop_dependent_equalities(self):
-        p = self.A.shape[0]
-        if p == 0:
-            return
-        # the rank is read off the diagonal of a column-pivoted QR of A', whose
-        # pivots also pick the rows to keep
-        R, piv = sla.qr(self.A.T, pivoting=True, mode="r")
-        tol = 1e-12 * max(1.0, np.max(np.abs(self.A)))
-        rank = int(np.count_nonzero(np.abs(np.diag(R)) > tol))
-        if rank == p:
-            return
-        x_star, *_ = np.linalg.lstsq(self.A, self.b, rcond=None)
-        resid = self.b - self.A @ x_star
-        if np.max(np.abs(resid)) > 1e-10 * (1.0 + np.max(np.abs(self.b))):
-            raise InconsistentEqualities(resid)
-        keep = sorted(piv[:rank])
-        self.eq_keep = [int(i) for i in keep]
-        self.A = self.A[self.eq_keep]
-        self.b = self.b[self.eq_keep]
-
-    def expand_eq_duals(self, y: np.ndarray) -> np.ndarray:
-        """Duals for the original equality list; dropped rows get zero."""
-        full = np.zeros(self.eq_total)
-        full[self.eq_keep] = y
-        return full
-
     def _equilibrate(self):
-        G = self.G
-        colmax = np.max(np.abs(self.A), axis=0, initial=0.0)
-        np.maximum.at(colmax, G.indices, np.abs(G.data))
+        A, G = self.A, self.G
+        colmax = np.zeros(self.n)
+        for M in (A, G):
+            np.maximum.at(colmax, M.indices, np.abs(M.data))
         # a column in no constraint; with a cost it is a ray of unboundedness
         self.untouched = colmax == 0.0
         colmax[self.untouched] = 1.0
         self.dcol = np.clip(1.0 / np.sqrt(colmax), 1e-8, 1e8)
-        self.A *= self.dcol[None, :]
+        A.data *= self.dcol[A.indices]
         G.data *= self.dcol[G.indices]
         self.c *= self.dcol
         # row scalings after column pass
-        rmax = np.maximum(np.max(np.abs(self.A), axis=1, initial=0.0), np.abs(self.b))
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        rmax = np.abs(self.b)
+        np.maximum.at(rmax, rows, np.abs(A.data))
         rmax[rmax == 0.0] = 1.0
         self.deq = 1.0 / rmax
-        self.A *= self.deq[:, None]
+        A.data *= self.deq[rows]
         self.b *= self.deq
         rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
         rmax = np.abs(self.h)
@@ -533,10 +517,9 @@ class _KKTPattern:
         # entries below H and their transposes.  A block's keys run column by
         # column, so they ascend, and the search for their slots below walks
         # the stored keys in order instead of jumping across them
-        Gl = sf.G[: sf.l].tocoo()
-        ai, aj = np.nonzero(sf.A)
-        lower_r = np.concatenate([n + ai, n + p + Gl.row])
-        lower_c = np.concatenate([aj, Gl.col])
+        A, Gl = sf.A.tocoo(), sf.G[: sf.l].tocoo()
+        lower_r = np.concatenate([n + A.row, n + p + Gl.row])
+        lower_c = np.concatenate([A.col, Gl.col])
         blk = [(b.cols[:, None] * N + b.cols).ravel() for b in sf.blocks]
         keys = np.concatenate([np.arange(N) * (N + 1), *blk,
                                lower_c * N + lower_r, lower_r * N + lower_c])
@@ -558,7 +541,7 @@ class _KKTPattern:
             slot[a:e].reshape(b.cols.size, -1).T.ravel()
             for a, e, b in zip(ends, ends[1:], sf.blocks)])
         self.base = np.zeros(len(stored))  # the fixed A and Gl values
-        self.base[slot[ends[-1]:]] = np.concatenate([sf.A[ai, aj], Gl.data] * 2)
+        self.base[slot[ends[-1]:]] = np.concatenate([A.data, Gl.data] * 2)
         self.M, self.Ms = (sps.csc_array((np.zeros(len(stored)), self.indices, self.indptr),
                                          shape=self.shape) for _ in range(2))
         # the ordering and the permuted matrix, from the first factorization
@@ -740,7 +723,7 @@ class _KKT:
 
 def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
     cone = sf.cone
-    c, A, b, G, GT, h = sf.c, sf.A, sf.b, sf.G, sf.GT, sf.h
+    c, A, AT, b, G, GT, h = sf.c, sf.A, sf.AT, sf.b, sf.G, sf.GT, sf.h
     x = np.zeros(sf.n)
     y = np.zeros(A.shape[0])
     s = cone.identity()
@@ -767,7 +750,7 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
         dcost = -float(b @ Y) - float(h @ Z)
         res = {
             "primal": max(_inf_norm(A @ X - b) / norm_b, _inf_norm(G @ X + S - h) / norm_h),
-            "dual": _inf_norm(A.T @ Y + GT @ Z + c) / norm_c,
+            "dual": _inf_norm(AT @ Y + GT @ Z + c) / norm_c,
             "gap": abs(pcost - dcost) / (1.0 + abs(pcost)),
         }
         return (X, Y, S, Z), pcost, dcost, res
@@ -775,7 +758,7 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
     def embedding(x, y, s, z, tau, kappa):
         """G x and the residuals and barrier parameter of the embedding."""
         Gx = G @ x
-        rx = A.T @ y + GT @ z + c * tau
+        rx = AT @ y + GT @ z + c * tau
         ry = A @ x - b * tau
         rz = Gx + s - tau * h
         rtau = float(c @ x) + float(b @ y) + float(h @ z) + kappa
@@ -792,7 +775,7 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
         X0, Y0, S0, Z0 = sf.unscale_solution(X, Y, S, Z)
         return SolveResult(
             status=status, primal=pcost / sf.obj_scale, dual=dcost / sf.obj_scale,
-            x=X0, y_eq=sf.expand_eq_duals(Y0),
+            x=X0, y_eq=Y0,
             z_lin=cone.lin(Z0), z_psd=cone.mats(Z0),
             s_lin=cone.lin(S0), s_psd=cone.mats(S0),
             residuals=res, iterations=iterations, history=history,
@@ -827,7 +810,7 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
         # infeasibility / unboundedness certificates from the embedding
         by_hz = float(b @ y) + float(h @ z)
         if by_hz < -1e-12:
-            cert = _inf_norm(A.T @ y + GT @ z)
+            cert = _inf_norm(AT @ y + GT @ z)
             if cert / (-by_hz) <= cfg.feas_tol * norm_c:
                 return SolveResult("infeasible", math.inf, math.inf,
                                    residuals={"certificate": cert / (-by_hz)},

@@ -43,12 +43,12 @@ class SolveResult:
 
 def solve(prog: ConicProgram, cfg: SolverConfig | None = None) -> SolveResult:
     """Solve a lowered conic program (no GMC records left)."""
-    from .hsde import InconsistentEqualities, _solve_hsde, _StandardForm
+    from .hsde import _solve_hsde, _StandardForm
 
     cfg = cfg or SolverConfig()
-    try:
-        sf = _StandardForm(prog)
-    except InconsistentEqualities:
+    sf = _StandardForm(prog)
+    if np.any(sf.b[np.diff(sf.A.indptr) == 0]):
+        # an equality row with no coefficient reads 0 = b, b != 0
         return SolveResult("infeasible", math.inf, math.inf,
                            residuals={"certificate": 0.0}, iterations=0)
     if np.any(sf.c[sf.untouched]):

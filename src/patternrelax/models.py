@@ -425,17 +425,19 @@ def build_shifted_model(eta: Exponent, base: MomentModel, box: Box) -> MomentMod
 def build_circuit_model(P: Pattern, box: Box) -> MomentModel:
     """Geometric-mean-cone membership for a simplicial circuit, on any box.
 
-    The box's lower bounds decide the sign rule: the outer exponents must be
-    even where x can be negative, and the inner one counts as even where x >= 0.
+    The box's lower bounds decide the sign rule, coordinate by coordinate:
+    an outer exponent must be even in each coordinate whose lower bound is
+    below 0, and the inner one counts as even where each of its odd
+    coordinates has a lower bound >= 0.
     """
     if P.kind not in ("circuit", "sdsos"):
         raise BuilderError("pattern has no circuit metadata")
     beta = P.meta["beta"]
     gammas = P.meta["gammas"]
     lambdas = P.meta["lambdas"]
-    if not box.nonnegative and any(e % 2 for g in gammas for e in g):
+    if any(e % 2 and lo < 0.0 for g in gammas for e, lo in zip(g, box.lower)):
         raise BuilderError("outer circuit exponents must be even where x can be negative")
-    even = box.nonnegative or all(e % 2 == 0 for e in beta)
+    even = all(e % 2 == 0 or lo >= 0.0 for e, lo in zip(beta, box.lower))
     model = MomentModel(P.n)
     for g in gammas:
         model.add_row({g: 1.0}, factors=(("monomial", g),))

@@ -158,11 +158,6 @@ class Box:
     def bounded(self) -> bool:
         return all(math.isfinite(v) for v in self.lower + self.upper)
 
-    @property
-    def nonnegative(self) -> bool:
-        """x >= 0 on the box: every lower bound is >= 0."""
-        return all(l >= 0.0 for l in self.lower)
-
     def sample(self, rng, count: int):
         """Uniform samples; infinite sides are truncated to +-10 for sampling."""
         lo = [max(l, -10.0) for l in self.lower]

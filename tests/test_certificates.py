@@ -127,19 +127,38 @@ _QUADRATIC = (Polynomial(1, {(0,): 1.0, (1,): 3.0, (2,): 1.0}), make_circuit((1,
 _ODD_OUTER = (Polynomial(1, {(1,): 1.0, (3,): 1.0}), make_circuit((2,), [(1,), (3,)]))
 
 
+# x_1 (1 - 1.5 x_1 + x_1^2) >= 0 where x_1 >= 0, and -3.5 at x_1 = -1: the
+# rule is read coordinate by coordinate, so x_2's sign does not matter
+_ODD_IN_X1 = (Polynomial(2, {(1, 0): 1.0, (2, 0): -1.5, (3, 0): 1.0}),
+              make_circuit((2, 0), [(1, 0), (3, 0)]))
+
+
 @pytest.mark.parametrize("f, pat, box, passes", [
     (*_QUADRATIC, Box.full_space(1), False),
     (*_QUADRATIC, Box([-3.0], [3.0]), False),
     (*_QUADRATIC, Box.nonneg_orthant(1), True),
     (*_ODD_OUTER, Box([-1.0], [1.0]), False),
     (*_ODD_OUTER, Box.unit(1), True),
+    (*_ODD_IN_X1, Box([0.0, -1.0], [1.0, 1.0]), True),
+    (*_ODD_IN_X1, Box([-1.0, 0.0], [1.0, 1.0]), False),
 ], ids=["quadratic_full_space", "quadratic_on_pm3", "quadratic_orthant",
-        "odd_outer_on_pm1", "odd_outer_on_unit"])
+        "odd_outer_on_pm1", "odd_outer_on_unit", "odd_in_x1_where_x1_nonneg",
+        "odd_in_x1_where_x1_negative"])
 def test_circuit_sign_rule_comes_from_the_box(f, pat, box, passes):
     # the piece claims the nonnegative orthant; the verifier reads the box instead
     cert = _circuit_certificate(f, pat)
     cert.pieces[0].data["domain"] = "R_plus"
     assert verify_certificate(cert, f, box).passed == passes
+
+
+def test_odd_circuit_certifies_where_only_its_coordinate_is_nonnegative():
+    # the circuit involves x_1 alone, and x_1 >= 0 on the box although x_2 is not
+    f, pat = _ODD_IN_X1
+    rel = solve_relaxation(f, PatternFamily([pat], 2), Box([0.0, -1.0], [1.0, 1.0]))
+    assert rel.result.status == "optimal"
+    cert, report = rel.certify()
+    assert cert.kind == "circuit" and report.passed, report.problems
+    assert abs(rel.bound) <= 1e-6  # min f = 0 at x_1 = 0
 
 
 @pytest.mark.parametrize("box", [

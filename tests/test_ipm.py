@@ -15,6 +15,7 @@ from patternrelax.hsde import (_KKT, DENSE_BLOCK_MAX, _DenseBlock, _jordan, _KKT
                                _Scaling, _SparseBlock, _StandardForm)
 from patternrelax.ipm import SolveResult, SolverConfig, solve
 from patternrelax.pipeline import solve_relaxation
+from patternrelax.polynomials import Box
 from patternrelax.program import ConicProgram
 
 
@@ -127,12 +128,19 @@ def case_builders():
     add("lp_min_coord", lp12, "optimal", 0.0)
 
     def lp13():
-        # the second equality is twice the first: presolve drops it
+        # the second equality is twice the first: the KKT shift absorbs it
         p = prog(2); p.c[:] = [1, 2]
         p.add_eq({0: 1, 1: 1}, 1); p.add_eq({0: 2, 1: 2}, 2)
         p.add_ineq({0: 1}, 0); p.add_ineq({1: 1}, 0)
         return p
     add("lp_dependent_eqs", lp13, "optimal", 1.0)
+
+    def lp14():
+        # an equality row with no coefficient and rhs 0 holds everywhere
+        p = prog(1); p.c[:] = [1]
+        p.add_eq({}, 0); p.add_ineq({0: 1}, 1)
+        return p
+    add("lp_empty_eq_zero_rhs", lp14, "optimal", 1.0)
 
     # --- infeasible -------------------------------------------------------
     def inf1():
@@ -145,6 +153,13 @@ def case_builders():
         p.add_ineq({0: 1}, 0)
         return p
     add("inf_inconsistent_eqs", inf2, "infeasible")
+
+    def inf_empty_eq():
+        # an equality row whose only coefficient is 0 reads 0 = 1
+        p = prog(1); p.c[:] = [1]
+        p.add_eq({0: 0.0}, 1); p.add_ineq({0: 1}, 1)
+        return p
+    add("inf_empty_eq", inf_empty_eq, "infeasible")
 
     def inf3():
         p = prog(2)
@@ -354,6 +369,38 @@ def test_sparse_kkt_shift_fallback_on_singular_matrix(monkeypatch):
     r = solve(p)
     assert factored and shifted
     _check_case("duplicated_column", r, "optimal", 1.0)
+
+
+def test_empty_equality_row_with_nonzero_rhs_is_infeasible_before_iterating():
+    # equilibrating the row 0 = 1 would overflow the KKT scaling
+    build = next(c[1] for c in CASES if c[0] == "inf_empty_eq")
+    r = solve(build())
+    assert (r.status, r.iterations) == ("infeasible", 0)
+
+
+# bounds of dense(3,4)/M seed 1 on the box below, from the solver that still
+# dropped dependent equality rows by a QR presolve
+_RANK_DEFICIENT_BOUNDS = {"min": -0.6106582388871473, "max": 1.088545396618256}
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_dependent_equalities_are_absorbed_by_the_shift(monkeypatch, sense):
+    # the point ranges x_0 = 0.5 and x_2 = 0.25 are shared by vertex models,
+    # whose equality rows then depend on each other; they stay in A, and the
+    # shifted factorization absorbs them
+    shifted = []
+    shift = _KKT._shifted
+    monkeypatch.setattr(_KKT, "_shifted", lambda self: shifted.append(1) or shift(self))
+    inst = gen_instance("dense(3,4)", 1)
+    box = Box([0.5, 0.0, 0.25], [0.5, 1.0, 0.25])
+    rel = solve_relaxation(inst.f, family_for_method("M", inst.f), box, sense)
+    A = _StandardForm(rel.program).A.toarray()
+    assert np.linalg.matrix_rank(A) < A.shape[0]
+    assert rel.result.status == "optimal" and shifted
+    _, report = rel.certify()
+    assert report.passed, report.problems
+    want = _RANK_DEFICIENT_BOUNDS[sense]
+    assert abs(rel.bound - want) <= 1e-8 * abs(want)
 
 
 def test_weak_duality_along_iterations():
@@ -600,8 +647,9 @@ def test_kkt_matrix_matches_dense_formula(tag, method):
         F = (-sf.G[o:o + m * m][:, cols].T).toarray().reshape(len(cols), m, m)
         T = np.einsum("ab,nbc,cd->nad", Wi, F, Wi)
         H[np.ix_(cols, cols)] += np.tensordot(F, T, axes=([1, 2], [1, 2]))
-    ref = np.block([[H, sf.A.T, Gl.T],
-                    [sf.A, np.zeros((p, p)), np.zeros((p, l))],
+    A = sf.A.toarray()
+    ref = np.block([[H, A.T, Gl.T],
+                    [A, np.zeros((p, p)), np.zeros((p, l))],
                     [Gl, np.zeros((l, p)), -np.diag(scal.w2)]])
     assert sps.issparse(kkt.M)
     assert np.max(np.abs(kkt.M.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))

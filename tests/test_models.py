@@ -32,6 +32,7 @@ from patternrelax.patterns import (
     expression_tree_family,
     gamma_image,
     h_family,
+    make_circuit,
     make_sdsos,
     multilinear_family,
     shifted_chain_family,
@@ -439,6 +440,20 @@ def test_circuit_model_requires_even_gammas_on_full_space():
     build_circuit_model(odd, Box.nonneg_orthant(1))
     with pytest.raises(BuilderError):
         build_circuit_model(odd, Box.full_space(1))
+
+
+def test_circuit_sign_rule_is_read_coordinate_by_coordinate():
+    # the outer exponents are odd in x_1 only, so only x_1's lower bound counts
+    pat = make_circuit((2, 0), [(1, 0), (3, 0)])
+    m = build_circuit_model(pat, Box([0.0, -1.0], [1.0, 1.0]))
+    assert m.gmcs[0].sign_mode == "even"
+    with pytest.raises(BuilderError, match="even where x can be negative"):
+        build_circuit_model(pat, Box([-1.0, 0.0], [1.0, 1.0]))
+    # the inner exponent (1, 1) is odd in both coordinates: even only when
+    # both lower bounds are >= 0
+    sdsos = make_sdsos((1, 0), (0, 1))
+    for lo, mode in (([0.0, 0.0], "even"), ([0.0, -1.0], "odd"), ([-1.0, 0.0], "odd")):
+        assert build_circuit_model(sdsos, Box(lo, [1.0, 1.0])).gmcs[0].sign_mode == mode
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 
 from patternrelax.bench import family_for_method, gen_instance
 from patternrelax.io import export_instance_json, import_instance_json
-from patternrelax.patterns import FAMILY_BUILDERS, PatternFamily, h_family, make_sdsos
+from patternrelax.patterns import (FAMILY_BUILDERS, PatternFamily, h_family, make_circuit,
+                                 make_sdsos)
 from patternrelax.polynomials import Box, Polynomial
 from patternrelax.program import (
     ConicProgram,
@@ -264,6 +265,25 @@ def test_sdpa_export_edge_cases_pinned(make, digest):
     text = export_sdpa(make())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert export_sdpa(parse_sdpa(text)) == text
+
+
+def test_circuit_program_sdpa_is_pinned():
+    # an odd (sdsos) and an even circuit on [-1, 1]^2, whose weights 5/8 and
+    # 3/8 lower to a tower of 2x2 blocks; no relax digest, solve digest or
+    # benchmark job holds a circuit, so this pins build_circuit_model's sign
+    # rule and the lowering.  The digest was recorded before the rule went
+    # coordinate by coordinate, which treats these circuits as the whole-box
+    # rule did
+    from patternrelax.assemble import assemble_relaxation
+
+    fam = PatternFamily([make_sdsos((1, 0), (0, 1)), make_circuit((0, 6), [(0, 0), (0, 16)])], 2)
+    f = Polynomial(2, {(0, 0): 1.0, (2, 0): 1.0, (0, 2): 1.0, (1, 1): -1.5, (0, 16): 1.0,
+                       (0, 6): -1.0})
+    prog = assemble_relaxation(f, fam, Box([-1.0, -1.0], [1.0, 1.0]))
+    assert [g.sign_mode for g in prog.gmcs] == ["odd", "even"]
+    text = export_sdpa(prog.lowered())
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "b93b374e6cb2b970d692d83a286779f313697b9223e2ab52c7404149a4b971bf")
 
 
 @pytest.mark.parametrize("scale", [1, 1 << 30], ids=["one-key", "lexsort"])

@@ -19,18 +19,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_tool(*args):
+def run_tool(*args, stderr=False):
+    """The tool's stdout, or (stdout, stderr) with stderr=True."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    return proc.stdout
+    return (proc.stdout, proc.stderr) if stderr else proc.stdout
 
 
 def test_solve_digests_prints_one_digest_per_solve():
-    out = run_tool("tools/solve_digests.py", "--tag", "A5", "--method", "M",
-                   "--seeds", "1", "--senses", "min")
+    out, err = run_tool("tools/solve_digests.py", "--tag", "A5", "--method", "M",
+                        "--seeds", "1", "--senses", "min", stderr=True)
     assert re.fullmatch(r"A5#1:min [0-9a-f]{64}\n", out), out
+    bound = r"(-?\d+(\.\d+)?(e[-+]\d+)?|nan)"  # the repr of a float
+    assert re.fullmatch(rf"A5#1:min optimal \d+ it bound {bound} [0-9.]+ s \d+ MB peak RSS\n",
+                        err), err
 
 
 def test_relax_digests_prints_one_digest_per_program():
@@ -49,10 +53,10 @@ def test_relax_digests_leaves_the_unit_box_with_box_random():
 
 # tools/relax_digests.py at seed 1, sense min, on routes whose models write
 # rows with a v_0 term: chain localizers (C), term sparsity (T), the mixed
-# method (H), TSSOS blocks, sdsos circuits (S) and vertex models on a random
-# box (M). The digest covers the SDPA text, pieces, col_exponents and the
-# lift. dense(3,4)/S with --box random is left out: it raises BuilderError
-# at seed 1
+# method (H), TSSOS blocks, shifted chains (S, shifted_chain_family) and
+# vertex models on a random box (M). The digest covers the SDPA text,
+# pieces, col_exponents and the lift. dense(3,4)/S with --box random is left
+# out: it raises BuilderError at seed 1
 PINNED_RELAX_DIGESTS = [
     ("dense(2,6)", "C", "unit",
      "0023095d1d215a9a5f613c5267e3af4de60db2f71df410b9248bd2c50c10104c"),

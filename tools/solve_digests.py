@@ -9,11 +9,16 @@ Each line is ``<instance id>:<sense> <digest>``. The digest covers every
 field of the result in declaration order: floats and arrays by their raw
 bytes (with dtype and shape), lists, tuples and dicts element by element,
 so two commits solve bit-identically exactly when their outputs ``diff``
-clean. Each solve's status, iteration count, wall time and the process's
-peak RSS so far go to stderr as
-``<instance id>:<sense> <status> <iterations> it <seconds> s <MB> MB peak RSS``,
-where the time covers assemble, lower and solve, so stdout holds only the
-digests.
+clean. Each solve's status, iteration count, bound, wall time and the
+process's peak RSS so far go to stderr as
+``<instance id>:<sense> <status> <iterations> it bound <bound> <seconds> s <MB> MB peak RSS``,
+so stdout holds only the digests. The bound is the ``repr`` of
+``Relaxation.bound``, in the solve's sense, or ``nan`` unless the solve is
+``optimal``; the time covers assemble, lower and solve. Where the digests of
+two commits differ, their values can be compared on the first six fields:
+
+    python3 tools/solve_digests.py --tag A6 --method M --seeds 1-3 2>&1 >/dev/null | cut -d' ' -f1-6
+
 Instances come from ``patternrelax.bench.gen_instance`` and pass through
 ``patternrelax.pipeline.solve_relaxation`` (assemble, lower and solve) with
 the default policy and solver configuration, as in ``patternrelax solve``.
@@ -31,6 +36,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import math  # noqa: E402
 import resource  # noqa: E402
 import struct  # noqa: E402
 import sys  # noqa: E402
@@ -96,12 +102,14 @@ def main(argv=None) -> None:
         fam = family_for_method(args.method, inst.f)
         for sense in senses:
             start = time.perf_counter()
-            res = solve_relaxation(inst.f, fam, inst.box, sense).result
+            rel = solve_relaxation(inst.f, fam, inst.box, sense)
             wall = time.perf_counter() - start
+            res = rel.result
             print(f"{inst.id}:{sense} {digest(res)}", flush=True)
+            bound = rel.bound if res.status == "optimal" else math.nan
             rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-            print(f"{inst.id}:{sense} {res.status} {res.iterations} it {wall:.3f} s "
-                  f"{rss_mb:.0f} MB peak RSS", file=sys.stderr, flush=True)
+            print(f"{inst.id}:{sense} {res.status} {res.iterations} it bound {bound!r} "
+                  f"{wall:.3f} s {rss_mb:.0f} MB peak RSS", file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":
