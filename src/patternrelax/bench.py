@@ -19,7 +19,8 @@ from .ipm import SolverConfig
 from .models import ModelPolicy
 from .patterns import PatternFamily, build_family
 from .pipeline import solve_relaxation
-from .polynomials import Box, Polynomial, degrees_up_to, monomial_range, zero_exponent
+from .polynomials import (Box, Polynomial, _integer, degrees_up_to, monomial_range,
+                          zero_exponent)
 
 MASK64 = (1 << 64) - 1
 
@@ -285,11 +286,17 @@ class BenchConfig:
         for key in ("families", "methods"):
             if key not in data:
                 raise ValueError(f"bench config missing field '{key}'")
+            names = data[key]
+            if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+                # a string is refused, not read as a list of its characters
+                raise TypeError(f"bench config field '{key}' must be a list of strings")
+        samples = _integer(data.get("samples", 20))
+        if samples < 1:
+            raise ValueError("bench config field 'samples' must be >= 1")
         policy = ModelPolicy(**data.get("policy", {}))
         solver = SolverConfig(**data.get("solver", {}))
-        return cls(list(data["families"]), list(data["methods"]),
-                   int(data.get("samples", 20)), int(data.get("base_seed", 1)),
-                   policy, solver)
+        return cls(data["families"], data["methods"], samples,
+                   _integer(data.get("base_seed", 1)), policy, solver)
 
 
 def _bench_one(inst: Instance, method: str, cfg: BenchConfig) -> list:

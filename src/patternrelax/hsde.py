@@ -289,10 +289,9 @@ class _StandardForm:
         self.obj_scale = 1.0 / cmax
         self.c *= self.obj_scale
 
-    def unscale_solution(self, X, Y, S, Z):
-        """Map a scaled primal-dual point back to the original data."""
-        return (self.dcol * X, self.deq * Y / self.obj_scale,
-                S / self.drow, self.drow * Z / self.obj_scale)
+    def unscale_solution(self, X, Y, Z):
+        """Map a scaled point and its duals back to the original data."""
+        return self.dcol * X, self.deq * Y / self.obj_scale, self.drow * Z / self.obj_scale
 
 
 class _Scaling:
@@ -722,6 +721,13 @@ class _KKT:
 
 
 def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
+    """Run the embedding from the identity point until a status is reached.
+
+    Each iterate is evaluated once (evaluate): its embedding residuals give
+    the step and, divided by tau, the stopping test, as in ECOS.  Every
+    numerical breakdown raises, and one handler ends the solve with
+    numerical_failure and the best iterate seen.
+    """
     cone = sf.cone
     c, A, AT, b, G, GT, h = sf.c, sf.A, sf.AT, sf.b, sf.G, sf.GT, sf.h
     x = np.zeros(sf.n)
@@ -734,184 +740,161 @@ def _solve_hsde(sf: _StandardForm, cfg: SolverConfig) -> SolveResult:
     norm_h = max(1.0, _inf_norm(h))
     norm_c = max(1.0, _inf_norm(c))
     history = []
-    best_state = None
+    best = None  # the iterate of best merit, as (x, y, s, z, tau)
     best_merit = math.inf
     stall = 0
 
-    def metrics(x, y, s, z, tau):
-        """The point scaled by 1/tau, its costs, and its relative residuals.
+    def evaluate(x, y, s, z, tau):
+        """G x, the embedding's residuals, the costs at the point scaled by
+        1/tau, and its relative residuals: the embedding's divided by tau.
 
-        The residuals map primal, dual and gap, in that order; the merit of a
-        point is their max.
+        The relative residuals map primal, dual and gap, in that order; the
+        merit of an iterate is their max.
         """
-        X, Y = x / tau, y / tau
-        S, Z = s * (1.0 / tau), z * (1.0 / tau)
-        pcost = float(c @ X)
-        dcost = -float(b @ Y) - float(h @ Z)
-        res = {
-            "primal": max(_inf_norm(A @ X - b) / norm_b, _inf_norm(G @ X + S - h) / norm_h),
-            "dual": _inf_norm(AT @ Y + GT @ Z + c) / norm_c,
-            "gap": abs(pcost - dcost) / (1.0 + abs(pcost)),
-        }
-        return (X, Y, S, Z), pcost, dcost, res
-
-    def embedding(x, y, s, z, tau, kappa):
-        """G x and the residuals and barrier parameter of the embedding."""
         Gx = G @ x
         rx = AT @ y + GT @ z + c * tau
         ry = A @ x - b * tau
         rz = Gx + s - tau * h
-        rtau = float(c @ x) + float(b @ y) + float(h @ z) + kappa
-        mu = (float(s @ z) + tau * kappa) / nu1
-        return Gx, rx, ry, rz, rtau, mu
+        pcost = float(c @ (x / tau))
+        dcost = -float(b @ (y / tau)) - float(h @ (z * (1.0 / tau)))
+        res = {
+            "primal": max(_inf_norm(ry) / norm_b, _inf_norm(rz) / norm_h) / tau,
+            "dual": _inf_norm(rx) / norm_c / tau,
+            "gap": abs(pcost - dcost) / (1.0 + abs(pcost)),
+        }
+        return Gx, rx, ry, rz, pcost, dcost, res
 
-    def result_from(state, status, iterations):
-        bx, by, bs, bz, btau, _ = state
-        (X, Y, S, Z), pcost, dcost, res = metrics(bx, by, bs, bz, btau)
+    def converged(res):
+        return (res["primal"] <= cfg.feas_tol and res["dual"] <= cfg.feas_tol
+                and res["gap"] <= cfg.gap_tol)
+
+    def result(status, iterations, state):
+        """The SolveResult of the iterate state, optimal if it converged."""
+        x, y, s, z, tau = state
+        *_, pcost, dcost, res = evaluate(x, y, s, z, tau)
+        X, Y, S, Z = x / tau, y / tau, s * (1.0 / tau), z * (1.0 / tau)
         res["complementarity"] = float(S @ Z)
-        if (res["primal"] <= cfg.feas_tol and res["dual"] <= cfg.feas_tol
-                and res["gap"] <= cfg.gap_tol):
-            status = "optimal"
-        X0, Y0, S0, Z0 = sf.unscale_solution(X, Y, S, Z)
+        X0, Y0, Z0 = sf.unscale_solution(X, Y, Z)
         return SolveResult(
-            status=status, primal=pcost / sf.obj_scale, dual=dcost / sf.obj_scale,
-            x=X0, y_eq=Y0,
-            z_lin=cone.lin(Z0), z_psd=cone.mats(Z0),
-            s_lin=cone.lin(S0), s_psd=cone.mats(S0),
+            status="optimal" if converged(res) else status,
+            primal=pcost / sf.obj_scale, dual=dcost / sf.obj_scale,
+            x=X0, y_eq=Y0, z_lin=cone.lin(Z0), z_psd=cone.mats(Z0),
             residuals=res, iterations=iterations, history=history,
         )
 
-    def current_result(status, iterations):
-        state = best_state or (x, y, s, z, tau, kappa)
-        return result_from(state, status, iterations)
+    try:
+        for it in range(cfg.max_iter):
+            Gx, rx, ry, rz, pcost, dcost, res = evaluate(x, y, s, z, tau)
+            history.append((pcost / sf.obj_scale, dcost / sf.obj_scale,
+                            res["primal"], res["dual"]))
+            if converged(res):
+                return result("optimal", it, (x, y, s, z, tau))
+            merit = max(res.values())
+            if best is not None and merit > 10.0 * best_merit and best_merit < 1e-4:
+                raise FloatingPointError("endgame breakdown")
+            if merit < best_merit * 0.999:
+                best_merit = merit
+                best = (x.copy(), y.copy(), s.copy(), z.copy(), tau)
+                stall = 0
+            else:
+                stall += 1
+            if stall >= 15:
+                raise FloatingPointError("no progress in 15 iterations")
 
-    it = 0
-    for it in range(cfg.max_iter):
-        Gx, rx, ry, rz, rtau, mu = embedding(x, y, s, z, tau, kappa)
+            # infeasibility / unboundedness certificates from the embedding
+            cx, by, hz = float(c @ x), float(b @ y), float(h @ z)
+            by_hz = by + hz
+            if by_hz < -1e-12:
+                cert = _inf_norm(AT @ y + GT @ z)
+                if cert / (-by_hz) <= cfg.feas_tol * norm_c:
+                    return SolveResult("infeasible", math.inf, math.inf,
+                                       residuals={"certificate": cert / (-by_hz)},
+                                       iterations=it, history=history)
+            if cx < -1e-12:
+                cert = max(_inf_norm(A @ x), _inf_norm(Gx + s))
+                if cert / (-cx) <= cfg.feas_tol * max(norm_b, norm_h):
+                    return SolveResult("unbounded", -math.inf, -math.inf,
+                                       residuals={"certificate": cert / (-cx)},
+                                       iterations=it, history=history)
 
-        _, pcost, dcost, res = metrics(x, y, s, z, tau)
-        pres, dres, gap_rel = res["primal"], res["dual"], res["gap"]
-        history.append((pcost / sf.obj_scale, dcost / sf.obj_scale, pres, dres))
-        merit = max(pres, dres, gap_rel)
-        if pres <= cfg.feas_tol and dres <= cfg.feas_tol and gap_rel <= cfg.gap_tol:
-            return result_from((x, y, s, z, tau, kappa), "optimal", it)
-        if best_state is not None and merit > 10.0 * best_merit and best_merit < 1e-4:
-            # endgame breakdown: the solve ends with the best iterate
-            return current_result("numerical_failure", it)
-        if merit < best_merit * 0.999:
-            best_merit = merit
-            best_state = (x.copy(), y.copy(), s.copy(), z.copy(), tau, kappa)
-            stall = 0
-        else:
-            stall += 1
-        if stall >= 15:
-            return current_result("numerical_failure", it)
-
-        # infeasibility / unboundedness certificates from the embedding
-        by_hz = float(b @ y) + float(h @ z)
-        if by_hz < -1e-12:
-            cert = _inf_norm(AT @ y + GT @ z)
-            if cert / (-by_hz) <= cfg.feas_tol * norm_c:
-                return SolveResult("infeasible", math.inf, math.inf,
-                                   residuals={"certificate": cert / (-by_hz)},
-                                   iterations=it, history=history)
-        cx = float(c @ x)
-        if cx < -1e-12:
-            cert = max(_inf_norm(A @ x), _inf_norm(Gx + s))
-            if cert / (-cx) <= cfg.feas_tol * max(norm_b, norm_h):
-                return SolveResult("unbounded", -math.inf, -math.inf,
-                                   residuals={"certificate": cert / (-cx)},
-                                   iterations=it, history=history)
-
-        sz_lin = np.concatenate([cone.lin(s), cone.lin(z)])
-        if not np.all((sz_lin > 0.0) & (sz_lin < math.inf)):
-            return current_result("numerical_failure", it)
-        try:
+            sz_lin = np.concatenate([cone.lin(s), cone.lin(z)])
+            if not np.all((sz_lin > 0.0) & (sz_lin < math.inf)):
+                raise FloatingPointError("s or z left the orthant")
+            rtau = cx + by + hz + kappa
+            mu = (float(s @ z) + tau * kappa) / nu1
             scal = _Scaling(cone, s, z)
             kkt = _KKT(sf, scal)
             lam = scal.lam()
             dx2, dy2, dz2 = kkt.solve3(-c, b, h)
-        except (np.linalg.LinAlgError, ValueError):
-            return current_result("numerical_failure", it)
-
-        def direction(ds_target, dkt_target, eta):
-            q = scal.mult_Wt_lam_solve_extended(ds_target)
-            w_tilde = (-np.longdouble(eta) * rz).astype(float) - q
-            dx1, dy1, dz1 = kkt.solve3(-eta * rx, -eta * ry, w_tilde)
             den = float(c @ dx2) + float(b @ dy2) + float(h @ dz2) - kappa / tau
-            num = -eta * rtau - float(c @ dx1) - float(b @ dy1) - float(h @ dz1) \
-                - dkt_target / tau
-            dtau = num / den
-            dx = dx1 + dtau * dx2
-            dy = dy1 + dtau * dy2
-            dz = dz1 + dtau * dz2
-            ds = scal.ds_from_dz(q, dz)
-            dkappa = (dkt_target - kappa * dtau) / tau
-            return dx, dy, dz, ds, dtau, dkappa
 
-        def max_step(ds_bar, dz_bar, dtau, dkappa):
-            """Largest step that keeps s, z, tau and kappa in their cones.
+            def direction(ds_target, dkt_target, eta):
+                q = scal.mult_Wt_lam_solve_extended(ds_target)
+                w_tilde = (-np.longdouble(eta) * rz).astype(float) - q
+                dx1, dy1, dz1 = kkt.solve3(-eta * rx, -eta * ry, w_tilde)
+                num = -eta * rtau - float(c @ dx1) - float(b @ dy1) - float(h @ dz1) \
+                    - dkt_target / tau
+                dtau = num / den
+                dx = dx1 + dtau * dx2
+                dy = dy1 + dtau * dy2
+                dz = dz1 + dtau * dz2
+                ds = scal.ds_from_dz(q, dz)
+                dkappa = (dkt_target - kappa * dtau) / tau
+                return dx, dy, dz, ds, dtau, dkappa
 
-            NaN when any step length is NaN (a non-finite direction): numpy's
-            min propagates it, where Python's would keep a finite argument.
-            """
-            return float(np.min([
-                scal.step_to_boundary(ds_bar),
-                scal.step_to_boundary(dz_bar),
-                tau / -dtau if dtau < 0 else math.inf,
-                kappa / -dkappa if dkappa < 0 else math.inf,
-            ]))
+            def max_step(ds_bar, dz_bar, dtau, dkappa):
+                """Largest step that keeps s, z, tau and kappa in their cones.
 
-        # predictor
-        try:
+                A NaN step length (a non-finite direction) raises: numpy's min
+                propagates it, where Python's would keep a finite argument.
+                """
+                step = float(np.min([
+                    scal.step_to_boundary(ds_bar),
+                    scal.step_to_boundary(dz_bar),
+                    tau / -dtau if dtau < 0 else math.inf,
+                    kappa / -dkappa if dkappa < 0 else math.inf,
+                ]))
+                if math.isnan(step):
+                    raise FloatingPointError("NaN step length")
+                return step
+
+            # predictor
             lam_sq = _jordan(cone, lam, lam)
             dxa, dya, dza, dsa, dtaua, dkappaa = direction(-lam_sq, -tau * kappa, 1.0)
-        except (np.linalg.LinAlgError, ValueError):
-            return current_result("numerical_failure", it)
-        dz_bar = scal.scale_z(dza)
-        ds_bar = scal.scale_s(dsa)
-        step_a = max_step(ds_bar, dz_bar, dtaua, dkappaa)
-        if math.isnan(step_a):
-            return current_result("numerical_failure", it)
-        alpha_a = min(1.0, step_a)
-        mu_aff = (
-            float((s + alpha_a * dsa) @ (z + alpha_a * dza))
-            + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
-        ) / nu1
-        sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
+            dz_bar = scal.scale_z(dza)
+            ds_bar = scal.scale_s(dsa)
+            alpha_a = min(1.0, max_step(ds_bar, dz_bar, dtaua, dkappaa))
+            mu_aff = (
+                float((s + alpha_a * dsa) @ (z + alpha_a * dza))
+                + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
+            ) / nu1
+            sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
 
-        # corrector
-        try:
+            # corrector
             ds_comb = -lam_sq - _jordan(cone, ds_bar, dz_bar) + sigma * mu * cone.identity()
             dkt_comb = -tau * kappa - dtaua * dkappaa + sigma * mu
             dx, dy, dz, ds, dtau, dkappa = direction(ds_comb, dkt_comb, 1.0 - sigma)
-        except (np.linalg.LinAlgError, ValueError):
-            return current_result("numerical_failure", it)
-        step = max_step(scal.scale_s(ds), scal.scale_z(dz), dtau, dkappa)
-        alpha = min(1.0, 0.99 * step)
-        if math.isnan(step) or alpha <= 1e-14:
-            return current_result("numerical_failure", it)
-        if best_merit < 1e-4:
-            # endgame: pick the step fraction with the best balanced merit
-            cands = [alpha, 0.7 * alpha, 0.45 * alpha, 0.25 * alpha]
-            scored = []
-            for a in cands:
-                try:
-                    *_, res_a = metrics(x + a * dx, y + a * dy, s + a * ds,
-                                        z + a * dz, tau + a * dtau)
-                    m_a = max(res_a.values())
-                except (FloatingPointError, ZeroDivisionError):
-                    m_a = math.inf
-                scored.append((m_a, a))
-            scored.sort()
-            alpha = scored[0][1]
-        x += alpha * dx
-        y += alpha * dy
-        s += alpha * ds
-        z += alpha * dz
-        tau += alpha * dtau
-        kappa += alpha * dkappa
-        if tau <= 0 or kappa < 0:
-            return current_result("numerical_failure", it)
-
-    return current_result("max_iter", cfg.max_iter)
+            alpha = min(1.0, 0.99 * max_step(scal.scale_s(ds), scal.scale_z(dz), dtau, dkappa))
+            if alpha <= 1e-14:
+                raise FloatingPointError("step too short")
+            if best_merit < 1e-4:
+                # endgame: pick the step fraction with the best balanced
+                # merit; each candidate keeps tau > 0, as alpha does
+                scored = []
+                for a in (alpha, 0.7 * alpha, 0.45 * alpha, 0.25 * alpha):
+                    *_, res_a = evaluate(x + a * dx, y + a * dy, s + a * ds,
+                                         z + a * dz, tau + a * dtau)
+                    scored.append((max(res_a.values()), a))
+                scored.sort()
+                alpha = scored[0][1]
+            x += alpha * dx
+            y += alpha * dy
+            s += alpha * ds
+            z += alpha * dz
+            tau += alpha * dtau
+            kappa += alpha * dkappa
+            if tau <= 0 or kappa < 0:
+                raise FloatingPointError("tau or kappa left its cone")
+    except (FloatingPointError, np.linalg.LinAlgError, ValueError):
+        return result("numerical_failure", it, best or (x, y, s, z, tau))
+    return result("max_iter", cfg.max_iter, best or (x, y, s, z, tau))

@@ -21,8 +21,12 @@ class SolverConfig:
     gmc_denominator_cap: int = 1 << 16
 
     def __post_init__(self):
-        if min(self.feas_tol, self.gap_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        # written so that NaN fails each test: no comparison with it holds
+        if not (0 < self.feas_tol < math.inf and 0 < self.gap_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) \
+                or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
 
 
 @dataclass
@@ -34,8 +38,6 @@ class SolveResult:
     y_eq: np.ndarray | None = None
     z_lin: np.ndarray | None = None
     z_psd: list = field(default_factory=list)
-    s_lin: np.ndarray | None = None
-    s_psd: list = field(default_factory=list)
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
     history: list = field(default_factory=list)

@@ -184,6 +184,25 @@ def test_bench_config_from_json():
         BenchConfig.from_json_dict({"methods": []})
 
 
+@pytest.mark.parametrize("field,value,error", [
+    ("families", "A5", TypeError),  # a string, not split into "A" and "5"
+    ("methods", "MC", TypeError),
+    ("methods", ["M", 3], TypeError),
+    ("samples", 2.7, TypeError),  # int() would take it as 2
+    ("samples", True, TypeError),
+    ("samples", 0, ValueError),
+    ("base_seed", 1.5, TypeError),
+    ("solver", {"feas_tol": math.nan}, ValueError),
+    ("solver", {"max_iter": 2.5}, ValueError),
+], ids=["families_string", "methods_string", "methods_number", "samples_float",
+        "samples_bool", "samples_zero", "base_seed_float", "feas_tol_nan", "max_iter_float"])
+def test_bench_config_refuses_what_json_did_not_say(field, value, error):
+    data = {"families": ["A5"], "methods": ["MC"], "samples": 2, "base_seed": 3}
+    BenchConfig.from_json_dict(data)
+    with pytest.raises(error):
+        BenchConfig.from_json_dict({**data, field: value})
+
+
 def test_benchmark_failure_recorded_not_raised():
     cfg = BenchConfig(families=["S(2,3)"], methods=["univariate-sparse"], samples=1)
     records, summary = run_benchmark(cfg)  # method invalid for n=2 instances

@@ -1,6 +1,7 @@
 """Hand-built LP/SDP programs with closed-form answers, plus IPM invariants."""
 
 import math
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -11,8 +12,8 @@ import scipy.sparse.linalg as spla
 
 from patternrelax.assemble import assemble_relaxation
 from patternrelax.bench import family_for_method, gen_instance
-from patternrelax.hsde import (_KKT, DENSE_BLOCK_MAX, _DenseBlock, _jordan, _KKTPattern, _matmul_ld,
-                               _Scaling, _SparseBlock, _StandardForm)
+from patternrelax.hsde import (_KKT, DENSE_BLOCK_MAX, _DenseBlock, _inf_norm, _jordan, _KKTPattern,
+                               _matmul_ld, _Scaling, _SparseBlock, _StandardForm)
 from patternrelax.ipm import SolveResult, SolverConfig, solve
 from patternrelax.pipeline import solve_relaxation
 from patternrelax.polynomials import Box
@@ -437,8 +438,14 @@ def test_dual_feasibility_sign_convention():
 
 
 def test_solver_config_validation_and_status_fields():
-    with pytest.raises(ValueError):
-        SolverConfig(feas_tol=0.0)
+    # NaN passed min(nan, ...) <= 0, infinite tolerances call any first
+    # iterate optimal, and a float max_iter failed later, inside range
+    for bad in ({"feas_tol": 0.0}, {"feas_tol": math.nan}, {"gap_tol": math.nan},
+                {"gap_tol": math.inf}, {"feas_tol": math.inf, "gap_tol": math.inf},
+                {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5}, {"max_iter": True}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+    assert SolverConfig(feas_tol=1e-6, gap_tol=1, max_iter=1).max_iter == 1
     r = solve(CASES[0][1]())
     assert isinstance(r, SolveResult)
     assert r.iterations > 0
@@ -866,6 +873,65 @@ def test_nan_step_length_ends_the_solve_at_once(monkeypatch, call):
     assert (r.iterations, len(calls)) == (call // 4, call - call % 2 + 2)
     assert math.isfinite(r.primal) and math.isfinite(r.dual)
     assert np.all(np.isfinite(r.x)) and np.all(np.isfinite(r.z_lin))
+
+
+# (class, method, calls per iteration, calls before the one that fails)
+_BREAKDOWNS = {"kkt_predictor": (_KKT, "solve3", 3, 1), "scaling": (_Scaling, "__init__", 1, 0)}
+
+
+@pytest.mark.parametrize("where,iteration", [("kkt_predictor", 0), ("kkt_predictor", 7),
+                                             ("scaling", 0), ("scaling", 6)])
+def test_a_breakdown_ends_the_solve_with_a_visited_iterate(monkeypatch, where, iteration):
+    # each iteration makes one scaling and three KKT solves, the predictor's
+    # second; a LinAlgError in either ends the solve with numerical_failure
+    # on that iteration, reporting the best iterate seen, as every breakdown
+    # does
+    cls, name, per_iteration, before = _BREAKDOWNS[where]
+    calls = []
+    original = getattr(cls, name)
+    fail_at = per_iteration * iteration + before + 1
+
+    def failing(self, *args):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise np.linalg.LinAlgError("injected")
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, failing)
+    inst = gen_instance("dense(2,6)", 1)
+    r = solve_relaxation(inst.f, family_for_method("C", inst.f), inst.box).result
+    assert (r.status, r.iterations, len(calls)) == ("numerical_failure", iteration, fail_at)
+    assert (r.primal, r.dual, r.residuals["primal"], r.residuals["dual"]) in r.history
+    assert np.all(np.isfinite(r.x))
+
+
+_OPTIMAL = [(name, build) for name, build, status, _ in CASES if status == "optimal"] + [
+    (f"{tag}/{method}", partial(_lowered, tag, method))
+    for tag, method in (("dense(2,6)", "C"), ("A6", "M"))]
+
+
+@pytest.mark.parametrize("name,build", _OPTIMAL, ids=[c[0] for c in _OPTIMAL])
+def test_reported_residuals_measure_the_returned_point(monkeypatch, name, build):
+    # the stopping test reads the embedding's residuals divided by tau; they
+    # must be the residuals of the scaled point (X, Y, S, Z) that the result
+    # is built from.  The slack S is not returned, so it is read off the
+    # frame that calls unscale_solution
+    points = []
+    unscale = _StandardForm.unscale_solution
+
+    def capturing(self, X, Y, Z):
+        points.append((self, X, Y, sys._getframe(1).f_locals["S"], Z))
+        return unscale(self, X, Y, Z)
+
+    monkeypatch.setattr(_StandardForm, "unscale_solution", capturing)
+    r = solve(build())
+    assert r.status == "optimal" and len(points) == 1, name
+    sf, X, Y, S, Z = points[0]
+    norm_b, norm_h, norm_c = (max(1.0, _inf_norm(v)) for v in (sf.b, sf.h, sf.c))
+    primal = max(_inf_norm(sf.A @ X - sf.b) / norm_b, _inf_norm(sf.G @ X + S - sf.h) / norm_h)
+    dual = _inf_norm(sf.A.T @ Y + sf.G.T @ Z + sf.c) / norm_c
+    assert abs(r.residuals["primal"] - primal) <= 1e-14, name
+    assert abs(r.residuals["dual"] - dual) <= 1e-14, name
 
 
 def _shared_column_blocks():
